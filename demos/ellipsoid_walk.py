@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from nukc import (
+from nukc.ellipsoid import (
     EllipsoidState,
     Rounded,
     Separating,

@@ -1,10 +1,15 @@
 """Two-radius covering with outliers, solved by round-or-cut.
 
 The public surface mirrors the pipeline: model types, the greedy radius
-partition, the firefighter reduction and its exact solver, the ellipsoid
-engine, the well separated inner solver, and the outer feasibility solver
-with its scale search.  Exact enumeration oracles and instance generators
-support testing and experiments.
+partition, the firefighter reduction and its exact solver, the oracle verdict
+types, the well separated inner solver, and the outer feasibility solver with
+its scale search.  Both solvers return a :class:`SolveResult`, which is also
+the parsed form of a solution file.  Exact enumeration oracles and instance
+generators support testing and experiments.
+
+The cutting-plane engine that drives the oracles is not part of the public
+surface: its internals live in ``nukc.ellipsoid`` and may be replaced without
+notice.
 """
 
 from .bruteforce import (
@@ -16,24 +21,11 @@ from .bruteforce import (
     validate_cut_on_hull,
 )
 from .clustering import HSResult, hs_partition
-from .ellipsoid import (
-    EllipsoidState,
-    OracleContractError,
-    Rounded,
-    RoundOrCutConfig,
-    RoundOrCutResult,
-    Separating,
-    default_max_iters,
-    det_shrink_ratio,
-    ellipsoid_update,
-    initial_ellipsoid,
-    run_round_or_cut,
-)
+from .ellipsoid import OracleContractError, Rounded, Separating
 from .firefighter import (
     TwoFFInstance,
     TwoFFSolution,
     covered_leaves,
-    is_valuable,
     selection_value,
     solve_2ff,
 )
@@ -52,6 +44,7 @@ from .model import (
     NUkCInstance,
     NUkCSolution,
     SizeGuardError,
+    SolveResult,
     TheoryViolationError,
     WellSepNUkCInstance,
     ball,
@@ -62,32 +55,19 @@ from .model import (
 from .outer import (
     OptimizeResult,
     OuterOracle,
-    SolveResult,
     enumerate_candidates,
     optimize,
     solve_feasibility,
 )
-from .presolve import coverage_upper_bound, greedy_cover
+from .presolve import greedy_cover
 from .reduction import (
     FracFFSolution,
     frac_ff_solution,
     lift_ff_solution,
     reduce_to_firefighter,
-    y_witnesses,
 )
-from .serialize import (
-    SolutionRecord,
-    instance_from_json,
-    instance_to_json,
-    solution_from_json,
-    solution_to_json,
-)
-from .wellsep import (
-    SolverConfig,
-    WellSepResult,
-    solve_wellsep,
-    wellsep_separation_oracle,
-)
+from .serialize import instance_from_json, instance_to_json, solution_from_json
+from .wellsep import SolverConfig, solve_wellsep, wellsep_separation_oracle
 
 __version__ = "0.1.0"
 
@@ -95,7 +75,6 @@ __all__ = [
     "BruteForceResult",
     "CoverageVector",
     "Cut",
-    "EllipsoidState",
     "FracFFSolution",
     "HSResult",
     "HullChecker",
@@ -108,27 +87,19 @@ __all__ = [
     "OuterOracle",
     "PlantedTruth",
     "Rounded",
-    "RoundOrCutConfig",
-    "RoundOrCutResult",
     "Separating",
     "SizeGuardError",
-    "SolutionRecord",
     "SolveResult",
     "SolverConfig",
     "TheoryViolationError",
     "TwoFFInstance",
     "TwoFFSolution",
     "WellSepNUkCInstance",
-    "WellSepResult",
     "ball",
     "brute_2ff",
     "brute_force_nukc",
     "covered_leaves",
     "covered_points",
-    "coverage_upper_bound",
-    "default_max_iters",
-    "det_shrink_ratio",
-    "ellipsoid_update",
     "enumerate_candidates",
     "eval_cut",
     "frac_ff_solution",
@@ -136,19 +107,15 @@ __all__ = [
     "greedy_cover",
     "hs_partition",
     "hull_coverage_vectors",
-    "initial_ellipsoid",
     "instance_from_json",
     "instance_to_json",
-    "is_valuable",
     "lift_ff_solution",
     "optimize",
     "planted_instance",
     "planted_kcenter_instance",
     "reduce_to_firefighter",
-    "run_round_or_cut",
     "selection_value",
     "solution_from_json",
-    "solution_to_json",
     "solve_2ff",
     "solve_feasibility",
     "solve_wellsep",
@@ -156,5 +123,4 @@ __all__ = [
     "validate_cut_on_hull",
     "verify_solution",
     "wellsep_separation_oracle",
-    "y_witnesses",
 ]

@@ -63,6 +63,25 @@ def _combo_count(n_cands: int, k: int) -> int:
     return sum(comb(n_cands, s) for s in range(min(k, n_cands) + 1))
 
 
+def _guard(n1: int, k1: int, n2: int, k2: int, max_combos: int, what: str) -> None:
+    """Raise SizeGuardError when the two-class enumeration exceeds ``max_combos``."""
+    total = _combo_count(n1, k1) * _combo_count(n2, k2)
+    if total > max_combos:
+        raise SizeGuardError(f"{total} {what} exceed the guard ({max_combos})")
+
+
+def _subsets(
+    cands: list[int], masks: list[int], k: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every subset of at most k candidates with the union of their masks."""
+    for size in range(min(k, len(cands)) + 1):
+        for chosen in combinations(range(len(cands)), size):
+            mask = 0
+            for i in chosen:
+                mask |= masks[i]
+            yield tuple(cands[i] for i in chosen), mask
+
+
 @dataclass(frozen=True)
 class BruteForceResult:
     feasible: bool
@@ -84,24 +103,12 @@ def brute_force_nukc(
     subset count would exceed ``max_combos``.
     """
     cand1, masks1, cand2, masks2 = _center_masks(instance, rho, restrict_y)
-    total = _combo_count(len(cand1), instance.k1) * _combo_count(len(cand2), instance.k2)
-    if total > max_combos:
-        raise SizeGuardError(
-            f"{total} center combinations exceed the guard ({max_combos})"
-        )
-
-    def subsets(cands: list[int], masks: list[int], k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        for size in range(min(k, len(cands)) + 1):
-            for chosen in combinations(range(len(cands)), size):
-                mask = 0
-                for i in chosen:
-                    mask |= masks[i]
-                yield tuple(cands[i] for i in chosen), mask
-
+    _guard(len(cand1), instance.k1, len(cand2), instance.k2, max_combos,
+           "center combinations")
     best = -1
     witness: NUkCSolution | None = None
-    side2 = list(subsets(cand2, masks2, instance.k2))
-    for s1, m1 in subsets(cand1, masks1, instance.k1):
+    side2 = list(_subsets(cand2, masks2, instance.k2))
+    for s1, m1 in _subsets(cand1, masks1, instance.k1):
         for s2, m2 in side2:
             count = (m1 | m2).bit_count()
             if count > best:
@@ -114,9 +121,7 @@ def brute_force_nukc(
 
 def brute_2ff(tree: TwoFFInstance, max_combos: int = MAX_COMBOS) -> TwoFFSolution:
     """Exact firefighter optimum by enumerating both selections."""
-    total = _combo_count(len(tree.roots), tree.k1) * _combo_count(len(tree.leaves), tree.k2)
-    if total > max_combos:
-        raise SizeGuardError(f"{total} selections exceed the guard ({max_combos})")
+    _guard(len(tree.roots), tree.k1, len(tree.leaves), tree.k2, max_combos, "selections")
     best: TwoFFSolution | None = None
     for size1 in range(min(tree.k1, len(tree.roots)) + 1):
         for t1 in combinations(tree.roots, size1):
@@ -140,22 +145,11 @@ def hull_coverage_vectors(
     small-radius coverage not double counting points already covered large.
     """
     cand1, masks1, cand2, masks2 = _center_masks(instance, 1.0, restrict_y)
-    total = _combo_count(len(cand1), instance.k1) * _combo_count(len(cand2), instance.k2)
-    if total > max_combos:
-        raise SizeGuardError(f"{total} solutions exceed the guard ({max_combos})")
+    _guard(len(cand1), instance.k1, len(cand2), instance.k2, max_combos, "solutions")
     n = instance.n
     out: list[tuple[NUkCSolution, CoverageVector]] = []
-
-    def subsets(cands, masks, k):
-        for size in range(min(k, len(cands)) + 1):
-            for chosen in combinations(range(len(cands)), size):
-                mask = 0
-                for i in chosen:
-                    mask |= masks[i]
-                yield tuple(cands[i] for i in chosen), mask
-
-    side2 = list(subsets(cand2, masks2, instance.k2))
-    for s1, m1 in subsets(cand1, masks1, instance.k1):
+    side2 = list(_subsets(cand2, masks2, instance.k2))
+    for s1, m1 in _subsets(cand1, masks1, instance.k1):
         for s2, m2 in side2:
             covered = m1 | m2
             if covered.bit_count() < instance.m:

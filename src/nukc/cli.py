@@ -20,13 +20,14 @@ from .generators import (
     planted_kcenter_instance,
     uniform_instance,
 )
-from .model import MetricError, verify_solution
+from .model import MetricError, SolveResult, verify_solution
 from .outer import optimize, solve_feasibility
 from .serialize import (
     dump_json,
     instance_from_json,
     instance_to_json,
     load_json,
+    solution_from_json,
 )
 from .wellsep import SolverConfig
 
@@ -79,7 +80,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(
         max_iters=args.max_iters,
-        eps=args.eps,
         shortcuts=not getattr(args, "no_shortcuts", False),
     )
 
@@ -90,17 +90,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.optimize:
         opt = optimize(instance, cfg)
         if opt.solution is None:
-            dump_json({"status": "infeasible"}, args.out)
+            dump_json(SolveResult("infeasible").to_json(), args.out)
             return EXIT_INFEASIBLE
-        ok, count = verify_solution(instance, opt.solution, opt.solution.dilation)
-        data = {
-            "status": "solution",
-            "dilation": opt.solution.dilation,
-            "centers1": list(opt.solution.centers1),
-            "centers2": list(opt.solution.centers2),
-            "covered_count": count,
-            "rho_star": opt.rho_star,
-        }
+        result = SolveResult.verified(instance, opt.solution, "optimize")
+        data = {**result.to_json(), "rho_star": opt.rho_star}
         if args.trace:
             for rho, status in opt.probes:
                 print(f"trace: rho={rho:.6g} -> {status}", file=sys.stderr)
@@ -126,8 +119,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .serialize import solution_from_json
-
     instance = instance_from_json(load_json(args.instance))
     record = solution_from_json(load_json(args.solution))
     if record.status == "infeasible":
@@ -137,7 +128,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not ok:
         print(f"invalid: covers {count} < m={instance.m} or violates budgets")
         return EXIT_INFEASIBLE
-    if record.covered_count is not None and record.covered_count != count:
+    if record.covered_count != count:
         print(f"invalid: claimed covered_count={record.covered_count}, actual {count}")
         return EXIT_INFEASIBLE
     print(
@@ -148,10 +139,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _bench_task(task: tuple) -> dict:
-    kind, seed, params, max_iters, eps = task
+    kind, seed, params, max_iters = task
     ns = argparse.Namespace(**params)
     instance, _ = _generate(kind, seed, ns)
-    cfg = SolverConfig(max_iters=max_iters, eps=eps)
+    cfg = SolverConfig(max_iters=max_iters)
     start = perf_counter()
     result = solve_feasibility(instance, cfg)
     elapsed = perf_counter() - start
@@ -180,7 +171,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "m": args.m,
     }
     tasks = [
-        (args.kind, args.seed + i, params, args.max_iters, args.eps)
+        (args.kind, args.seed + i, params, args.max_iters)
         for i in range(args.count)
     ]
     if args.parallel > 1:
@@ -221,8 +212,6 @@ def _add_gen_params(parser: argparse.ArgumentParser) -> None:
 def _add_solver_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iters", type=int, default=None,
                         help="cap on separation oracle calls")
-    parser.add_argument("--eps", type=float, default=1e-9,
-                        help="cut violation tolerance of the engine")
 
 
 def build_parser() -> argparse.ArgumentParser:

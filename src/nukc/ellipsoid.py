@@ -132,8 +132,6 @@ def ellipsoid_update(state: EllipsoidState, a: np.ndarray) -> EllipsoidState:
 @dataclass
 class RoundOrCutConfig:
     max_iters: int | None = None
-    eps: float = CUT_CONTRACT_EPS
-    collect_cuts: bool = True
     # Declare infeasibility once every semi-axis is below this.  Callers set
     # it under the radius of the oracle's rounding region, where an enclosed
     # feasible point would have forced the center itself to round; 0 disables.
@@ -156,8 +154,9 @@ def run_round_or_cut(
     """Drive the oracle from the unit-cube ball until it rounds or the cap hits.
 
     Every returned cut is checked against the oracle contract (violated at the
-    query by more than ``eps``); a satisfied "cut" raises OracleContractError
-    since continuing would silently corrupt the infeasibility certificate.
+    query by more than CUT_CONTRACT_EPS); a satisfied "cut" raises
+    OracleContractError since continuing would silently corrupt the
+    infeasibility certificate.
     """
     cfg = config or RoundOrCutConfig()
     max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters(dim)
@@ -179,22 +178,21 @@ def run_round_or_cut(
         if not isinstance(verdict, Separating):
             raise TypeError(f"oracle returned {type(verdict).__name__}")
         violation = float(verdict.a @ state.center - verdict.b)
-        if not violation > cfg.eps:
+        if not violation > CUT_CONTRACT_EPS:
             raise OracleContractError(
                 f"cut {verdict.cut.kind if verdict.cut else ''!r} not violated at the "
-                f"query (violation {violation:.3g} <= eps {cfg.eps:.3g})"
+                f"query (violation {violation:.3g} <= eps {CUT_CONTRACT_EPS:.3g})"
             )
-        if cfg.collect_cuts:
-            cuts.append(
-                verdict.cut
-                if verdict.cut is not None
-                else Cut(
-                    a1=verdict.a[: dim // 2] if dim % 2 == 0 else verdict.a,
-                    a2=verdict.a[dim // 2 :] if dim % 2 == 0 else np.zeros_like(verdict.a),
-                    b=verdict.b,
-                    kind="raw",
-                )
+        cuts.append(
+            verdict.cut
+            if verdict.cut is not None
+            else Cut(
+                a1=verdict.a[: dim // 2] if dim % 2 == 0 else verdict.a,
+                a2=verdict.a[dim // 2 :] if dim % 2 == 0 else np.zeros_like(verdict.a),
+                b=verdict.b,
+                kind="raw",
             )
+        )
         # Half-width of the ellipsoid along the cut direction.  When the
         # violation exceeds it, every point of the ellipsoid breaks the cut,
         # so the feasible region it was guaranteed to contain is empty.  This

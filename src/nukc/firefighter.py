@@ -145,8 +145,3 @@ def solve_2ff(tree: TwoFFInstance) -> TwoFFSolution:
     t1.reverse()
     t2.sort()
     return TwoFFSolution(t1=tuple(t1), t2=tuple(t2), value=best)
-
-
-def is_valuable(tree: TwoFFInstance, m: int) -> bool:
-    """Whether some in-budget selection saves weight at least ``m``."""
-    return solve_2ff(tree).value >= m

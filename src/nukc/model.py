@@ -293,15 +293,6 @@ class Cut:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.a1, self.a2])
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "a1": self.a1.tolist(),
-            "a2": self.a2.tolist(),
-            "b": self.b,
-            "meta": self.meta,
-        }
-
 
 def eval_cut(cut: Cut, cov: CoverageVector) -> float:
     """Slack b - (a1·cov1 + a2·cov2); negative means the cut is violated."""
@@ -364,3 +355,55 @@ def coverage_of_solution(
         c2[d[c] <= instance.r2] = 1.0
     c2[c1 > 0] = 0.0
     return CoverageVector(c1, c2)
+
+
+@dataclass
+class SolveResult:
+    """A solver verdict, and the parsed form of a solution file.
+
+    SOLUTION results the solvers return come from :meth:`verified`, which
+    checks coverage at the solution's own dilation.  The engine fields
+    (``case`` onward) stay empty for screen verdicts and parsed files.
+    """
+
+    status: str  # "solution" | "infeasible"
+    solution: NUkCSolution | None = None
+    covered_count: int = 0
+    method: str = ""  # trivial|greedy|lp-bound|probe|round|cap, or optimize (CLI)
+    case: str = ""  # which outer rounding case produced the solution, if any
+    iterations: int = 0
+    cuts: list[Cut] = field(default_factory=list)
+    case_log: list[dict] = field(default_factory=list)
+    inner_runs: list = field(default_factory=list)
+
+    @classmethod
+    def verified(
+        cls, instance: NUkCInstance, solution: NUkCSolution, method: str, **fields
+    ) -> SolveResult:
+        """A SOLUTION whose coverage was recounted at its dilation.
+
+        Raises TheoryViolationError when the solution misses the target or a
+        budget: solvers only return solutions their proofs guarantee.
+        """
+        ok, count = verify_solution(instance, solution, solution.dilation)
+        if not ok:
+            raise TheoryViolationError(
+                f"{method} solution failed verification",
+                dump={"instance": instance, "solution": solution},
+            )
+        return cls("solution", solution, count, method=method, **fields)
+
+    def to_json(self) -> dict:
+        """The solution-file record: status, plus centers and count for a SOLUTION."""
+        if self.status == "infeasible":
+            return {"status": "infeasible"}
+        if self.status != "solution" or self.solution is None:
+            raise ValueError(f"cannot encode status {self.status!r} without a solution")
+        sol = self.solution
+        return {
+            "status": "solution",
+            "dilation": float(sol.dilation),
+            "centers1": [int(v) for v in sol.centers1],
+            "centers2": [int(v) for v in sol.centers2],
+            "covered_count": int(self.covered_count),
+        }

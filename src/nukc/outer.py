@@ -17,21 +17,28 @@ from typing import Sequence
 
 import numpy as np
 
-from .ellipsoid import Rounded, RoundOrCutResult, Separating, run_round_or_cut
+from .ellipsoid import Rounded, Separating, run_round_or_cut
 from .firefighter import solve_2ff
 from .model import (
     CoverageVector,
     Cut,
     NUkCInstance,
     NUkCSolution,
+    SolveResult,
     TheoryViolationError,
     WellSepNUkCInstance,
     ball,
-    verify_solution,
 )
 from .presolve import coverage_lp, greedy_cover, lp_probe_vector
 from .reduction import lift_ff_solution, reduce_to_firefighter
-from .wellsep import ORACLE_EPS, SolverConfig, WellSepResult, box_violation_cut, mass_cut, solve_wellsep
+from .wellsep import (
+    ORACLE_EPS,
+    SolverConfig,
+    box_violation_cut,
+    engine_verdict,
+    mass_cut,
+    solve_wellsep,
+)
 
 # Dilations achieved by the two rounding cases.
 CASE1_DILATION = 10.0
@@ -51,7 +58,6 @@ class Candidate:
     q: int | None
     instance: WellSepNUkCInstance
     points: tuple[int, ...]
-    removed: tuple[int, ...]
 
 
 def enumerate_candidates(
@@ -78,7 +84,6 @@ def enumerate_candidates(
             q=None,
             instance=WellSepNUkCInstance(base=base, y=ys),
             points=tuple(range(instance.n)),
-            removed=(),
         )
     ]
     if instance.k1 == 0:
@@ -106,7 +111,6 @@ def enumerate_candidates(
                 q=q,
                 instance=WellSepNUkCInstance(base=sub, y=sub_y),
                 points=tuple(int(v) for v in keep),
-                removed=tuple(int(v) for v in removed),
             )
         )
     return out
@@ -144,7 +148,7 @@ class OuterOracle:
         self.instance = instance
         self.config = config
         self.case_log: list[dict] = []
-        self.inner_runs: list[tuple[Candidate, WellSepResult]] = []
+        self.inner_runs: list[tuple[Candidate, SolveResult]] = []
         self._case2_cache: dict[tuple[int, ...], tuple] = {}
 
     def __call__(self, x: np.ndarray) -> Rounded | Separating:
@@ -200,8 +204,7 @@ class OuterOracle:
             outcome = ("infeasible",)
             for cand in enumerate_candidates(inst, roots):
                 res = solve_wellsep(cand.instance, self.config)
-                if self.config.collect_cuts:
-                    self.inner_runs.append((cand, res))
+                self.inner_runs.append((cand, res))
                 if res.status == "solution":
                     lifted = lift_candidate_solution(cand, res.solution, inst)
                     outcome = ("solution", lifted, cand.q)
@@ -218,30 +221,6 @@ class OuterOracle:
             Cut(a1=a1, a2=np.zeros(n), b=float(inst.k1 - 2), kind="candidates",
                 meta={"roots": list(roots)})
         )
-
-
-@dataclass
-class SolveResult:
-    status: str  # "solution" | "infeasible"
-    solution: NUkCSolution | None = None
-    covered_count: int = 0
-    method: str = ""  # "trivial" | "greedy" | "lp-bound" | "round" | "cap"
-    case: str = ""  # which rounding case produced the solution, if any
-    iterations: int = 0
-    cuts: list[Cut] = field(default_factory=list)
-    case_log: list[dict] = field(default_factory=list)
-    inner_runs: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        if self.status != "solution":
-            return {"status": "infeasible"}
-        return {
-            "status": "solution",
-            "dilation": self.solution.dilation,
-            "centers1": list(self.solution.centers1),
-            "centers2": list(self.solution.centers2),
-            "covered_count": self.covered_count,
-        }
 
 
 def _trivial_solution(instance: NUkCInstance) -> NUkCSolution | None:
@@ -266,20 +245,19 @@ def solve_feasibility(
     """
     cfg = config or SolverConfig()
     n = instance.n
-    if instance.m <= 0:
-        return _finish(instance, NUkCSolution.empty(), "trivial")
-    if instance.m > n or (instance.k1 == 0 and instance.k2 == 0):
-        return SolveResult("infeasible", method="trivial")
     trivial = _trivial_solution(instance)
     if trivial is not None:
-        return _finish(instance, trivial, "trivial")
+        return SolveResult.verified(instance, trivial, "trivial")
+    if instance.m > n or (instance.k1 == 0 and instance.k2 == 0):
+        return SolveResult("infeasible", method="trivial")
 
     oracle = OuterOracle(instance, cfg)
+    trail = {"case_log": oracle.case_log, "inner_runs": oracle.inner_runs}
     probe_cuts: list[Cut] = []
     if cfg.shortcuts:
         sol = greedy_cover(instance)
         if sol is not None:
-            return _finish(instance, sol, "greedy")
+            return SolveResult.verified(instance, sol, "greedy")
         bound, x1, x2 = coverage_lp(instance)
         if bound < instance.m - 1e-6:
             return SolveResult("infeasible", method="lp-bound")
@@ -288,43 +266,15 @@ def solve_feasibility(
             verdict = oracle(lp_probe_vector(instance, x1, x2))
             if isinstance(verdict, Rounded):
                 solution, info = verdict.payload
-                out = _finish(instance, solution, "probe")
-                out.case = info.get("case", "")
-                out.case_log = oracle.case_log
-                out.inner_runs = oracle.inner_runs
-                return out
-            if verdict.cut is not None and cfg.collect_cuts:
+                return SolveResult.verified(
+                    instance, solution, "probe", case=info["case"], **trail
+                )
+            if verdict.cut is not None:
                 probe_cuts.append(verdict.cut)
 
-    res: RoundOrCutResult = run_round_or_cut(2 * n, oracle, cfg.engine(n))
+    res = run_round_or_cut(2 * n, oracle, cfg.engine(n))
     res.cuts[:0] = probe_cuts
-    if res.status == "rounded":
-        solution, info = res.payload
-        out = _finish(instance, solution, "round")
-        out.case = info.get("case", "")
-        out.iterations = res.iterations
-        out.cuts = res.cuts
-        out.case_log = oracle.case_log
-        out.inner_runs = oracle.inner_runs
-        return out
-    return SolveResult(
-        "infeasible",
-        method="cap",
-        iterations=res.iterations,
-        cuts=res.cuts,
-        case_log=oracle.case_log,
-        inner_runs=oracle.inner_runs,
-    )
-
-
-def _finish(instance: NUkCInstance, solution: NUkCSolution, method: str) -> SolveResult:
-    ok, count = verify_solution(instance, solution, solution.dilation)
-    if not ok:
-        raise TheoryViolationError(
-            f"{method} solution failed verification",
-            dump={"instance": instance, "solution": solution},
-        )
-    return SolveResult("solution", solution, count, method=method)
+    return engine_verdict(instance, res, **trail)
 
 
 @dataclass

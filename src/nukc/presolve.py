@@ -145,12 +145,6 @@ def coverage_lp(
     return float(-res.fun), res.x[:n].copy(), res.x[n : 2 * n].copy()
 
 
-def coverage_upper_bound(
-    instance: NUkCInstance, restrict_y: Sequence[int] | None = None
-) -> float:
-    return coverage_lp(instance, restrict_y)[0]
-
-
 def lp_probe_vector(
     instance: NUkCInstance, x1: np.ndarray, x2: np.ndarray
 ) -> np.ndarray:

@@ -11,13 +11,13 @@ yields a fractional forest solution of the same value or more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .clustering import hs_partition
 from .firefighter import TwoFFInstance, TwoFFSolution
-from .model import CoverageVector, MetricSpace, NUkCInstance, NUkCSolution
+from .model import CoverageVector, NUkCInstance, NUkCSolution
 
 
 def reduce_to_firefighter(
@@ -121,23 +121,3 @@ def lift_ff_solution(tree: TwoFFInstance, selection: TwoFFSolution) -> NUkCSolut
         centers2=selection.t2,
         dilation=tree.alpha1 + tree.alpha2,
     )
-
-
-def y_witnesses(
-    metric: MetricSpace, r1: float, centers: Iterable[int], y: Sequence[int]
-) -> dict[int, int]:
-    """Reporting metadata: nearest Y point within r1 of each center, if any.
-
-    Centers stay where they are; this only records which Y point vouches for
-    each large-radius center of a well-separated solution.
-    """
-    y = list(y)
-    out: dict[int, int] = {}
-    for c in centers:
-        if not y:
-            break
-        dists = metric.dist[c, y]
-        j = int(np.argmin(dists))
-        if dists[j] <= r1:
-            out[int(c)] = int(y[j])
-    return out

@@ -4,21 +4,43 @@ Instance objects carry either "points" (rows of coordinates, Euclidean metric)
 or an explicit "distance_matrix", never both, plus r1, r2, k1, k2, m.  Unknown
 keys are ignored on input so files can carry provenance such as generator
 metadata.  Solution objects always carry "status"; a solution additionally has
-"dilation", "centers1", "centers2", and "covered_count".
+"dilation", "centers1", "centers2", and "covered_count".  They are written by
+``SolveResult.to_json`` and read back by :func:`solution_from_json`; a missing
+or malformed key raises ValueError naming it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from .model import MetricSpace, NUkCInstance, NUkCSolution
+from .model import MetricSpace, NUkCInstance, NUkCSolution, SolveResult
 
 INSTANCE_KEYS = ("r1", "r2", "k1", "k2", "m")
+SOLUTION_KEYS = ("dilation", "centers1", "centers2", "covered_count")
+
+
+def _require(data: dict[str, Any], keys: tuple[str, ...], what: str) -> None:
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{what} JSON missing keys: {', '.join(missing)}")
+
+
+def _read(data: dict[str, Any], key: str, convert: Callable[[Any], Any]) -> Any:
+    """``convert(data[key])``, failing with a ValueError that names the key."""
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad value for {key!r}: {data[key]!r} ({exc})") from None
+
+
+def _indices(value: Any) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError("expected a list of point indices")
+    return tuple(int(v) for v in value)
 
 
 def instance_to_json(instance: NUkCInstance) -> dict[str, Any]:
@@ -44,9 +66,7 @@ def instance_from_json(data: dict[str, Any]) -> NUkCInstance:
     has_matrix = "distance_matrix" in data
     if has_points == has_matrix:
         raise ValueError("instance needs exactly one of 'points' or 'distance_matrix'")
-    missing = [key for key in INSTANCE_KEYS if key not in data]
-    if missing:
-        raise ValueError(f"instance JSON missing keys: {', '.join(missing)}")
+    _require(data, INSTANCE_KEYS, "instance")
     if has_points:
         points = np.asarray(data["points"], dtype=float)
         if points.ndim != 2:
@@ -56,56 +76,30 @@ def instance_from_json(data: dict[str, Any]) -> NUkCInstance:
         metric = MetricSpace.from_matrix(np.asarray(data["distance_matrix"], dtype=float))
     return NUkCInstance(
         metric=metric,
-        r1=float(data["r1"]),
-        r2=float(data["r2"]),
-        k1=int(data["k1"]),
-        k2=int(data["k2"]),
-        m=int(data["m"]),
+        r1=_read(data, "r1", float),
+        r2=_read(data, "r2", float),
+        k1=_read(data, "k1", int),
+        k2=_read(data, "k2", int),
+        m=_read(data, "m", int),
     )
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
-    """Parsed solution file: either infeasible or a solution with its count."""
-
-    status: str
-    solution: NUkCSolution | None = None
-    covered_count: int | None = None
-
-
-def solution_to_json(record: SolutionRecord) -> dict[str, Any]:
-    if record.status == "infeasible":
-        return {"status": "infeasible"}
-    if record.status != "solution" or record.solution is None:
-        raise ValueError(f"cannot encode status {record.status!r}")
-    sol = record.solution
-    return {
-        "status": "solution",
-        "dilation": float(sol.dilation),
-        "centers1": [int(v) for v in sol.centers1],
-        "centers2": [int(v) for v in sol.centers2],
-        "covered_count": int(record.covered_count or 0),
-    }
-
-
-def solution_from_json(data: dict[str, Any]) -> SolutionRecord:
+def solution_from_json(data: dict[str, Any]) -> SolveResult:
+    """Parse a solution file; the inverse of ``SolveResult.to_json``."""
     if not isinstance(data, dict) or "status" not in data:
         raise ValueError("solution JSON must be an object with a 'status'")
     status = data["status"]
     if status == "infeasible":
-        return SolutionRecord(status="infeasible")
+        return SolveResult("infeasible")
     if status != "solution":
         raise ValueError(f"unknown status {status!r}")
+    _require(data, SOLUTION_KEYS, "solution")
     solution = NUkCSolution(
-        centers1=tuple(int(v) for v in data["centers1"]),
-        centers2=tuple(int(v) for v in data["centers2"]),
-        dilation=float(data["dilation"]),
+        centers1=_read(data, "centers1", _indices),
+        centers2=_read(data, "centers2", _indices),
+        dilation=_read(data, "dilation", float),
     )
-    return SolutionRecord(
-        status="solution",
-        solution=solution,
-        covered_count=int(data["covered_count"]),
-    )
+    return SolveResult("solution", solution, _read(data, "covered_count", int))
 
 
 def load_json(path: str | Path) -> Any:

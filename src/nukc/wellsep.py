@@ -9,7 +9,7 @@ inequality as a cut that every true solution satisfies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from .firefighter import solve_2ff
 from .model import (
     CoverageVector,
     Cut,
+    NUkCInstance,
     NUkCSolution,
-    TheoryViolationError,
+    SolveResult,
     WellSepNUkCInstance,
-    verify_solution,
 )
 from .presolve import coverage_lp, greedy_cover, lp_probe_vector
 from .reduction import lift_ff_solution, reduce_to_firefighter
@@ -45,9 +45,7 @@ class SolverConfig:
     """Knobs shared by the inner and outer solvers."""
 
     max_iters: int | None = None  # ellipsoid cap; None uses the dimension formula
-    eps: float = 1e-9  # cut-contract tolerance for the engine
     shortcuts: bool = True  # greedy / LP presolve screens
-    collect_cuts: bool = True  # keep Cut objects for certificates and tests
 
     def engine(self, n: int = 0) -> RoundOrCutConfig:
         # A feasible 0/1 coverage vector keeps passing every oracle check under
@@ -55,22 +53,22 @@ class SolverConfig:
         # ellipsoid fits inside that radius and the center still separates, no
         # feasible point is left and the engine may stop early.
         stop = ORACLE_EPS / (4.0 * n) if n > 0 else 0.0
-        return RoundOrCutConfig(
-            max_iters=self.max_iters,
-            eps=self.eps,
-            collect_cuts=self.collect_cuts,
-            stop_radius=stop,
+        return RoundOrCutConfig(max_iters=self.max_iters, stop_radius=stop)
+
+
+def engine_verdict(
+    instance: NUkCInstance, res: RoundOrCutResult, **fields
+) -> SolveResult:
+    """The verdict of a finished engine run: verified SOLUTION or INFEASIBLE."""
+    if res.status == "rounded":
+        solution, info = res.payload
+        return SolveResult.verified(
+            instance, solution, "round", case=info.get("case", ""),
+            iterations=res.iterations, cuts=res.cuts, **fields,
         )
-
-
-@dataclass
-class WellSepResult:
-    status: str  # "solution" | "infeasible"
-    solution: NUkCSolution | None = None
-    covered_count: int = 0
-    method: str = ""  # "trivial" | "greedy" | "lp-bound" | "round" | "cap"
-    iterations: int = 0
-    cuts: list[Cut] = field(default_factory=list)
+    return SolveResult(
+        "infeasible", method="cap", iterations=res.iterations, cuts=res.cuts, **fields
+    )
 
 
 def _unit_cut(n: int, block: int, v: int, sign: float, b: float, kind: str) -> Cut:
@@ -158,7 +156,7 @@ def wellsep_separation_oracle(
 
 def solve_wellsep(
     ws: WellSepNUkCInstance, config: SolverConfig | None = None
-) -> WellSepResult:
+) -> SolveResult:
     """Decide a well-separated instance: dilation-4 solution or infeasible.
 
     INFEASIBLE means no solution with large centers inside Y covers m points at
@@ -168,9 +166,9 @@ def solve_wellsep(
     inst = ws.base
     n = inst.n
     if inst.m <= 0:
-        return WellSepResult("solution", NUkCSolution.empty(), 0, method="trivial")
+        return SolveResult.verified(inst, NUkCSolution.empty(), "trivial")
     if inst.m > n or (inst.k1 == 0 and inst.k2 == 0):
-        return WellSepResult("infeasible", method="trivial")
+        return SolveResult("infeasible", method="trivial")
 
     def oracle(x: np.ndarray):
         return wellsep_separation_oracle(ws, CoverageVector.from_vector(x))
@@ -179,41 +177,18 @@ def solve_wellsep(
     if cfg.shortcuts:
         sol = greedy_cover(inst, restrict_y=ws.y)
         if sol is not None:
-            ok, count = verify_solution(inst, sol, sol.dilation)
-            if ok:
-                return WellSepResult("solution", sol, count, method="greedy")
+            return SolveResult.verified(inst, sol, "greedy")
         bound, x1, x2 = coverage_lp(inst, restrict_y=ws.y)
         if bound < inst.m - 1e-6:
-            return WellSepResult("infeasible", method="lp-bound")
+            return SolveResult("infeasible", method="lp-bound")
         if x1 is not None:
             # Query the LP optimizer first; integral optima round immediately.
             verdict = oracle(lp_probe_vector(inst, x1, x2))
             if isinstance(verdict, Rounded):
-                solution, info = verdict.payload
-                ok, count = verify_solution(inst, solution, WELLSEP_DILATION)
-                if not ok:
-                    raise TheoryViolationError(
-                        "probed well-separated solution failed verification",
-                        dump={"instance": ws, "solution": solution, "info": info},
-                    )
-                return WellSepResult("solution", solution, count, method="probe")
-            if verdict.cut is not None and cfg.collect_cuts:
+                return SolveResult.verified(inst, verdict.payload[0], "probe")
+            if verdict.cut is not None:
                 probe_cuts.append(verdict.cut)
 
-    res: RoundOrCutResult = run_round_or_cut(2 * n, oracle, cfg.engine(n))
+    res = run_round_or_cut(2 * n, oracle, cfg.engine(n))
     res.cuts[:0] = probe_cuts
-    if res.status == "rounded":
-        solution, _info = res.payload
-        ok, count = verify_solution(inst, solution, WELLSEP_DILATION)
-        if not ok:
-            raise TheoryViolationError(
-                "rounded well-separated solution failed verification",
-                dump={"instance": ws, "solution": solution, "info": _info},
-            )
-        return WellSepResult(
-            "solution", solution, count, method="round",
-            iterations=res.iterations, cuts=res.cuts,
-        )
-    return WellSepResult(
-        "infeasible", method="cap", iterations=res.iterations, cuts=res.cuts
-    )
+    return engine_verdict(inst, res)

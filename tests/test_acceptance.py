@@ -19,8 +19,6 @@ from nukc import (
     SolverConfig,
     brute_2ff,
     brute_force_nukc,
-    ellipsoid_update,
-    EllipsoidState,
     frac_ff_solution,
     graph_instance,
     hs_partition,
@@ -33,6 +31,7 @@ from nukc import (
     uniform_instance,
     verify_solution,
 )
+from nukc.ellipsoid import EllipsoidState, ellipsoid_update
 from nukc.serialize import load_json
 
 import test_gap_fixture as gap

@@ -200,6 +200,29 @@ class TestErrors:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"status": "solution", "dilation": 1.0},
+        {"status": "solution", "dilation": 1.0, "centers1": 5, "centers2": [],
+         "covered_count": 0},
+    ])
+    def test_malformed_solution_document(self, tmp_path, capsys, doc):
+        inst_path = gen_planted(tmp_path, capsys)
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", str(inst_path), str(sol_path))
+        assert code == 1
+        assert "error:" in err and "centers1" in err
+
+    def test_null_instance_parameter(self, tmp_path, capsys):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({
+            "points": [[0.0], [1.0]], "r1": 1.0, "r2": 0.5,
+            "k1": None, "k2": 1, "m": 1,
+        }))
+        code, _, err = run(capsys, "solve", str(path))
+        assert code == 1
+        assert "error:" in err and "k1" in err
+
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nukc import (
+from nukc.ellipsoid import (
+    EllipsoidNumericsError,
     EllipsoidState,
     OracleContractError,
     Rounded,
@@ -15,7 +16,6 @@ from nukc import (
     initial_ellipsoid,
     run_round_or_cut,
 )
-from nukc.ellipsoid import EllipsoidNumericsError
 
 
 class TestGeometry:

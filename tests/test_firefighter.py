@@ -5,7 +5,6 @@ from nukc import (
     TwoFFInstance,
     brute_2ff,
     covered_leaves,
-    is_valuable,
     selection_value,
     solve_2ff,
 )
@@ -106,8 +105,7 @@ class TestSelections:
 
     def test_is_valuable_threshold(self):
         tree = two_star_tree(k1=1, k2=1)
-        assert is_valuable(tree, 11)
-        assert not is_valuable(tree, 12)
+        assert solve_2ff(tree).value == 11  # weight 11 is reachable, 12 is not
 
 
 class TestAgainstEnumeration:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from nukc import brute_force_nukc, coverage_upper_bound, greedy_cover, verify_solution
+from nukc import brute_force_nukc, greedy_cover, verify_solution
 from nukc.presolve import coverage_lp, lp_probe_vector
 
 from conftest import random_instance
@@ -49,7 +49,7 @@ class TestCoverageBound:
         rng = np.random.default_rng(5)
         for _ in range(40):
             inst = random_instance(rng, max_n=8)
-            bound = coverage_upper_bound(inst)
+            bound = coverage_lp(inst)[0]
             best = brute_force_nukc(inst).best_covered
             assert bound >= best - 1e-6
 
@@ -58,10 +58,10 @@ class TestCoverageBound:
         for _ in range(20):
             inst = random_instance(rng, max_n=8)
             y = [0]
-            bound = coverage_upper_bound(inst, restrict_y=y)
+            bound = coverage_lp(inst, restrict_y=y)[0]
             best = brute_force_nukc(inst, restrict_y=y).best_covered
             assert bound >= best - 1e-6
-            assert bound <= coverage_upper_bound(inst) + 1e-9
+            assert bound <= coverage_lp(inst)[0] + 1e-9
 
     def test_probe_vector_is_boxed(self):
         rng = np.random.default_rng(7)

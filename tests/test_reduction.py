@@ -8,7 +8,6 @@ from nukc import (
     frac_ff_solution,
     lift_ff_solution,
     reduce_to_firefighter,
-    y_witnesses,
 )
 from nukc.model import CoverageVector, coverage_of_solution
 
@@ -134,10 +133,3 @@ class TestLift:
         tree = reduce_to_firefighter(inst, 2.0, 2.0, cov)
         with pytest.raises(ValueError):
             lift_ff_solution(tree, TwoFFSolution(t1=(0, 2), t2=(), value=3))
-
-
-class TestWitnesses:
-    def test_nearest_y_within_reach(self):
-        metric = MetricSpace.from_points([(0, 0), (0.5, 0), (30, 0)])
-        out = y_witnesses(metric, 1.0, centers=[0, 2], y=[1])
-        assert out == {0: 1}  # center 2 is too far from every y point

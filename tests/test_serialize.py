@@ -7,12 +7,11 @@ import pytest
 
 from nukc import (
     NUkCSolution,
-    SolutionRecord,
+    SolveResult,
     graph_instance,
     instance_from_json,
     instance_to_json,
     solution_from_json,
-    solution_to_json,
     uniform_instance,
 )
 from nukc.serialize import dump_json, load_json
@@ -84,19 +83,26 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="coordinate rows"):
             instance_from_json(doc)
 
+    def test_null_parameter_named(self):
+        doc = self.base()
+        doc["points"] = [[0.0], [1.0]]
+        doc["k1"] = None
+        with pytest.raises(ValueError, match="'k1'"):
+            instance_from_json(doc)
+
 
 class TestSolutionRoundTrip:
     def test_solution_exact(self):
-        rec = SolutionRecord(
+        rec = SolveResult(
             status="solution",
             solution=NUkCSolution(centers1=(0, 3), centers2=(5,), dilation=4.0),
             covered_count=9,
         )
-        back = solution_from_json(solution_to_json(rec))
+        back = solution_from_json(rec.to_json())
         assert back == rec
 
     def test_infeasible(self):
-        doc = solution_to_json(SolutionRecord(status="infeasible"))
+        doc = SolveResult(status="infeasible").to_json()
         assert doc == {"status": "infeasible"}
         assert solution_from_json(doc).status == "infeasible"
 
@@ -108,9 +114,19 @@ class TestSolutionRoundTrip:
         with pytest.raises(ValueError, match="status"):
             solution_from_json({"dilation": 1.0})
 
+    def test_missing_key_named(self):
+        with pytest.raises(ValueError, match="centers1"):
+            solution_from_json({"status": "solution", "dilation": 1.0})
+
+    def test_malformed_centers_named(self):
+        doc = {"status": "solution", "dilation": 1.0, "centers1": 5,
+               "centers2": [], "covered_count": 0}
+        with pytest.raises(ValueError, match="'centers1'"):
+            solution_from_json(doc)
+
     def test_encoding_bad_record_rejected(self):
         with pytest.raises(ValueError):
-            solution_to_json(SolutionRecord(status="solution", solution=None))
+            SolveResult(status="solution", solution=None).to_json()
 
 
 class TestDumpJson:
