@@ -1,8 +1,8 @@
 """Command line front end: gen, solve, check, bench.
 
 Exit codes follow the feasibility verdict: 0 for a solution (or a successful
-gen/check/bench run), 2 for infeasible (or a failed check), 1 for usage and
-input errors.
+gen/check/bench run, or --help), 2 for infeasible (or a failed check), 1 for
+usage and input errors.
 """
 
 from __future__ import annotations
@@ -197,6 +197,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_SOLUTION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR: argparse's own 2 means INFEASIBLE here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def _add_gen_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clusters", type=int, default=3)
     parser.add_argument("--points-per-cluster", type=int, default=5)
@@ -215,7 +233,7 @@ def _add_solver_params(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nukc",
         description="Two-radius covering with outliers: generate, solve, check, bench.",
     )
@@ -251,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--kind", choices=("planted", "kcenter", "uniform", "graph"),
                        default="planted")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--count", type=int, default=10)
-    bench.add_argument("--parallel", type=int, default=1, metavar="N",
+    bench.add_argument("--count", type=_positive_int, default=10)
+    bench.add_argument("--parallel", type=_positive_int, default=1, metavar="N",
                        help="worker processes")
     _add_gen_params(bench)
     _add_solver_params(bench)

@@ -100,11 +100,26 @@ class MetricSpace:
         return MetricSpace(dist=np.asarray(dist, dtype=float))
 
     def restrict(self, points: Sequence[int]) -> MetricSpace:
-        """Sub-metric on the given original indices, in the given order."""
-        idx = np.asarray(list(points), dtype=int)
+        """Sub-metric on the given original indices, in the given order.
+
+        Repeated indices are allowed: duplicated locations are distinct
+        points.  The result is not validated again, because every axiom on
+        the submatrix is an axiom on entries and triples of this metric.
+        """
+        idx = np.asarray(points, dtype=int)
+        bad = (idx < 0) | (idx >= self.n)
+        if bad.any():
+            raise ValueError(f"restrict index {idx[bad][0]} out of range for {self.n} points")
         sub = self.dist[np.ix_(idx, idx)]
-        coords = self.coords[idx] if self.coords is not None else None
-        return MetricSpace(dist=sub, coords=coords)
+        sub.setflags(write=False)
+        coords = None
+        if self.coords is not None:
+            coords = self.coords[idx]
+            coords.setflags(write=False)
+        out = object.__new__(MetricSpace)
+        object.__setattr__(out, "dist", sub)
+        object.__setattr__(out, "coords", coords)
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MetricSpace):

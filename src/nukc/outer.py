@@ -27,7 +27,6 @@ from .model import (
     SolveResult,
     TheoryViolationError,
     WellSepNUkCInstance,
-    ball,
 )
 from .presolve import coverage_lp, greedy_cover, lp_probe_vector
 from .reduction import lift_ff_solution, reduce_to_firefighter
@@ -90,27 +89,23 @@ def enumerate_candidates(
         return out
     d = instance.metric.dist
     d_to_y = d[:, list(ys)].min(axis=1) if ys else np.full(instance.n, np.inf)
-    for q in range(instance.n):
-        if d_to_y[q] <= instance.r1:
-            continue
-        removed = ball(instance.metric, q, instance.r1)
-        keep = np.setdiff1d(np.arange(instance.n), removed)
-        sub_metric = instance.metric.restrict(keep)
-        pos = {int(orig): i for i, orig in enumerate(keep)}
-        sub_y = tuple(pos[v] for v in ys)  # Y is disjoint from B(q, r1)
+    for q in np.flatnonzero(d_to_y > instance.r1).tolist():
+        keep = np.flatnonzero(d[q] > instance.r1)  # outside B(q, r1), ascending
+        # Y is disjoint from B(q, r1), so every Y point has a position in keep.
+        sub_y = tuple(np.searchsorted(keep, ys).tolist())
         sub = NUkCInstance(
-            sub_metric,
+            instance.metric.restrict(keep),
             2.0 * instance.r1,
             instance.r2,
             instance.k1 - 1,
             instance.k2,
-            max(0, instance.m - int(removed.size)),
+            max(0, instance.m - (instance.n - keep.size)),
         )
         out.append(
             Candidate(
                 q=q,
                 instance=WellSepNUkCInstance(base=sub, y=sub_y),
-                points=tuple(int(v) for v in keep),
+                points=tuple(keep.tolist()),
             )
         )
     return out

@@ -17,17 +17,6 @@ from scipy.optimize import linprog
 from .model import NUkCInstance, NUkCSolution, verify_solution
 
 
-def _candidate_masks(
-    instance: NUkCInstance, restrict_y: Sequence[int] | None
-) -> tuple[list[int], list[np.ndarray], list[int], list[np.ndarray]]:
-    d = instance.metric.dist
-    cand1 = sorted(int(v) for v in restrict_y) if restrict_y is not None else list(range(instance.n))
-    cand2 = list(range(instance.n))
-    masks1 = [d[u] <= instance.r1 for u in cand1]
-    masks2 = [d[u] <= instance.r2 for u in cand2]
-    return cand1, masks1, cand2, masks2
-
-
 def greedy_cover(
     instance: NUkCInstance, restrict_y: Sequence[int] | None = None
 ) -> NUkCSolution | None:
@@ -39,64 +28,52 @@ def greedy_cover(
     """
     if instance.m <= 0:
         return NUkCSolution.empty()
-    cand1, masks1, cand2, masks2 = _candidate_masks(instance, restrict_y)
-    chosen: list[tuple[int, int]] = []  # (class, candidate position)
+    if instance.m > instance.n:
+        return None
+    d = instance.metric.dist
+    cand1 = sorted(int(v) for v in restrict_y) if restrict_y is not None else list(range(instance.n))
+    n1 = len(cand1)
+    # One row per candidate ball, the large-radius class first.  argmax takes
+    # the first maximum, so ties go to class 1 and then to the lowest
+    # position: class 2 wins only on a strictly larger gain.
+    centers = cand1 + list(range(instance.n))
+    balls = np.vstack([d[cand1] <= instance.r1, d <= instance.r2])
+    cls = (np.arange(len(centers)) >= n1).astype(int)  # 0: large, 1: small
+    budget = np.array([instance.k1, instance.k2])
+    chosen: list[int] = []  # rows of balls
     covered = np.zeros(instance.n, dtype=bool)
-    budget = {1: instance.k1, 2: instance.k2}
-    pools = {1: (cand1, masks1), 2: (cand2, masks2)}
-    while (budget[1] > 0 or budget[2] > 0) and covered.sum() < instance.m:
-        best = None  # (gain, class, position)
-        for cls in (1, 2):
-            if budget[cls] == 0:
-                continue
-            cands, masks = pools[cls]
-            for i, mask in enumerate(masks):
-                gain = int(np.count_nonzero(mask & ~covered))
-                if best is None or gain > best[0]:
-                    best = (gain, cls, i)
-        if best is None or best[0] == 0:
+    while budget.any() and covered.sum() < instance.m:
+        gains = np.count_nonzero(balls & ~covered, axis=1)
+        gains[budget[cls] == 0] = -1
+        i = int(np.argmax(gains))
+        if gains[i] <= 0:
             break
-        _, cls, i = best
-        chosen.append((cls, i))
-        covered |= pools[cls][1][i]
-        budget[cls] -= 1
-
-    def coverage_of(selection: list[tuple[int, int]]) -> np.ndarray:
-        out = np.zeros(instance.n, dtype=bool)
-        for cls, i in selection:
-            out |= pools[cls][1][i]
-        return out
+        chosen.append(i)
+        covered |= balls[i]
+        budget[cls[i]] -= 1
 
     # Swap polish: replace one pick at a time while coverage strictly improves.
     for _ in range(8):
         count = int(covered.sum())
         if count >= instance.m:
             break
-        improved = False
         for pos in range(len(chosen)):
-            cls, _ = chosen[pos]
-            rest = chosen[:pos] + chosen[pos + 1 :]
-            base = coverage_of(rest)
-            base_count = int(base.sum())
-            cands, masks = pools[cls]
-            for i, mask in enumerate(masks):
-                gain = base_count + int(np.count_nonzero(mask & ~base))
-                if gain > count:
-                    chosen[pos] = (cls, i)
-                    covered = base | mask
-                    count = gain
-                    improved = True
-                    break
-            if improved:
+            base = balls[chosen[:pos] + chosen[pos + 1 :]].any(axis=0)
+            lo, hi = (0, n1) if chosen[pos] < n1 else (n1, len(centers))
+            gains = int(base.sum()) + np.count_nonzero(balls[lo:hi] & ~base, axis=1)
+            better = np.flatnonzero(gains > count)
+            if better.size:
+                chosen[pos] = lo + int(better[0])
+                covered = base | balls[chosen[pos]]
                 break
-        if not improved:
+        else:
             break
 
     if int(covered.sum()) < instance.m:
         return None
     sol = NUkCSolution(
-        centers1=tuple(pools[1][0][i] for cls, i in chosen if cls == 1),
-        centers2=tuple(pools[2][0][i] for cls, i in chosen if cls == 2),
+        centers1=tuple(centers[i] for i in chosen if i < n1),
+        centers2=tuple(centers[i] for i in chosen if i >= n1),
         dilation=1.0,
     )
     ok, _ = verify_solution(instance, sol, 1.0)

@@ -224,8 +224,29 @@ class TestErrors:
         assert "error:" in err and "k1" in err
 
     def test_unknown_command_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--bogus", "x"],
+        ["solve"],
+        ["bench", "--count", "0"],
+        ["bench", "--count", "-2"],
+        ["bench", "--parallel", "0"],
+        ["bench", "--parallel", "-1"],
+    ])
+    def test_usage_error_exits_1_not_infeasible(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestBench:

@@ -81,6 +81,25 @@ class TestMetricSpace:
         sub = metric.restrict([0, 2])
         assert sub.n == 2
         assert sub.dist[0, 1] == pytest.approx(5.0)
+        assert sub.coords.tolist() == [[0.0, 0.0], [5.0, 0.0]]
+        with pytest.raises(ValueError):
+            sub.dist[0, 1] = 7.0
+        with pytest.raises(ValueError):
+            sub.coords[0, 0] = 7.0
+
+    def test_restrict_allows_repeated_indices(self):
+        metric = MetricSpace.from_matrix([[0.0, 2.0], [2.0, 0.0]])
+        sub = metric.restrict([1, 1, 0])
+        assert sub.dist.tolist() == [[0.0, 0.0, 2.0], [0.0, 0.0, 2.0], [2.0, 2.0, 0.0]]
+        assert sub.coords is None
+        assert metric.restrict([]).n == 0
+
+    @pytest.mark.parametrize("points", [[-1], [0, 3], [1, 7, 0]])
+    def test_restrict_rejects_out_of_range_index(self, points):
+        metric = MetricSpace.from_points([(0, 0), (1, 0), (5, 0)])
+        bad = next(v for v in points if not 0 <= v < 3)
+        with pytest.raises(ValueError, match=f"index {bad} out of range"):
+            metric.restrict(points)
 
     def test_equality_by_contents(self):
         a = MetricSpace.from_points([(0, 0), (1, 0)])

@@ -9,15 +9,18 @@ from nukc import (
     MetricSpace,
     NUkCInstance,
     SolverConfig,
+    ball,
     brute_force_nukc,
+    hs_partition,
     optimize,
     planted_instance,
     solve_feasibility,
     validate_cut_on_hull,
     verify_solution,
 )
+from nukc.outer import enumerate_candidates
 
-from conftest import random_instance
+from conftest import random_instance, random_metric
 
 
 def euclidean(points, r1, r2, k1, k2, m):
@@ -107,6 +110,63 @@ class TestAgainstBruteForce:
                     ), cut.kind
                     checked += 1
         assert checked > 0  # the corpus must actually exercise cuts
+
+
+class TestCandidates:
+    def test_candidates_match_validated_construction(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(60):
+            n = int(rng.integers(4, 15))
+            metric = random_metric(rng, n)
+            r1 = float(metric.dist.max()) * float(rng.uniform(0.02, 0.15)) or 1.0
+            inst = NUkCInstance(metric, r1, 0.5 * r1, int(rng.integers(1, 4)), 1,
+                                int(rng.integers(1, n + 1)))
+            reps = hs_partition(metric, range(n), 8.0 * r1, rng.uniform(size=n)).reps
+            y = sorted(rng.choice(reps, size=int(rng.integers(0, len(reps) + 1)),
+                                  replace=False).tolist())
+            cands = enumerate_candidates(inst, y)
+            assert isinstance(cands, list)
+            assert cands[0].q is None and cands[0].instance.y == tuple(y)
+            far = [q for q in range(n) if all(metric.dist[q, v] > r1 for v in y)]
+            assert [c.q for c in cands[1:]] == far
+            for cand in cands[1:]:
+                # The construction the enumeration used before sub-metrics
+                # were trusted, with the validating constructor.
+                removed = ball(metric, cand.q, r1)
+                keep = np.setdiff1d(np.arange(n), removed)
+                pos = {int(orig): i for i, orig in enumerate(keep)}
+                sub = cand.instance.base
+                coords = None if metric.coords is None else metric.coords[keep]
+                assert sub.metric == MetricSpace(metric.dist[np.ix_(keep, keep)], coords)
+                assert cand.points == tuple(int(v) for v in keep)
+                assert cand.instance.y == tuple(pos[v] for v in y)
+                assert sub.m == max(0, inst.m - int(removed.size))
+                assert (sub.r1, sub.r2, sub.k1, sub.k2) == (2 * r1, inst.r2, inst.k1 - 1, 1)
+                assert not sub.metric.dist.flags.writeable
+                assert sub.metric.coords is None or not sub.metric.coords.flags.writeable
+                checked += 1
+        assert checked > 100
+
+    def test_solve_path_validates_no_metric(self, monkeypatch):
+        # The Case II query builds one sub-metric per point q far from the
+        # roots; none of them may run the n x n x n metric check again.
+        inst, _ = planted_instance(3, 6, 9, 6)
+        calls = {"validate": 0, "restrict": 0}
+        validate, restrict = MetricSpace.__post_init__, MetricSpace.restrict
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(MetricSpace, "__post_init__", counted("validate", validate))
+        monkeypatch.setattr(MetricSpace, "restrict", counted("restrict", restrict))
+        res = solve_feasibility(inst)
+        assert (res.status, res.method, res.case) == ("solution", "probe", "II")
+        assert calls["restrict"] > 0
+        assert calls["validate"] == 0
 
 
 class TestOptimize:

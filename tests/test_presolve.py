@@ -1,9 +1,110 @@
 import numpy as np
 
-from nukc import brute_force_nukc, greedy_cover, verify_solution
+from nukc import (
+    MetricSpace,
+    NUkCInstance,
+    NUkCSolution,
+    brute_force_nukc,
+    greedy_cover,
+    verify_solution,
+)
 from nukc.presolve import coverage_lp, lp_probe_vector
 
 from conftest import random_instance
+
+
+def loop_greedy_cover(instance, restrict_y=None):
+    """The per-candidate loop greedy_cover replaced; the reference for its picks."""
+    if instance.m <= 0:
+        return NUkCSolution.empty()
+    d = instance.metric.dist
+    cand1 = sorted(int(v) for v in restrict_y) if restrict_y is not None else list(range(instance.n))
+    cand2 = list(range(instance.n))
+    masks1 = [d[u] <= instance.r1 for u in cand1]
+    masks2 = [d[u] <= instance.r2 for u in cand2]
+    chosen = []
+    covered = np.zeros(instance.n, dtype=bool)
+    budget = {1: instance.k1, 2: instance.k2}
+    pools = {1: (cand1, masks1), 2: (cand2, masks2)}
+    while (budget[1] > 0 or budget[2] > 0) and covered.sum() < instance.m:
+        best = None
+        for cls in (1, 2):
+            if budget[cls] == 0:
+                continue
+            for i, mask in enumerate(pools[cls][1]):
+                gain = int(np.count_nonzero(mask & ~covered))
+                if best is None or gain > best[0]:
+                    best = (gain, cls, i)
+        if best is None or best[0] == 0:
+            break
+        _, cls, i = best
+        chosen.append((cls, i))
+        covered |= pools[cls][1][i]
+        budget[cls] -= 1
+
+    def coverage_of(selection):
+        out = np.zeros(instance.n, dtype=bool)
+        for cls, i in selection:
+            out |= pools[cls][1][i]
+        return out
+
+    for _ in range(8):
+        count = int(covered.sum())
+        if count >= instance.m:
+            break
+        improved = False
+        for pos in range(len(chosen)):
+            cls, _ = chosen[pos]
+            base = coverage_of(chosen[:pos] + chosen[pos + 1 :])
+            base_count = int(base.sum())
+            for i, mask in enumerate(pools[cls][1]):
+                gain = base_count + int(np.count_nonzero(mask & ~base))
+                if gain > count:
+                    chosen[pos] = (cls, i)
+                    covered = base | mask
+                    count = gain
+                    improved = True
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+
+    if int(covered.sum()) < instance.m:
+        return None
+    sol = NUkCSolution(
+        centers1=tuple(pools[1][0][i] for cls, i in chosen if cls == 1),
+        centers2=tuple(pools[2][0][i] for cls, i in chosen if cls == 2),
+        dilation=1.0,
+    )
+    ok, _ = verify_solution(instance, sol, 1.0)
+    return sol if ok else None
+
+
+def duplicated_instance(rng, n=12):
+    """Points drawn with repetition from a few sites, so many balls tie."""
+    sites = rng.uniform(0.0, 4.0, size=(int(rng.integers(2, 5)), 2))
+    metric = MetricSpace.from_points(sites[rng.integers(0, len(sites), size=n)])
+    r1 = float(rng.uniform(0.5, 3.0))
+    return NUkCInstance(
+        metric, r1, r1 * float(rng.uniform(0.0, 0.9)),
+        int(rng.integers(0, 4)), int(rng.integers(0, 4)), int(rng.integers(1, n + 1)),
+    )
+
+
+def trap_instance(rng):
+    """Points on a line where only the swap polish reaches m.
+
+    The greedy's first ball, at 1.05, holds both clusters but their outer
+    points 0 and 2.1, so two large balls fall one point short of m until the
+    straddling ball is swapped for one of several right-cluster balls.
+    """
+    left = [0.0, *rng.uniform(0.06, 0.1, size=int(rng.integers(2, 5)))]
+    right = [2.1, *rng.uniform(2.0, 2.04, size=int(rng.integers(2, 5)))]
+    far = rng.uniform(5.0, 9.0, size=int(rng.integers(0, 3)))
+    pts = rng.permutation(np.concatenate([left, right, [1.05], far]))
+    return NUkCInstance(MetricSpace.from_points(pts[:, None]), 1.0, 0.01, 2, 0,
+                        len(left) + len(right) + 1)
 
 
 class TestGreedy:
@@ -42,6 +143,20 @@ class TestGreedy:
                 assert len(sol.centers1) <= inst.k1
                 assert len(sol.centers2) <= inst.k2
         assert hits > 0  # the corpus is not all-infeasible
+
+    def test_picks_match_loop_reference(self):
+        rng = np.random.default_rng(8)
+        hits = 0
+        for t in range(300):
+            make = (duplicated_instance, trap_instance, random_instance)[t % 3]
+            inst = make(rng)
+            n = inst.n
+            for y in (None, (), (0,), (0, n // 2, n - 1) if n >= 3 else (0, n - 1)):
+                got = greedy_cover(inst, restrict_y=y)
+                want = loop_greedy_cover(inst, restrict_y=y)
+                assert got == want, (t, y)
+                hits += got is not None
+        assert hits > 0
 
 
 class TestCoverageBound:
