@@ -228,7 +228,7 @@ def _add_gen_params(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-iters", type=int, default=None,
+    parser.add_argument("--max-iters", type=_positive_int, default=None,
                         help="cap on separation oracle calls")
 
 

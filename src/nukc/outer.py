@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,12 +52,31 @@ class Candidate:
     ``q`` is the one large center allowed off the root set (None for the
     no-such-center case); its ball is granted for free, so the sub-instance
     lives on the remaining points with the target reduced accordingly.
-    ``points`` maps sub-metric indices back to original ones.
+    ``points`` maps sub-metric indices back to original ones, ``y`` is the
+    root set in sub-metric indices, and ``parent`` is the full instance.
     """
 
     q: int | None
-    instance: WellSepNUkCInstance
     points: tuple[int, ...]
+    y: tuple[int, ...]
+    parent: NUkCInstance = field(repr=False)
+
+    @cached_property
+    def instance(self) -> WellSepNUkCInstance:
+        """The sub-instance, built on first access.
+
+        The oracle stops at the first candidate that rounds, so most
+        candidates never pay for their sub-metric.
+        """
+        inst = self.parent
+        if self.q is None:
+            metric, k1, m = inst.metric, inst.k1, inst.m
+        else:
+            metric = inst.metric.restrict(self.points)
+            k1 = inst.k1 - 1
+            m = max(0, inst.m - (inst.n - len(self.points)))
+        base = NUkCInstance(metric, 2.0 * inst.r1, inst.r2, k1, inst.k2, m)
+        return WellSepNUkCInstance(base=base, y=self.y)
 
 
 def enumerate_candidates(
@@ -70,21 +90,7 @@ def enumerate_candidates(
     q are skipped entirely when k1 = 0.
     """
     ys = tuple(sorted(int(v) for v in y))
-    base = NUkCInstance(
-        instance.metric,
-        2.0 * instance.r1,
-        instance.r2,
-        instance.k1,
-        instance.k2,
-        instance.m,
-    )
-    out = [
-        Candidate(
-            q=None,
-            instance=WellSepNUkCInstance(base=base, y=ys),
-            points=tuple(range(instance.n)),
-        )
-    ]
+    out = [Candidate(q=None, points=tuple(range(instance.n)), y=ys, parent=instance)]
     if instance.k1 == 0:
         return out
     d = instance.metric.dist
@@ -93,21 +99,7 @@ def enumerate_candidates(
         keep = np.flatnonzero(d[q] > instance.r1)  # outside B(q, r1), ascending
         # Y is disjoint from B(q, r1), so every Y point has a position in keep.
         sub_y = tuple(np.searchsorted(keep, ys).tolist())
-        sub = NUkCInstance(
-            instance.metric.restrict(keep),
-            2.0 * instance.r1,
-            instance.r2,
-            instance.k1 - 1,
-            instance.k2,
-            max(0, instance.m - (instance.n - keep.size)),
-        )
-        out.append(
-            Candidate(
-                q=q,
-                instance=WellSepNUkCInstance(base=sub, y=sub_y),
-                points=tuple(keep.tolist()),
-            )
-        )
+        out.append(Candidate(q=q, points=tuple(keep.tolist()), y=sub_y, parent=instance))
     return out
 
 

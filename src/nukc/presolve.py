@@ -12,9 +12,25 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from .model import NUkCInstance, NUkCSolution, verify_solution
+
+
+def _highs_options() -> _highs.HighsOptions:
+    """The options ``linprog(method="highs")`` sets: quiet dual simplex after presolve."""
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.highs_debug_level = int(_highs.HighsDebugLevel.kHighsDebugLevelNone)
+    options.output_flag = False
+    options.log_to_console = False
+    return options
+
+
+_HIGHS_OPTIONS = _highs_options()
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
 def greedy_cover(
@@ -90,36 +106,59 @@ def coverage_lp(
     integral coverage, so a value below m certifies infeasibility at
     dilation 1.  On solver failure returns (inf, None, None): no certificate,
     never unsound.
+
+    The LP goes to HiGHS through scipy's bindings with the options
+    ``linprog(method="highs")`` would pass, and the answer is the one
+    ``linprog`` gives; its input cleaning and dense-to-sparse conversion
+    would add over half again the solve's own time at n = 60.
     """
     n = instance.n
     if n == 0:
         return 0.0, np.zeros(0), np.zeros(0)
     d = instance.metric.dist
-    in1 = d <= instance.r1  # in1[v, u]: u's large ball reaches v
-    in2 = d <= instance.r2
-    # variable layout: x1 (n) | x2 (n) | c (n)
-    obj = np.concatenate([np.zeros(2 * n), -np.ones(n)])
-    rows = np.zeros((n + 2, 3 * n))
-    rows[:n, :n] = -in1.astype(float)
-    rows[:n, n : 2 * n] = -in2.astype(float)
-    rows[:n, 2 * n :] = np.eye(n)
-    rows[n, :n] = 1.0
-    rows[n + 1, n : 2 * n] = 1.0
-    rhs = np.concatenate([np.zeros(n), [float(instance.k1), float(instance.k2)]])
-    ub1 = np.zeros(n)
-    if restrict_y is None:
-        ub1[:] = 1.0
-    else:
-        ub1[list(restrict_y)] = 1.0
-    bounds = (
-        [(0.0, float(b)) for b in ub1]
-        + [(0.0, 1.0)] * n
-        + [(0.0, 1.0)] * n
-    )
-    res = linprog(obj, A_ub=rows, b_ub=rhs, bounds=bounds, method="highs")
-    if not res.success:
+    # Variable layout x1 (n) | x2 (n) | c (n).  Rows: c_v minus the openings
+    # whose ball reaches v is <= 0 (v < n), then sum x1 <= k1 and sum x2 <= k2.
+    # Column u of an opening block holds -1 on each row its ball reaches, then
+    # +1 on its budget row; column v of the c block holds +1 on row v.
+    index, value, count = [], [], []
+    for radius, budget_row in ((instance.r1, n), (instance.r2, n + 1)):
+        reach = (d <= radius).T  # reach[u, v]: u's ball covers v
+        per_col = np.count_nonzero(reach, axis=1)
+        ends = np.cumsum(per_col)
+        index.append(np.insert(np.nonzero(reach)[1], ends, budget_row))
+        value.append(np.insert(np.full(ends[-1], -1.0), ends, 1.0))
+        count.append(per_col + 1)
+    index.append(np.arange(n))
+    value.append(np.ones(n))
+    count.append(np.ones(n, dtype=np.int64))
+    start = np.concatenate([[0], np.cumsum(np.concatenate(count))])
+
+    upper = np.ones(3 * n)
+    if restrict_y is not None:  # large balls only on restrict_y
+        upper[:n] = 0.0
+        upper[list(restrict_y)] = 1.0
+
+    highs = _highs._Highs()
+    if (
+        highs.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError
+        or highs.passModel(
+            3 * n, n + 2, int(start[-1]), _COLWISE, _MINIMIZE, 0.0,
+            np.concatenate([np.zeros(2 * n), -np.ones(n)]),
+            np.zeros(3 * n),
+            upper,
+            np.full(n + 2, -_highs.kHighsInf),
+            np.concatenate([np.zeros(n), [float(instance.k1), float(instance.k2)]]),
+            start.astype(np.int32),
+            np.concatenate(index).astype(np.int32),
+            np.concatenate(value),
+            np.zeros(3 * n, dtype=np.int32),  # every column continuous
+        ) == _highs.HighsStatus.kError
+        or highs.run() == _highs.HighsStatus.kError
+        or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal
+    ):
         return float("inf"), None, None
-    return float(-res.fun), res.x[:n].copy(), res.x[n : 2 * n].copy()
+    x = np.array(highs.getSolution().col_value)
+    return -float(highs.getInfo().objective_function_value), x[:n], x[n : 2 * n]
 
 
 def lp_probe_vector(

@@ -47,6 +47,12 @@ class SolverConfig:
     max_iters: int | None = None  # ellipsoid cap; None uses the dimension formula
     shortcuts: bool = True  # greedy / LP presolve screens
 
+    def __post_init__(self):
+        # A cap below 1 ends the engine before its first oracle call, and the
+        # empty run would read as INFEASIBLE.
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+
     def engine(self, n: int = 0) -> RoundOrCutConfig:
         # A feasible 0/1 coverage vector keeps passing every oracle check under
         # perturbations up to ORACLE_EPS / (2n) per coordinate, so once the

@@ -235,12 +235,24 @@ class TestErrors:
         ["bench", "--count", "-2"],
         ["bench", "--parallel", "0"],
         ["bench", "--parallel", "-1"],
+        ["bench", "--max-iters", "0"],
     ])
     def test_usage_error_exits_1_not_infeasible(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_max_iters_below_1_is_not_infeasible(self, tmp_path, capsys, cap):
+        # A cap below 1 would end the engine before its first oracle call.
+        path = gen_planted(tmp_path, capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(path), "--no-shortcuts", "--max-iters", cap])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert "infeasible" not in out
+        assert "--max-iters" in err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

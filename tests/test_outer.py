@@ -4,6 +4,7 @@ cut validity, and the dilation optimizer."""
 import math
 
 import numpy as np
+import pytest
 
 from nukc import (
     MetricSpace,
@@ -15,6 +16,7 @@ from nukc import (
     optimize,
     planted_instance,
     solve_feasibility,
+    uniform_instance,
     validate_cut_on_hull,
     verify_solution,
 )
@@ -148,10 +150,9 @@ class TestCandidates:
                 checked += 1
         assert checked > 100
 
-    def test_solve_path_validates_no_metric(self, monkeypatch):
-        # The Case II query builds one sub-metric per point q far from the
-        # roots; none of them may run the n x n x n metric check again.
-        inst, _ = planted_instance(3, 6, 9, 6)
+    @staticmethod
+    def counted_solve(inst, monkeypatch):
+        """solve_feasibility's result plus its restrict and validation calls."""
         calls = {"validate": 0, "restrict": 0}
         validate, restrict = MetricSpace.__post_init__, MetricSpace.restrict
 
@@ -165,8 +166,36 @@ class TestCandidates:
         monkeypatch.setattr(MetricSpace, "restrict", counted("restrict", restrict))
         res = solve_feasibility(inst)
         assert (res.status, res.method, res.case) == ("solution", "probe", "II")
-        assert calls["restrict"] > 0
+        return res, calls
+
+    def test_solve_path_validates_no_metric(self, monkeypatch):
+        # A Case II query enumerates one candidate per point q far from the
+        # roots, but only the candidates the oracle solves build a sub-metric,
+        # and none of them runs the n x n x n metric check again.  This one
+        # rounds on the q=None candidate, which needs no sub-metric.
+        inst, _ = planted_instance(3, 6, 9, 6)
+        res, calls = self.counted_solve(inst, monkeypatch)
+        assert calls["restrict"] == sum(cand.q is not None for cand, _ in res.inner_runs)
         assert calls["validate"] == 0
+
+    def test_solve_path_restricts_once_per_solved_q(self, monkeypatch):
+        res, calls = self.counted_solve(uniform_instance(1, 20, 0.3, 0.1, 2, 2), monkeypatch)
+        solved_q = sum(cand.q is not None for cand, _ in res.inner_runs)
+        assert solved_q > 0
+        assert calls["restrict"] == solved_q
+        assert calls["validate"] == 0
+
+    def test_enumeration_builds_no_sub_instance(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sub-metric built")
+
+        monkeypatch.setattr(MetricSpace, "restrict", refuse)
+        inst = uniform_instance(1, 20, 0.3, 0.1, 2, 2)
+        cands = enumerate_candidates(inst, [0])
+        assert len(cands) > 2
+        assert cands[0].instance.base.metric is inst.metric
+        with pytest.raises(AssertionError, match="sub-metric built"):
+            cands[1].instance
 
 
 class TestOptimize:

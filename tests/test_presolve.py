@@ -1,4 +1,5 @@
 import numpy as np
+from scipy.optimize import linprog
 
 from nukc import (
     MetricSpace,
@@ -8,6 +9,7 @@ from nukc import (
     greedy_cover,
     verify_solution,
 )
+from nukc import presolve
 from nukc.presolve import coverage_lp, lp_probe_vector
 
 from conftest import random_instance
@@ -79,6 +81,34 @@ def loop_greedy_cover(instance, restrict_y=None):
     )
     ok, _ = verify_solution(instance, sol, 1.0)
     return sol if ok else None
+
+
+def linprog_coverage_lp(instance, restrict_y=None):
+    """The linprog construction coverage_lp replaced; the reference for its answers."""
+    n = instance.n
+    if n == 0:
+        return 0.0, np.zeros(0), np.zeros(0)
+    d = instance.metric.dist
+    in1 = d <= instance.r1
+    in2 = d <= instance.r2
+    obj = np.concatenate([np.zeros(2 * n), -np.ones(n)])
+    rows = np.zeros((n + 2, 3 * n))
+    rows[:n, :n] = -in1.astype(float)
+    rows[:n, n : 2 * n] = -in2.astype(float)
+    rows[:n, 2 * n :] = np.eye(n)
+    rows[n, :n] = 1.0
+    rows[n + 1, n : 2 * n] = 1.0
+    rhs = np.concatenate([np.zeros(n), [float(instance.k1), float(instance.k2)]])
+    ub1 = np.zeros(n)
+    if restrict_y is None:
+        ub1[:] = 1.0
+    else:
+        ub1[list(restrict_y)] = 1.0
+    bounds = [(0.0, float(b)) for b in ub1] + [(0.0, 1.0)] * n + [(0.0, 1.0)] * n
+    res = linprog(obj, A_ub=rows, b_ub=rhs, bounds=bounds, method="highs")
+    if not res.success:
+        return float("inf"), None, None
+    return float(-res.fun), res.x[:n].copy(), res.x[n : 2 * n].copy()
 
 
 def duplicated_instance(rng, n=12):
@@ -188,3 +218,36 @@ class TestCoverageBound:
             cov1, cov2 = probe[:n], probe[n:]
             assert np.all(cov1 >= -1e-12) and np.all(cov2 >= -1e-12)
             assert np.all(cov1 + cov2 <= 1.0 + 1e-12)
+
+    def test_matches_linprog_reference(self):
+        # Also guards the private scipy bindings coverage_lp calls: a scipy
+        # that moves or changes them fails here.
+        rng = np.random.default_rng(9)
+        corpus = [
+            NUkCInstance(MetricSpace(np.zeros((0, 0))), 1.0, 0.5, 1, 1, 0),
+            NUkCInstance(MetricSpace(np.zeros((1, 1))), 1.0, 0.5, 1, 0, 1),
+            NUkCInstance(MetricSpace(np.zeros((1, 1))), 1.0, 0.5, 0, 1, 1),
+            NUkCInstance(MetricSpace(np.zeros((1, 1))), 1.0, 0.0, 0, 0, 1),
+        ]
+        for t in range(300):
+            inst = duplicated_instance(rng) if t % 2 else random_instance(rng, max_n=14)
+            if t % 5 == 0:
+                k1, k2 = (0, inst.k2 or 1) if t % 10 == 0 else (inst.k1 or 1, 0)
+                inst = NUkCInstance(inst.metric, inst.r1, inst.r2, k1, k2, inst.m)
+            corpus.append(inst)
+        for inst in corpus:
+            n = inst.n
+            subset = tuple(sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)))
+            for y in (None, (), (0,), subset) if n else (None, ()):
+                got = coverage_lp(inst, restrict_y=y)
+                want = linprog_coverage_lp(inst, restrict_y=y)
+                assert got[0] == want[0], (inst, y)
+                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    def test_no_certificate_when_highs_stops_early(self, monkeypatch):
+        options = presolve._highs_options()
+        options.presolve = "off"
+        options.simplex_iteration_limit = 0
+        monkeypatch.setattr(presolve, "_HIGHS_OPTIONS", options)
+        inst = random_instance(np.random.default_rng(1), max_n=10)
+        assert coverage_lp(inst) == (float("inf"), None, None)

@@ -93,6 +93,16 @@ class TestOracle:
 
 
 class TestSolver:
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_iteration_cap_below_1_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=cap)
+
+    def test_iteration_cap_of_1_runs_the_oracle(self):
+        ws = wellsep_line([0.0, 0.5, 10.0], y=[0], m=3, k2=1)
+        res = solve_wellsep(ws, SolverConfig(shortcuts=False, max_iters=1))
+        assert res.iterations == 1
+
     def test_finds_planted_wellsep_solution(self):
         ws = wellsep_line([0.0, 0.5, 10.0], y=[0], m=3, k2=1)
         res = solve_wellsep(ws)
