@@ -1,12 +1,14 @@
 """Watch the central-cut ellipsoid shrink, round, and certify emptiness.
 
-The engine maintains an ellipsoid guaranteed to contain every feasible point.
-Each oracle answer either rounds the center or cuts away half the ellipsoid
-through the center; the replacement is the smallest ellipsoid holding the kept
-half, and its volume drops by a fixed dimension-dependent ratio.  The run ends
-in one of three ways: a query rounds, the iteration cap trips, or a cut is
-violated by more than the ellipsoid's half-width along it, which proves no
-feasible point was left at all.
+The engine maintains an ellipsoid meant to contain every feasible point.
+Each oracle answer either rounds the center or hands back one violated cut
+(a ``Cut`` over the point blocks cov1 and cov2; in two dimensions, one point);
+the engine records the cut and keeps the half of the ellipsoid on the cut's
+side of the center.  The replacement is the smallest ellipsoid holding that
+half, and its volume drops by a fixed dimension-dependent ratio.  A run ends
+when a query rounds, when a cut is violated by more than the ellipsoid's
+half-width along it, when the ellipsoid fits inside the stop radius, or at the
+iteration cap.
 
 Run:  python3 demos/ellipsoid_walk.py
 """
@@ -19,15 +21,26 @@ from nukc.ellipsoid import (
     EllipsoidState,
     Rounded,
     Separating,
-    det_shrink_ratio,
     ellipsoid_update,
     initial_ellipsoid,
     run_round_or_cut,
 )
+from nukc.model import Cut
+
+
+def shrink_ratio(d):
+    """det(A') / det(A) after one central cut: (d^2/(d^2-1))^d (d-1)/(d+1)."""
+    return 0.25 if d == 1 else (d * d / (d * d - 1.0)) ** d * (d - 1) / (d + 1)
+
+
+def separate(a, b):
+    """Separating verdict for a[0]·x0 + a[1]·x1 <= b, as a 1-point cut."""
+    return Separating(Cut(a1=a[:1], a2=a[1:], b=b))
+
 
 # ------------------------------------------------------ hunting a small box
 # The oracle knows a target box and cuts along the worst coordinate until the
-# query lands inside.  Volume decays by det_shrink_ratio(2) per iteration.
+# query lands inside.  Volume decays by sqrt(shrink_ratio(2)) per iteration.
 target = np.array([0.31, 0.62])
 halfside = 0.02
 
@@ -38,7 +51,7 @@ def box_oracle(x):
     i = int(np.argmax(np.abs(x - target)))
     a = np.zeros(2)
     a[i] = 1.0 if x[i] > target[i] else -1.0
-    return Separating(a=a, b=float(a @ target) + halfside)
+    return separate(a, float(a @ target) + halfside)
 
 
 res = run_round_or_cut(2, box_oracle)
@@ -49,11 +62,13 @@ state = initial_ellipsoid(2)
 volumes = [math.sqrt(np.linalg.det(state.shape))]
 for _ in range(res.iterations):
     verdict = box_oracle(state.center)
-    state = ellipsoid_update(state, verdict.a)
+    state = ellipsoid_update(state, verdict.cut.as_vector())
     volumes.append(math.sqrt(np.linalg.det(state.shape)))
 measured = [volumes[i + 1] / volumes[i] for i in range(len(volumes) - 1)]
 print(f"volume ratio per step: measured {measured[0]:.6f}, "
-      f"closed form {math.sqrt(det_shrink_ratio(2)):.6f}")
+      f"closed form {math.sqrt(shrink_ratio(2)):.6f}")
+print(f"recorded cuts: {len(res.cuts)}, first {res.cuts[0].as_vector()} "
+      f"<= {res.cuts[0].b:.2f}")
 
 # ------------------------------------------------- the textbook 2-D update
 # Unit ball, keep the half-space x0 <= 0: the new center slides a third of
@@ -64,16 +79,21 @@ print(f"\nunit ball cut along e0: center {after.center} "
       f"(exact (-1/3, 0)), shape diag {np.diag(after.shape)} "
       f"(exact (4/9, 4/3))")
 
-print("\nper-update determinant ratio (d^2/(d^2-1))^d (d-1)/(d+1):")
+print("\nper-update determinant ratio, measured on a random cut:")
+rng = np.random.default_rng(0)
 for d in (1, 2, 8, 20):
-    closed = 0.25 if d == 1 else (d * d / (d * d - 1.0)) ** d * (d - 1) / (d + 1)
-    print(f"  d={d:>2}: {det_shrink_ratio(d):.9f}  (closed form {closed:.9f})")
+    start = initial_ellipsoid(d)
+    after = ellipsoid_update(start, rng.normal(size=d))
+    _, before_log = np.linalg.slogdet(start.shape)
+    _, after_log = np.linalg.slogdet(after.shape)
+    print(f"  d={d:>2}: {math.exp(after_log - before_log):.9f}  "
+          f"(closed form {shrink_ratio(d):.9f})")
 
 # ----------------------------------------------- emptiness by a single cut
 # A cut violated by more than the half-width excludes the entire ellipsoid,
 # so the engine declares infeasibility without touching the iteration cap.
 def hopeless_oracle(x):
-    return Separating(a=np.array([1.0, 0.0]), b=float(x[0]) - 1.0)
+    return separate(np.array([1.0, 0.0]), float(x[0]) - 1.0)
 
 
 res = run_round_or_cut(2, hopeless_oracle)

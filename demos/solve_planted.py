@@ -52,6 +52,8 @@ slack = NUkCInstance(
 raw = solve_feasibility(slack, SolverConfig(shortcuts=False))
 print(f"\nno-shortcut run: status={raw.status} method={raw.method} "
       f"case={raw.case} iterations={raw.iterations}")
-print(f"case log: {raw.case_log}")
+# Every engine step is one recorded cut; Case II also keeps its inner runs.
+print(f"cuts: {len(raw.cuts)}, inner runs (q, status): "
+      f"{[(cand.q, inner.status) for cand, inner in raw.inner_runs]}")
 ok, count = verify_solution(slack, raw.solution, raw.solution.dilation)
 print(f"verified: covers {count} >= 3 at dilation {raw.solution.dilation}: {ok}")

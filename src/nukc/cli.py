@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from time import perf_counter
@@ -108,8 +109,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"iterations={result.iterations} cuts={len(result.cuts)}",
             file=sys.stderr,
         )
-        for entry in result.case_log:
-            print(f"trace: {entry}", file=sys.stderr)
+        kinds = Counter(cut.kind for cut in result.cuts)
+        counts = " ".join(f"{kind}={kinds[kind]}" for kind in sorted(kinds))
+        print(f"trace: cuts by kind: {counts or '-'}", file=sys.stderr)
     data = result.to_json()
     if result.status == "solution" and args.rho != 1.0:
         # Report the dilation relative to the original radii.

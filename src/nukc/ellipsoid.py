@@ -2,10 +2,10 @@
 
 The engine never sees the combinatorial problem: it hands the current center
 to a separation oracle, which either rounds it into a finished payload or
-returns a violated inequality.  The ellipsoid then shrinks through its center
-along the cut direction.  If the iteration cap is exhausted the region left is
-too small to matter and the search reports infeasibility together with the cut
-trace as certificate.
+returns one violated inequality as a ``Cut``.  The ellipsoid then shrinks
+through its center along the cut direction, and the cut is recorded.  A run
+that ends without rounding reports infeasibility with the recorded cuts; see
+``run_round_or_cut`` for how far that verdict can be trusted.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ from .model import Cut
 # A cut returned by an oracle must be violated at the queried point by more
 # than this; anything closer counts as satisfied and is an oracle bug.
 CUT_CONTRACT_EPS = 1e-9
+
+# Oracle checks fire only on violations above this, so every emitted cut beats
+# the engine's contract with room and near-ties count as satisfied.
+ORACLE_EPS = 1e-7
 
 
 class OracleContractError(RuntimeError):
@@ -40,15 +44,9 @@ class Rounded:
 
 @dataclass(frozen=True)
 class Separating:
-    """Oracle verdict: the inequality a·x <= b is violated at the query."""
+    """Oracle verdict: ``cut`` is violated at the query; it is recorded as is."""
 
-    a: np.ndarray
-    b: float
-    cut: Cut | None = None
-
-    @staticmethod
-    def from_cut(cut: Cut) -> Separating:
-        return Separating(a=cut.as_vector(), b=cut.b, cut=cut)
+    cut: Cut
 
 
 OracleVerdict = Union[Rounded, Separating]
@@ -79,22 +77,6 @@ def default_max_iters(dim: int) -> int:
     to shrink the start ball by (dim * 1e4)^-dim.
     """
     return math.ceil(2.0 * dim * (dim + 1) * math.log(dim * 1e4))
-
-
-def det_shrink_ratio(dim: int) -> float:
-    """det(A') / det(A) after one central cut in the given dimension.
-
-    Equals (d^2/(d^2-1))^d * (d-1)/(d+1); evaluated in the factored form
-    d^(2d) * (d-1)^(1-d) * (d+1)^(-1-d) which stays finite at d = 1 (ratio 1/4).
-    """
-    d = dim
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    if d == 1:
-        return 0.25
-    return math.exp(
-        2 * d * math.log(d) + (1 - d) * math.log(d - 1) - (1 + d) * math.log(d + 1)
-    )
 
 
 def ellipsoid_update(state: EllipsoidState, a: np.ndarray) -> EllipsoidState:
@@ -130,15 +112,6 @@ def ellipsoid_update(state: EllipsoidState, a: np.ndarray) -> EllipsoidState:
 
 
 @dataclass
-class RoundOrCutConfig:
-    max_iters: int | None = None
-    # Declare infeasibility once every semi-axis is below this.  Callers set
-    # it under the radius of the oracle's rounding region, where an enclosed
-    # feasible point would have forced the center itself to round; 0 disables.
-    stop_radius: float = 0.0
-
-
-@dataclass
 class RoundOrCutResult:
     status: str  # "rounded" | "infeasible"
     payload: Any = None
@@ -149,18 +122,26 @@ class RoundOrCutResult:
 def run_round_or_cut(
     dim: int,
     oracle: Callable[[np.ndarray], OracleVerdict],
-    config: RoundOrCutConfig | None = None,
+    max_iters: int | None = None,
 ) -> RoundOrCutResult:
-    """Drive the oracle from the unit-cube ball until it rounds or the cap hits.
+    """Drive the oracle from the unit-cube ball until it rounds or a stop fires.
 
     Every returned cut is checked against the oracle contract (violated at the
     query by more than CUT_CONTRACT_EPS); a satisfied "cut" raises
     OracleContractError since continuing would silently corrupt the
-    infeasibility certificate.
+    infeasibility certificate.  Three stops end a run as infeasible: a cut
+    violated by more than the ellipsoid's half-width along it, an ellipsoid
+    inside the stop radius, and the iteration cap.  The first two are proofs
+    only in exact arithmetic; the cap proves nothing when the hull is flat.
     """
-    cfg = config or RoundOrCutConfig()
-    max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters(dim)
     state = initial_ellipsoid(dim)
+    if max_iters is None:
+        max_iters = default_max_iters(dim)
+    # A feasible 0/1 coverage vector keeps passing every oracle check under
+    # perturbations up to ORACLE_EPS / dim per coordinate, so once the
+    # ellipsoid fits inside half that radius and the center still separates,
+    # no feasible point is left.
+    stop_radius = ORACLE_EPS / (2 * dim)
     cuts: list[Cut] = []
     for _ in range(max_iters):
         if not np.all(np.isfinite(state.center)):
@@ -177,38 +158,31 @@ def run_round_or_cut(
             )
         if not isinstance(verdict, Separating):
             raise TypeError(f"oracle returned {type(verdict).__name__}")
-        violation = float(verdict.a @ state.center - verdict.b)
+        cut = verdict.cut
+        a = cut.as_vector()
+        violation = float(a @ state.center - cut.b)
         if not violation > CUT_CONTRACT_EPS:
             raise OracleContractError(
-                f"cut {verdict.cut.kind if verdict.cut else ''!r} not violated at the "
-                f"query (violation {violation:.3g} <= eps {CUT_CONTRACT_EPS:.3g})"
+                f"cut {cut.kind!r} not violated at the query "
+                f"(violation {violation:.3g} <= eps {CUT_CONTRACT_EPS:.3g})"
             )
-        cuts.append(
-            verdict.cut
-            if verdict.cut is not None
-            else Cut(
-                a1=verdict.a[: dim // 2] if dim % 2 == 0 else verdict.a,
-                a2=verdict.a[dim // 2 :] if dim % 2 == 0 else np.zeros_like(verdict.a),
-                b=verdict.b,
-                kind="raw",
-            )
-        )
+        cuts.append(cut)
         # Half-width of the ellipsoid along the cut direction.  When the
         # violation exceeds it, every point of the ellipsoid breaks the cut,
         # so the feasible region it was guaranteed to contain is empty.  This
         # also catches the degenerate case where repeated near-parallel cuts
         # squeeze that width to zero before the iteration cap.
-        half_width = float(verdict.a @ state.shape @ verdict.a)
+        half_width = float(a @ state.shape @ a)
         half_width = math.sqrt(half_width) if half_width > 0.0 else 0.0
         if violation > half_width:
             return RoundOrCutResult(
                 status="infeasible", iterations=state.iteration, cuts=cuts
             )
-        state = ellipsoid_update(state, verdict.a)
+        state = ellipsoid_update(state, a)
         # trace bounds the largest squared semi-axis, so once it trips the
         # whole ellipsoid sits inside ball(center, stop_radius) and any point
         # of a surviving feasible region would have rounded at the center.
-        if cfg.stop_radius > 0.0 and float(np.trace(state.shape)) <= cfg.stop_radius**2:
+        if float(np.trace(state.shape)) <= stop_radius**2:
             return RoundOrCutResult(
                 status="infeasible", iterations=state.iteration, cuts=cuts
             )

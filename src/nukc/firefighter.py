@@ -39,12 +39,13 @@ class TwoFFInstance:
     def __post_init__(self):
         roots = tuple(int(u) for u in self.roots)
         leaves = tuple(int(v) for v in self.leaves)
-        if len(set(roots)) != len(roots) or len(set(leaves)) != len(leaves):
+        root_set, leaf_set = set(roots), set(leaves)
+        if len(root_set) != len(roots) or len(leaf_set) != len(leaves):
             raise ValueError("repeated ids in roots or leaves")
-        if set(self.parent) != set(leaves):
+        if set(self.parent) != leaf_set:
             raise ValueError("parent must be defined exactly on the leaves")
         for v, u in self.parent.items():
-            if u not in set(roots):
+            if u not in root_set:
                 raise ValueError(f"parent of {v} is not a root")
         seen: set[int] = set()
         for u in roots:
@@ -52,7 +53,7 @@ class TwoFFInstance:
             if any(self.parent[v] != u for v in members):
                 raise ValueError("leafset inconsistent with parent")
             seen.update(members)
-        if seen != set(leaves):
+        if seen != leaf_set:
             raise ValueError("leafsets must partition the leaves")
         for v in leaves:
             wv = self.w[v]

@@ -388,7 +388,6 @@ class SolveResult:
     case: str = ""  # which outer rounding case produced the solution, if any
     iterations: int = 0
     cuts: list[Cut] = field(default_factory=list)
-    case_log: list[dict] = field(default_factory=list)
     inner_runs: list = field(default_factory=list)
 
     @classmethod

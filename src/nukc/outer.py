@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ellipsoid import Rounded, Separating, run_round_or_cut
+from .ellipsoid import ORACLE_EPS, Rounded, Separating, run_round_or_cut
 from .firefighter import solve_2ff
 from .model import (
     CoverageVector,
@@ -32,7 +32,6 @@ from .model import (
 from .presolve import coverage_lp, greedy_cover, lp_probe_vector
 from .reduction import lift_ff_solution, reduce_to_firefighter
 from .wellsep import (
-    ORACLE_EPS,
     SolverConfig,
     box_violation_cut,
     engine_verdict,
@@ -126,15 +125,14 @@ def lift_candidate_solution(
 class OuterOracle:
     """Separation oracle over the full instance's coverage polytope.
 
-    Stateful: it logs which case fired per query and memoizes the Case-II
-    enumeration per root set (the candidate family depends only on Y = roots),
-    since infeasible runs revisit the same root sets many times.
+    Stateful: it keeps every inner run and memoizes the Case-II enumeration
+    per root set (the candidate family depends only on Y = roots), since
+    infeasible runs revisit the same root sets many times.
     """
 
     def __init__(self, instance: NUkCInstance, config: SolverConfig):
         self.instance = instance
         self.config = config
-        self.case_log: list[dict] = []
         self.inner_runs: list[tuple[Candidate, SolveResult]] = []
         self._case2_cache: dict[tuple[int, ...], tuple] = {}
 
@@ -145,31 +143,27 @@ class OuterOracle:
 
         cut = box_violation_cut(cov)
         if cut is not None:
-            self.case_log.append({"check": cut.kind})
-            return Separating.from_cut(cut)
+            return Separating(cut)
         if float(cov.cov().sum()) < inst.m - ORACLE_EPS:
-            self.case_log.append({"check": "mass"})
-            return Separating.from_cut(mass_cut(n, inst.m))
+            return Separating(mass_cut(n, inst.m))
 
         tree = reduce_to_firefighter(inst, 8.0, 2.0, cov)
         roots = tree.roots
         s1 = float(cov.cov1[list(roots)].sum())
         s2 = float(cov.cov2[list(tree.leaves)].sum())
         if s1 > inst.k1 + ORACLE_EPS:
-            self.case_log.append({"check": "root-budget", "mass": s1})
             a1 = np.zeros(n)
             a1[list(roots)] = 1.0
-            return Separating.from_cut(
+            return Separating(
                 Cut(a1=a1, a2=np.zeros(n), b=float(inst.k1), kind="root-budget",
-                    meta={"roots": list(roots)})
+                    meta={"roots": list(roots), "mass": s1})
             )
         if s2 > inst.k2 + ORACLE_EPS:
-            self.case_log.append({"check": "leaf-budget", "mass": s2})
             a2 = np.zeros(n)
             a2[list(tree.leaves)] = 1.0
-            return Separating.from_cut(
+            return Separating(
                 Cut(a1=np.zeros(n), a2=a2, b=float(inst.k2), kind="leaf-budget",
-                    meta={"leaves": list(tree.leaves)})
+                    meta={"leaves": list(tree.leaves), "mass": s2})
             )
 
         if s1 <= inst.k1 - 2 + ORACLE_EPS:
@@ -182,7 +176,6 @@ class OuterOracle:
                           "root_mass": s1, "best_value": selection.value},
                 )
             solution = lift_ff_solution(tree, selection)
-            self.case_log.append({"case": "I", "value": selection.value})
             return Rounded((solution, {"case": "I", "value": selection.value}))
 
         cache_key = tuple(sorted(roots))
@@ -199,12 +192,10 @@ class OuterOracle:
             self._case2_cache[cache_key] = outcome
         if outcome[0] == "solution":
             _, lifted, q = outcome
-            self.case_log.append({"case": "II", "q": q})
             return Rounded((lifted, {"case": "II", "q": q}))
-        self.case_log.append({"case": "II", "q": None, "result": "cut"})
         a1 = np.zeros(n)
         a1[list(roots)] = 1.0
-        return Separating.from_cut(
+        return Separating(
             Cut(a1=a1, a2=np.zeros(n), b=float(inst.k1 - 2), kind="candidates",
                 meta={"roots": list(roots)})
         )
@@ -239,7 +230,6 @@ def solve_feasibility(
         return SolveResult("infeasible", method="trivial")
 
     oracle = OuterOracle(instance, cfg)
-    trail = {"case_log": oracle.case_log, "inner_runs": oracle.inner_runs}
     probe_cuts: list[Cut] = []
     if cfg.shortcuts:
         sol = greedy_cover(instance)
@@ -254,14 +244,14 @@ def solve_feasibility(
             if isinstance(verdict, Rounded):
                 solution, info = verdict.payload
                 return SolveResult.verified(
-                    instance, solution, "probe", case=info["case"], **trail
+                    instance, solution, "probe", case=info["case"],
+                    inner_runs=oracle.inner_runs,
                 )
-            if verdict.cut is not None:
-                probe_cuts.append(verdict.cut)
+            probe_cuts.append(verdict.cut)
 
-    res = run_round_or_cut(2 * n, oracle, cfg.engine(n))
+    res = run_round_or_cut(2 * n, oracle, cfg.max_iters)
     res.cuts[:0] = probe_cuts
-    return engine_verdict(instance, res, **trail)
+    return engine_verdict(instance, res, inner_runs=oracle.inner_runs)
 
 
 @dataclass

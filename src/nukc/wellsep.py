@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipsoid import (
+    ORACLE_EPS,
     Rounded,
-    RoundOrCutConfig,
     RoundOrCutResult,
     Separating,
     run_round_or_cut,
@@ -31,10 +31,6 @@ from .model import (
 )
 from .presolve import coverage_lp, greedy_cover, lp_probe_vector
 from .reduction import lift_ff_solution, reduce_to_firefighter
-
-# Oracle checks fire only on violations above this, so every emitted cut beats
-# the engine's 1e-9 contract with room and near-ties count as satisfied.
-ORACLE_EPS = 1e-7
 
 # Dilation achieved by rounding: both reduction layers run at factor 2.
 WELLSEP_DILATION = 4.0
@@ -52,14 +48,6 @@ class SolverConfig:
         # empty run would read as INFEASIBLE.
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-
-    def engine(self, n: int = 0) -> RoundOrCutConfig:
-        # A feasible 0/1 coverage vector keeps passing every oracle check under
-        # perturbations up to ORACLE_EPS / (2n) per coordinate, so once the
-        # ellipsoid fits inside that radius and the center still separates, no
-        # feasible point is left and the engine may stop early.
-        stop = ORACLE_EPS / (4.0 * n) if n > 0 else 0.0
-        return RoundOrCutConfig(max_iters=self.max_iters, stop_radius=stop)
 
 
 def engine_verdict(
@@ -87,26 +75,17 @@ def _unit_cut(n: int, block: int, v: int, sign: float, b: float, kind: str) -> C
 def box_violation_cut(cov: CoverageVector, eps: float = ORACLE_EPS) -> Cut | None:
     """First violated box constraint in point order, or None.
 
-    Per point the checks are cov1 >= 0, cov2 >= 0, cov1 + cov2 <= 1.
+    Per point the checks are cov1 >= 0, cov2 >= 0, cov1 + cov2 <= 1, in that
+    order: one (n, 3) mask read row by row.
     """
     n = cov.n
-    bad1 = cov.cov1 < -eps
-    bad2 = cov.cov2 < -eps
-    bad3 = cov.cov1 + cov.cov2 > 1.0 + eps
-    hits = []
-    if bad1.any():
-        hits.append((int(np.argmax(bad1)), 0))
-    if bad2.any():
-        hits.append((int(np.argmax(bad2)), 1))
-    if bad3.any():
-        hits.append((int(np.argmax(bad3)), 2))
-    if not hits:
+    bad = np.array((cov.cov1 < -eps, cov.cov2 < -eps, cov.cov1 + cov.cov2 > 1.0 + eps))
+    hits = np.flatnonzero(bad.T)  # (n, 3), row-major: point first, then check
+    if hits.size == 0:
         return None
-    v, which = min(hits)
-    if which == 0:
-        return _unit_cut(n, 1, v, -1.0, 0.0, "box-cov1")
-    if which == 1:
-        return _unit_cut(n, 2, v, -1.0, 0.0, "box-cov2")
+    v, which = divmod(int(hits[0]), 3)
+    if which < 2:
+        return _unit_cut(n, which + 1, v, -1.0, 0.0, f"box-cov{which + 1}")
     a1 = np.zeros(n)
     a2 = np.zeros(n)
     a1[v] = 1.0
@@ -132,17 +111,17 @@ def wellsep_separation_oracle(
     n = inst.n
     cut = box_violation_cut(cov)
     if cut is not None:
-        return Separating.from_cut(cut)
+        return Separating(cut)
 
     d_to_y = inst.metric.dist[:, list(ws.y)].min(axis=1) if ws.y else np.full(n, np.inf)
     far = d_to_y > inst.r1
     bad = far & (cov.cov1 > ORACLE_EPS)
     if bad.any():
         v = int(np.argmax(bad))
-        return Separating.from_cut(_unit_cut(n, 1, v, 1.0, 0.0, "y-support"))
+        return Separating(_unit_cut(n, 1, v, 1.0, 0.0, "y-support"))
 
     if float(cov.cov().sum()) < inst.m - ORACLE_EPS:
-        return Separating.from_cut(mass_cut(n, inst.m))
+        return Separating(mass_cut(n, inst.m))
 
     tree = reduce_to_firefighter(inst, 2.0, 2.0, cov, y=ws.y)
     selection = solve_2ff(tree)
@@ -154,7 +133,7 @@ def wellsep_separation_oracle(
     for v in tree.leaves:
         a1[v] = tree.w[v]
         a2[v] = tree.w[v]
-    return Separating.from_cut(
+    return Separating(
         Cut(a1=a1, a2=a2, b=float(inst.m - 1), kind="tree-weight",
             meta={"roots": list(tree.roots), "best_value": selection.value})
     )
@@ -192,9 +171,8 @@ def solve_wellsep(
             verdict = oracle(lp_probe_vector(inst, x1, x2))
             if isinstance(verdict, Rounded):
                 return SolveResult.verified(inst, verdict.payload[0], "probe")
-            if verdict.cut is not None:
-                probe_cuts.append(verdict.cut)
+            probe_cuts.append(verdict.cut)
 
-    res = run_round_or_cut(2 * n, oracle, cfg.engine(n))
+    res = run_round_or_cut(2 * n, oracle, cfg.max_iters)
     res.cuts[:0] = probe_cuts
     return engine_verdict(inst, res)

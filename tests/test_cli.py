@@ -114,6 +114,25 @@ class TestSolve:
         assert "trace:" in err
         json.loads(out)  # stdout stays machine readable
 
+    def test_engine_trace_is_two_lines(self, tmp_path, capsys):
+        # An engine run of 13 oracle calls: the trace is a summary line and
+        # one per-kind cut count, not a line per call.
+        path = tmp_path / "u12.json"
+        code, _, _ = run(capsys, "gen", "uniform", "--n", "12", "--seed", "0",
+                         "--r1", "0.3", "--r2", "0.1", "-o", str(path))
+        assert code == 0
+        code, out, err = run(capsys, "solve", str(path), "--no-shortcuts", "--trace")
+        assert code == 0 and json.loads(out)["status"] == "solution"
+        lines = err.splitlines()
+        assert len(lines) == 2 and all(line.startswith("trace: ") for line in lines)
+        summary = dict(field.split("=") for field in lines[0].split()[1:])
+        assert summary["method"] == "round" and int(summary["iterations"]) > 2
+        prefix = "trace: cuts by kind: "
+        assert lines[1].startswith(prefix)
+        kinds = dict(field.split("=") for field in lines[1][len(prefix):].split())
+        assert len(kinds) > 1
+        assert sum(int(count) for count in kinds.values()) == int(summary["cuts"])
+
     def test_no_shortcuts_agrees(self, tmp_path, capsys):
         # k1 + k2 < m dodges the trivial route; the slack (4 coverable vs
         # m = 3) keeps the ellipsoid run short.

@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 from nukc.ellipsoid import (
+    CUT_CONTRACT_EPS,
     EllipsoidNumericsError,
     EllipsoidState,
     OracleContractError,
     Rounded,
-    RoundOrCutConfig,
     Separating,
     default_max_iters,
-    det_shrink_ratio,
     ellipsoid_update,
     initial_ellipsoid,
     run_round_or_cut,
 )
+from nukc.model import Cut
+
+
+def separate(a, b, kind=""):
+    """The 1-point cut a[0]·cov1 + a[1]·cov2 <= b, for the 2-d engine."""
+    return Separating(Cut(a1=a[:1], a2=a[1:], b=b, kind=kind))
 
 
 class TestGeometry:
@@ -53,23 +58,6 @@ class TestGeometry:
                     quad = (x - new.center) @ np.linalg.solve(new.shape, x - new.center)
                     assert quad <= 1.0 + 1e-9
 
-    def test_determinant_ratio_matches_update(self):
-        rng = np.random.default_rng(9)
-        for d in (1, 2, 5, 12):
-            base = rng.normal(size=(d, d))
-            shape = base @ base.T + d * np.eye(d)
-            state = EllipsoidState(center=np.zeros(d), shape=shape)
-            new = ellipsoid_update(state, rng.normal(size=d))
-            measured = np.linalg.det(new.shape) / np.linalg.det(shape)
-            assert measured == pytest.approx(det_shrink_ratio(d), rel=1e-9)
-
-    def test_shrink_ratio_closed_form(self):
-        assert det_shrink_ratio(1) == pytest.approx(0.25)
-        assert det_shrink_ratio(2) == pytest.approx(16.0 / 27.0, rel=1e-12)
-        for d in (8, 20):
-            expected = (d * d / (d * d - 1.0)) ** d * (d - 1.0) / (d + 1.0)
-            assert det_shrink_ratio(d) == pytest.approx(expected, rel=1e-12)
-
     def test_one_dimensional_update_halves(self):
         state = EllipsoidState(center=np.array([0.5]), shape=np.array([[0.25]]))
         new = ellipsoid_update(state, np.array([1.0]))
@@ -106,7 +94,7 @@ class TestEngine:
             i = int(np.argmax(np.abs(x - target)))
             a = np.zeros(2)
             a[i] = 1.0 if x[i] > target[i] else -1.0
-            return Separating(a=a, b=float(a @ target) + 0.05)
+            return separate(a, float(a @ target) + 0.05)
 
         res = run_round_or_cut(2, oracle)
         assert res.status == "rounded"
@@ -116,21 +104,26 @@ class TestEngine:
     def test_infeasible_exhausts_cap_and_collects_cuts(self):
         # Chases the hyperplane x0 = 0 with ever-smaller violated cuts; the
         # kept region never empties, so only the cap can end the run.
+        handed = []
+
         def oracle(x):
             a = np.array([1.0, 0.0]) if x[0] > 0 else np.array([-1.0, 0.0])
-            return Separating(a=a, b=abs(float(x[0])) / 2.0)
+            verdict = separate(a, abs(float(x[0])) / 2.0, kind="chase")
+            handed.append(verdict.cut)
+            return verdict
 
-        res = run_round_or_cut(2, oracle, RoundOrCutConfig(max_iters=17))
+        res = run_round_or_cut(2, oracle, 17)
         assert res.status == "infeasible"
         assert res.iterations == 17
         assert len(res.cuts) == 17
-        assert all(cut.kind == "raw" for cut in res.cuts)
+        # The record is the oracle's own cuts, in order.
+        assert all(got is cut for got, cut in zip(res.cuts, handed, strict=True))
 
     def test_cut_beyond_width_certifies_empty(self):
         # Violation 1.0 exceeds the starting half-width sqrt(1/2) along e0,
         # so the very first cut already excludes the whole ellipsoid.
         def oracle(x):
-            return Separating(a=np.array([1.0, 0.0]), b=float(x[0]) - 1.0)
+            return separate(np.array([1.0, 0.0]), float(x[0]) - 1.0)
 
         res = run_round_or_cut(2, oracle)
         assert res.status == "infeasible"
@@ -139,7 +132,8 @@ class TestEngine:
 
     def test_stop_radius_ends_run_before_cap(self):
         # Alternating axis cuts shrink both semi-axes toward the point p
-        # without ever certifying emptiness; stop_radius must bail us out.
+        # without ever certifying emptiness (each violation stays above the
+        # contract and below the half-width); the stop radius must end the run.
         p = np.array([0.3, 0.7])
         calls = {"i": 0}
 
@@ -148,15 +142,21 @@ class TestEngine:
             calls["i"] += 1
             a = np.zeros(2)
             a[i] = 1.0 if x[i] > p[i] else -1.0
-            return Separating(a=a, b=float(a @ p) + abs(float(x[i] - p[i])) / 2.0)
+            violation = max(abs(float(x[i] - p[i])) / 2.0, 2 * CUT_CONTRACT_EPS)
+            return separate(a, float(a @ x) - violation)
 
-        res = run_round_or_cut(2, oracle, RoundOrCutConfig(stop_radius=0.05))
+        # The radius is reached at 134 iterations, past the default cap of 119.
+        cap = 2 * default_max_iters(2)
+        res = run_round_or_cut(2, oracle, cap)
         assert res.status == "infeasible"
-        assert 0 < res.iterations < default_max_iters(2)
+        assert 0 < res.iterations < cap
+        # The half-width stop returns before its update, so one cut more than
+        # iterations; the stop-radius stop returns after it.
+        assert len(res.cuts) == res.iterations == calls["i"]
 
     def test_contract_violation_raises(self):
         def oracle(x):
-            return Separating(a=np.array([1.0, 0.0]), b=float(x[0]) + 1.0)
+            return separate(np.array([1.0, 0.0]), float(x[0]) + 1.0)
 
         with pytest.raises(OracleContractError):
             run_round_or_cut(2, oracle)

@@ -14,7 +14,8 @@ from nukc import (
     verify_solution,
     wellsep_separation_oracle,
 )
-from nukc.model import CoverageVector
+from nukc.ellipsoid import ORACLE_EPS
+from nukc.model import CoverageVector, Cut
 from nukc.wellsep import WELLSEP_DILATION, box_violation_cut
 
 from conftest import random_wellsep
@@ -46,6 +47,76 @@ class TestBoxCut:
         cov = CoverageVector(np.array([0.0, -0.5]), np.array([-0.5, 0.0]))
         cut = box_violation_cut(cov)
         assert cut.kind == "box-cov2" and cut.meta["point"] == 0
+
+
+def replaced_box_violation_cut(cov, eps=ORACLE_EPS):
+    """The three-mask box check that the one-scan version replaced."""
+    n = cov.n
+    bad1 = cov.cov1 < -eps
+    bad2 = cov.cov2 < -eps
+    bad3 = cov.cov1 + cov.cov2 > 1.0 + eps
+    hits = []
+    if bad1.any():
+        hits.append((int(np.argmax(bad1)), 0))
+    if bad2.any():
+        hits.append((int(np.argmax(bad2)), 1))
+    if bad3.any():
+        hits.append((int(np.argmax(bad3)), 2))
+    if not hits:
+        return None
+    v, which = min(hits)
+    a1 = np.zeros(n)
+    a2 = np.zeros(n)
+    if which == 0:
+        a1[v] = -1.0
+        return Cut(a1=a1, a2=a2, b=0.0, kind="box-cov1", meta={"point": v})
+    if which == 1:
+        a2[v] = -1.0
+        return Cut(a1=a1, a2=a2, b=0.0, kind="box-cov2", meta={"point": v})
+    a1[v] = 1.0
+    a2[v] = 1.0
+    return Cut(a1=a1, a2=a2, b=1.0, kind="box-total", meta={"point": v})
+
+
+class TestBoxCutMatchesReplaced:
+    # Values on both sides of each threshold and the thresholds themselves;
+    # pairs such as (-0.5, 1.6) break several checks at one point.
+    POOL = np.array([
+        -ORACLE_EPS, np.nextafter(-ORACLE_EPS, -1.0), np.nextafter(-ORACLE_EPS, 0.0),
+        1.0 + ORACLE_EPS, 1.0, ORACLE_EPS, 0.0, 0.5, -0.5, 1.6, -1.0,
+    ])
+    FIXED = [
+        # cov = -eps and cov1 + cov2 = 1 + eps sit on the boundary: no cut.
+        (([-ORACLE_EPS, 1.0], [-ORACLE_EPS, ORACLE_EPS]), None),
+        # Point 1 breaks cov1 >= 0 and the total: the cov1 check comes first.
+        (([0.2, -0.5], [0.3, 1.6]), ("box-cov1", 1)),
+        # Point 1 breaks both signs, point 0 the total: points come first.
+        (([0.7, -0.5], [0.7, -0.5]), ("box-total", 0)),
+    ]
+
+    def test_same_cut_on_random_vectors(self):
+        rng = np.random.default_rng(2718)
+        vectors = [(np.array(c1), np.array(c2)) for (c1, c2), _ in self.FIXED]
+        for trial in range(1500):
+            n = int(rng.integers(1, 9))
+            if trial % 3 == 0:
+                vectors.append(tuple(rng.uniform(-0.05, 1.05, size=(2, n))))
+            else:
+                vectors.append(tuple(rng.choice(self.POOL, size=(2, n))))
+        kinds = set()
+        for index, (c1, c2) in enumerate(vectors):
+            cov = CoverageVector(c1, c2)
+            got, want = box_violation_cut(cov), replaced_box_violation_cut(cov)
+            if index < len(self.FIXED):
+                expected = self.FIXED[index][1]
+                assert (want and (want.kind, want.meta["point"])) == expected
+            if want is None:
+                assert got is None, (c1, c2)
+                continue
+            kinds.add(want.kind)
+            assert (got.kind, got.meta, got.b) == (want.kind, want.meta, want.b)
+            assert np.array_equal(got.a1, want.a1) and np.array_equal(got.a2, want.a2)
+        assert kinds == {"box-cov1", "box-cov2", "box-total"}
 
 
 class TestOracle:
@@ -88,7 +159,7 @@ class TestOracle:
         # the emitted inequality holds on the instance's restricted hull
         assert validate_cut_on_hull(ws.base, verdict.cut, restrict_y=ws.y)
         # and the query violates it by nearly a full unit
-        violation = float(verdict.a @ cov.to_vector() - verdict.b)
+        violation = float(verdict.cut.as_vector() @ cov.to_vector() - verdict.cut.b)
         assert violation >= 1.0 - 1e-6
 
 
