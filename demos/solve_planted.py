@@ -42,9 +42,10 @@ print(f"witness:  covers {count} at dilation 1: {ok}")
 
 # ------------------------------------------------------- oracle path, no nets
 # Four points in two pairs, budgets one ball each, target 3 of 4: the greedy
-# and LP screens are off, so the ellipsoid queries the oracle directly.  The
-# first query (the ball center, all coverages 1/2) already satisfies every
-# hull constraint here and Case II rounds it through a candidate sub-instance.
+# and LP screens are off, so the cutting-plane driver queries the oracle
+# directly.  The first query (an optimum of the uncut coverage LP) already
+# satisfies every hull constraint here and Case II rounds it through a
+# candidate sub-instance.
 slack = NUkCInstance(
     MetricSpace.from_points([[0.0], [0.2], [9.0], [9.2]]),
     r1=1.0, r2=0.3, k1=1, k2=1, m=3,
@@ -52,7 +53,7 @@ slack = NUkCInstance(
 raw = solve_feasibility(slack, SolverConfig(shortcuts=False))
 print(f"\nno-shortcut run: status={raw.status} method={raw.method} "
       f"case={raw.case} iterations={raw.iterations}")
-# Every engine step is one recorded cut; Case II also keeps its inner runs.
+# Every driver step is one recorded cut; Case II also keeps its inner runs.
 print(f"cuts: {len(raw.cuts)}, inner runs (q, status): "
       f"{[(cand.q, inner.status) for cand, inner in raw.inner_runs]}")
 ok, count = verify_solution(slack, raw.solution, raw.solution.dilation)

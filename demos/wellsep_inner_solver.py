@@ -69,12 +69,12 @@ valid = all(validate_cut_on_hull(gap.base, cut, restrict_y=gap.y)
 print(f"  all {len(raw.cuts)} cuts valid on the restricted hull: {valid}")
 
 # --------------------------------------------- regime 3: beyond any dilation
-# Too few balls for the target no matter the radius: the engine exhausts the
-# search and the exact oracle confirms there is nothing to find.
+# Too few balls for the target no matter the radius: the cuts leave the
+# driver's LP empty and the exact oracle confirms there is nothing to find.
 hard = on_line([0.0, 0.6, 0.9, 20.0, 20.2, 40.0, 40.15],
                r1=1.0, r2=0.25, k1=1, k2=1, m=7, y=(0, 3, 5))
 raw = solve_wellsep(hard, RAW)
 brute = brute_force_nukc(hard.base, restrict_y=hard.y)
-print(f"\nimpossible target:  solver={raw.status} "
+print(f"\nimpossible target:  solver={raw.status} ({raw.method}) "
       f"after {raw.iterations} iterations, "
       f"brute at dilation 1: {brute.feasible}")

@@ -7,9 +7,9 @@ its scale search.  Both solvers return a :class:`SolveResult`, which is also
 the parsed form of a solution file.  Exact enumeration oracles and instance
 generators support testing and experiments.
 
-The cutting-plane engine that drives the oracles is not part of the public
-surface: its internals live in ``nukc.ellipsoid`` and may be replaced without
-notice.
+The cutting-plane driver that queries the oracles is not part of the public
+surface: it lives in ``nukc.cutting_plane`` and may change without notice.
+``nukc.ellipsoid`` keeps only the ellipsoid geometry, which no solver uses.
 """
 
 from .bruteforce import (
@@ -21,7 +21,7 @@ from .bruteforce import (
     validate_cut_on_hull,
 )
 from .clustering import HSResult, hs_partition
-from .ellipsoid import OracleContractError, Rounded, Separating
+from .cutting_plane import OracleContractError, Rounded, Separating
 from .firefighter import (
     TwoFFInstance,
     TwoFFSolution,

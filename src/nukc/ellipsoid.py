@@ -1,55 +1,21 @@
-"""Central-cut ellipsoid engine for round-or-cut searches.
+"""Central-cut ellipsoid geometry: the start ball and the minimum-volume update.
 
-The engine never sees the combinatorial problem: it hands the current center
-to a separation oracle, which either rounds it into a finished payload or
-returns one violated inequality as a ``Cut``.  The ellipsoid then shrinks
-through its center along the cut direction, and the cut is recorded.  A run
-that ends without rounding reports infeasibility with the recorded cuts; see
-``run_round_or_cut`` for how far that verdict can be trusted.
+Round-or-cut runs are driven by ``nukc.cutting_plane``; no solver calls this.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Union
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Cut
-
-# A cut returned by an oracle must be violated at the queried point by more
-# than this; anything closer counts as satisfied and is an oracle bug.
-CUT_CONTRACT_EPS = 1e-9
-
-# Oracle checks fire only on violations above this, so every emitted cut beats
-# the engine's contract with room and near-ties count as satisfied.
-ORACLE_EPS = 1e-7
-
-
-class OracleContractError(RuntimeError):
-    """An oracle returned a cut that the queried point does not violate."""
+# The oracle verdicts live with the driver and are re-exported as the same classes.
+from .cutting_plane import Rounded, Separating  # noqa: F401
 
 
 class EllipsoidNumericsError(RuntimeError):
     """The shape matrix lost positive definiteness beyond repair."""
-
-
-@dataclass(frozen=True)
-class Rounded:
-    """Oracle verdict: the query was rounded into a finished payload."""
-
-    payload: Any
-
-
-@dataclass(frozen=True)
-class Separating:
-    """Oracle verdict: ``cut`` is violated at the query; it is recorded as is."""
-
-    cut: Cut
-
-
-OracleVerdict = Union[Rounded, Separating]
 
 
 @dataclass
@@ -68,15 +34,6 @@ def initial_ellipsoid(dim: int) -> EllipsoidState:
     return EllipsoidState(
         center=np.full(dim, 0.5), shape=np.eye(dim) * (dim / 4.0), iteration=0
     )
-
-
-def default_max_iters(dim: int) -> int:
-    """Iteration cap used when the caller does not pin one.
-
-    Scales with the volume argument for a unit-cube start: enough central cuts
-    to shrink the start ball by (dim * 1e4)^-dim.
-    """
-    return math.ceil(2.0 * dim * (dim + 1) * math.log(dim * 1e4))
 
 
 def ellipsoid_update(state: EllipsoidState, a: np.ndarray) -> EllipsoidState:
@@ -109,81 +66,3 @@ def ellipsoid_update(state: EllipsoidState, a: np.ndarray) -> EllipsoidState:
         )
         new_shape = (new_shape + new_shape.T) / 2.0  # keep exact symmetry
     return EllipsoidState(center=center, shape=new_shape, iteration=state.iteration + 1)
-
-
-@dataclass
-class RoundOrCutResult:
-    status: str  # "rounded" | "infeasible"
-    payload: Any = None
-    iterations: int = 0
-    cuts: list[Cut] = field(default_factory=list)
-
-
-def run_round_or_cut(
-    dim: int,
-    oracle: Callable[[np.ndarray], OracleVerdict],
-    max_iters: int | None = None,
-) -> RoundOrCutResult:
-    """Drive the oracle from the unit-cube ball until it rounds or a stop fires.
-
-    Every returned cut is checked against the oracle contract (violated at the
-    query by more than CUT_CONTRACT_EPS); a satisfied "cut" raises
-    OracleContractError since continuing would silently corrupt the
-    infeasibility certificate.  Three stops end a run as infeasible: a cut
-    violated by more than the ellipsoid's half-width along it, an ellipsoid
-    inside the stop radius, and the iteration cap.  The first two are proofs
-    only in exact arithmetic; the cap proves nothing when the hull is flat.
-    """
-    state = initial_ellipsoid(dim)
-    if max_iters is None:
-        max_iters = default_max_iters(dim)
-    # A feasible 0/1 coverage vector keeps passing every oracle check under
-    # perturbations up to ORACLE_EPS / dim per coordinate, so once the
-    # ellipsoid fits inside half that radius and the center still separates,
-    # no feasible point is left.
-    stop_radius = ORACLE_EPS / (2 * dim)
-    cuts: list[Cut] = []
-    for _ in range(max_iters):
-        if not np.all(np.isfinite(state.center)):
-            raise EllipsoidNumericsError(
-                f"center became non-finite at iteration {state.iteration}"
-            )
-        verdict = oracle(state.center.copy())
-        if isinstance(verdict, Rounded):
-            return RoundOrCutResult(
-                status="rounded",
-                payload=verdict.payload,
-                iterations=state.iteration,
-                cuts=cuts,
-            )
-        if not isinstance(verdict, Separating):
-            raise TypeError(f"oracle returned {type(verdict).__name__}")
-        cut = verdict.cut
-        a = cut.as_vector()
-        violation = float(a @ state.center - cut.b)
-        if not violation > CUT_CONTRACT_EPS:
-            raise OracleContractError(
-                f"cut {cut.kind!r} not violated at the query "
-                f"(violation {violation:.3g} <= eps {CUT_CONTRACT_EPS:.3g})"
-            )
-        cuts.append(cut)
-        # Half-width of the ellipsoid along the cut direction.  When the
-        # violation exceeds it, every point of the ellipsoid breaks the cut,
-        # so the feasible region it was guaranteed to contain is empty.  This
-        # also catches the degenerate case where repeated near-parallel cuts
-        # squeeze that width to zero before the iteration cap.
-        half_width = float(a @ state.shape @ a)
-        half_width = math.sqrt(half_width) if half_width > 0.0 else 0.0
-        if violation > half_width:
-            return RoundOrCutResult(
-                status="infeasible", iterations=state.iteration, cuts=cuts
-            )
-        state = ellipsoid_update(state, a)
-        # trace bounds the largest squared semi-axis, so once it trips the
-        # whole ellipsoid sits inside ball(center, stop_radius) and any point
-        # of a surviving feasible region would have rounded at the center.
-        if float(np.trace(state.shape)) <= stop_radius**2:
-            return RoundOrCutResult(
-                status="infeasible", iterations=state.iteration, cuts=cuts
-            )
-    return RoundOrCutResult(status="infeasible", iterations=state.iteration, cuts=cuts)

@@ -244,7 +244,7 @@ class NUkCSolution:
 class CoverageVector:
     """Fractional per-point coverage by each radius class.
 
-    The round-or-cut engine works on the flat vector (cov1 ++ cov2); oracles
+    The cutting-plane driver works on the flat vector (cov1 ++ cov2); oracles
     reshape it through :meth:`from_vector`.
     """
 
@@ -377,14 +377,14 @@ class SolveResult:
     """A solver verdict, and the parsed form of a solution file.
 
     SOLUTION results the solvers return come from :meth:`verified`, which
-    checks coverage at the solution's own dilation.  The engine fields
+    checks coverage at the solution's own dilation.  The driver fields
     (``case`` onward) stay empty for screen verdicts and parsed files.
     """
 
     status: str  # "solution" | "infeasible"
     solution: NUkCSolution | None = None
     covered_count: int = 0
-    method: str = ""  # trivial|greedy|lp-bound|probe|round|cap, or optimize (CLI)
+    method: str = ""  # trivial|greedy|lp-bound|probe|round|lp-empty|cap, or optimize (CLI)
     case: str = ""  # which outer rounding case produced the solution, if any
     iterations: int = 0
     cuts: list[Cut] = field(default_factory=list)

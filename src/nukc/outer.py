@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ellipsoid import ORACLE_EPS, Rounded, Separating, run_round_or_cut
+from .cutting_plane import ORACLE_EPS, Rounded, Separating, run_round_or_cut
 from .firefighter import solve_2ff
 from .model import (
     CoverageVector,
@@ -125,16 +125,15 @@ def lift_candidate_solution(
 class OuterOracle:
     """Separation oracle over the full instance's coverage polytope.
 
-    Stateful: it keeps every inner run and memoizes the Case-II enumeration
-    per root set (the candidate family depends only on Y = roots), since
-    infeasible runs revisit the same root sets many times.
+    Stateful: it keeps every Case-II inner run.  No driver run enumerates a
+    root set twice: its ``candidates`` cut becomes an LP row, so a later query
+    with the same roots has root mass <= k1 - 2 and goes to Case I.
     """
 
     def __init__(self, instance: NUkCInstance, config: SolverConfig):
         self.instance = instance
         self.config = config
         self.inner_runs: list[tuple[Candidate, SolveResult]] = []
-        self._case2_cache: dict[tuple[int, ...], tuple] = {}
 
     def __call__(self, x: np.ndarray) -> Rounded | Separating:
         inst = self.instance
@@ -178,21 +177,12 @@ class OuterOracle:
             solution = lift_ff_solution(tree, selection)
             return Rounded((solution, {"case": "I", "value": selection.value}))
 
-        cache_key = tuple(sorted(roots))
-        outcome = self._case2_cache.get(cache_key)
-        if outcome is None:
-            outcome = ("infeasible",)
-            for cand in enumerate_candidates(inst, roots):
-                res = solve_wellsep(cand.instance, self.config)
-                self.inner_runs.append((cand, res))
-                if res.status == "solution":
-                    lifted = lift_candidate_solution(cand, res.solution, inst)
-                    outcome = ("solution", lifted, cand.q)
-                    break
-            self._case2_cache[cache_key] = outcome
-        if outcome[0] == "solution":
-            _, lifted, q = outcome
-            return Rounded((lifted, {"case": "II", "q": q}))
+        for cand in enumerate_candidates(inst, roots):
+            res = solve_wellsep(cand.instance, self.config)
+            self.inner_runs.append((cand, res))
+            if res.status == "solution":
+                lifted = lift_candidate_solution(cand, res.solution, inst)
+                return Rounded((lifted, {"case": "II", "q": cand.q}))
         a1 = np.zeros(n)
         a1[list(roots)] = 1.0
         return Separating(

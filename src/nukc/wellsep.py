@@ -13,12 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import (
-    ORACLE_EPS,
-    Rounded,
-    RoundOrCutResult,
-    Separating,
-    run_round_or_cut,
+from .cutting_plane import (
+    ORACLE_EPS, Rounded, RoundOrCutResult, Separating, run_round_or_cut,
 )
 from .firefighter import solve_2ff
 from .model import (
@@ -40,11 +36,11 @@ WELLSEP_DILATION = 4.0
 class SolverConfig:
     """Knobs shared by the inner and outer solvers."""
 
-    max_iters: int | None = None  # ellipsoid cap; None uses the dimension formula
+    max_iters: int | None = None  # oracle queries per driver run; None: default_max_iters
     shortcuts: bool = True  # greedy / LP presolve screens
 
     def __post_init__(self):
-        # A cap below 1 ends the engine before its first oracle call, and the
+        # A cap below 1 ends the driver before its first oracle call, and the
         # empty run would read as INFEASIBLE.
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
@@ -53,7 +49,7 @@ class SolverConfig:
 def engine_verdict(
     instance: NUkCInstance, res: RoundOrCutResult, **fields
 ) -> SolveResult:
-    """The verdict of a finished engine run: verified SOLUTION or INFEASIBLE."""
+    """A driver run's verdict: verified SOLUTION, or INFEASIBLE by lp-empty or cap."""
     if res.status == "rounded":
         solution, info = res.payload
         return SolveResult.verified(
@@ -61,7 +57,8 @@ def engine_verdict(
             iterations=res.iterations, cuts=res.cuts, **fields,
         )
     return SolveResult(
-        "infeasible", method="cap", iterations=res.iterations, cuts=res.cuts, **fields
+        "infeasible", method="lp-empty" if res.status == "infeasible" else "cap",
+        iterations=res.iterations, cuts=res.cuts, **fields,
     )
 
 

@@ -5,6 +5,8 @@ tolerances.  Each test prints a single PASS line with its headline numbers
 Criteria 1-3 share one 500-instance mixed uniform/graph suite, solved once in
 a session fixture and cross-checked three ways: approximation soundness,
 infeasibility soundness, and hull validity of every cut either oracle emitted.
+Criteria 1, 2 and 9 also hold with the presolve shortcuts off, where every
+verdict but the trivial ones comes from the cutting-plane driver.
 """
 
 import math
@@ -40,6 +42,7 @@ from test_clustering import check_partition_invariants
 
 SUITE_SIZE = 500
 SUITE_BUDGET_SECONDS = 600.0
+CONFIGS = {"default": SolverConfig(), "shortcut-free": SolverConfig(shortcuts=False)}
 
 
 def suite_instance(seed: int):
@@ -58,40 +61,48 @@ def suite_instance(seed: int):
 
 @pytest.fixture(scope="session")
 def suite():
+    """Rows (seed, instance, brute force, default verdict, shortcut-free verdict)."""
     start = time.perf_counter()
     rows = []
     for seed in range(SUITE_SIZE):
         inst = suite_instance(seed)
         brute = brute_force_nukc(inst)
-        res = solve_feasibility(inst)
-        rows.append((seed, inst, brute, res))
+        res, raw = (solve_feasibility(inst, cfg) for cfg in CONFIGS.values())
+        rows.append((seed, inst, brute, res, raw))
     elapsed = time.perf_counter() - start
     return rows, elapsed
+
+
+def verdicts(rows):
+    """(config name, seed, instance, brute force, verdict) for both configs."""
+    for seed, inst, brute, *results in rows:
+        for name, res in zip(CONFIGS, results, strict=True):
+            yield name, seed, inst, brute, res
 
 
 def test_criterion_1_approximation_soundness(suite):
     rows, elapsed = suite
     failures = []
     feasible = 0
-    for seed, inst, brute, res in rows:
+    for name, seed, inst, brute, res in verdicts(rows):
         if not brute.feasible:
             continue
         feasible += 1
         if res.status != "solution":
-            failures.append((seed, "no solution on brute-feasible instance"))
+            failures.append((name, seed, "no solution on brute-feasible instance"))
             continue
         if res.solution.dilation > 10.0:
-            failures.append((seed, f"dilation {res.solution.dilation}"))
+            failures.append((name, seed, f"dilation {res.solution.dilation}"))
             continue
         ok, count = verify_solution(inst, res.solution, res.solution.dilation)
         if not ok or count < inst.m:
-            failures.append((seed, f"verify failed (ok={ok}, count={count})"))
+            failures.append((name, seed, f"verify failed (ok={ok}, count={count})"))
     assert not failures, failures[:10]
     assert elapsed <= SUITE_BUDGET_SECONDS
     print(
         f"\ncriterion 1 (approximation soundness): PASS - "
-        f"{feasible} brute-feasible of {len(rows)} instances, 0 failures, "
-        f"suite solved in {elapsed:.1f}s"
+        f"{feasible // len(CONFIGS)} brute-feasible of {len(rows)} instances, "
+        f"0 failures under {len(CONFIGS)} configs, suite solved in {elapsed:.1f}s"
     )
 
 
@@ -99,16 +110,17 @@ def test_criterion_2_infeasibility_soundness(suite):
     rows, _ = suite
     false_infeasibles = []
     infeasible = 0
-    for seed, inst, brute, res in rows:
+    for name, seed, inst, brute, res in verdicts(rows):
         if res.status != "infeasible":
             continue
         infeasible += 1
         if brute.feasible:
-            false_infeasibles.append((seed, res.method))
+            false_infeasibles.append((name, seed, res.method))
     assert not false_infeasibles, false_infeasibles
     print(
         f"\ncriterion 2 (infeasibility soundness): PASS - "
-        f"{infeasible} INFEASIBLE verdicts of {len(rows)}, all brute-confirmed"
+        f"{infeasible} INFEASIBLE verdicts of {len(rows)} instances under "
+        f"{len(CONFIGS)} configs, all brute-confirmed"
     )
 
 
@@ -133,15 +145,16 @@ def test_criterion_3_cut_validity(suite):
                 if not inner_checker.validate(cut):
                     bad.append((seed, tag + "inner:" + cut.kind))
 
-    # Cuts the default pipeline emitted across the suite (probe + engine),
-    # plus the inner oracle's cuts, each against its own instance's hull.
-    for seed, inst, _, res in rows:
+    # Cuts both pipelines emitted across the suite (probe + driver), plus
+    # the inner oracle's cuts, each against its own instance's hull.
+    for seed, inst, _, res, raw in rows:
         check(seed, inst, res)
+        check(seed, inst, raw, tag="shortcut-free:")
     # The default pipeline short-circuits most instances, so harvest extra
     # cuts by rerunning a slice of the suite with the screens off and a small
     # iteration cap.  Verdicts are not asserted here, only cut validity.
     cfg = SolverConfig(shortcuts=False, max_iters=80)
-    for seed, inst, _, _ in rows:
+    for seed, inst, _, _, _ in rows:
         if inst.n > 6 or seed % 5 != 0:
             continue
         check(seed, inst, solve_feasibility(inst, cfg), tag="harvest:")
@@ -273,18 +286,19 @@ def test_criterion_9_robust_kcenter():
     for case in cases:
         inst, _ = planted_kcenter_instance(**case)
         assert inst.n <= 60 and inst.k1 <= 4 and inst.k2 <= 5
-        start = time.perf_counter()
-        res = solve_feasibility(inst)
-        elapsed = time.perf_counter() - start
-        slowest = max(slowest, elapsed)
-        biggest = max(biggest, inst.n)
-        assert elapsed < 60.0, (case, elapsed)
-        assert res.status == "solution", case
-        assert res.solution.dilation <= 10.0
-        ok, count = verify_solution(inst, res.solution, res.solution.dilation)
-        assert ok and count >= inst.m
+        for name, cfg in CONFIGS.items():
+            start = time.perf_counter()
+            res = solve_feasibility(inst, cfg)
+            elapsed = time.perf_counter() - start
+            slowest = max(slowest, elapsed)
+            biggest = max(biggest, inst.n)
+            assert elapsed < 60.0, (case, name, elapsed)
+            assert res.status == "solution", (case, name)
+            assert res.solution.dilation <= 10.0
+            ok, count = verify_solution(inst, res.solution, res.solution.dilation)
+            assert ok and count >= inst.m
     print(
         f"\ncriterion 9 (robust k-center, r2 = 0): PASS - {len(cases)} planted "
-        f"instances up to n={biggest}, slowest {slowest:.2f}s < 60s, "
-        f"dilation <= 10"
+        f"instances up to n={biggest} under {len(CONFIGS)} configs, slowest "
+        f"{slowest:.2f}s < 60s, dilation <= 10"
     )

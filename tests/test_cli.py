@@ -115,12 +115,15 @@ class TestSolve:
         json.loads(out)  # stdout stays machine readable
 
     def test_engine_trace_is_two_lines(self, tmp_path, capsys):
-        # An engine run of 13 oracle calls: the trace is a summary line and
-        # one per-kind cut count, not a line per call.
-        path = tmp_path / "u12.json"
-        code, _, _ = run(capsys, "gen", "uniform", "--n", "12", "--seed", "0",
-                         "--r1", "0.3", "--r2", "0.1", "-o", str(path))
-        assert code == 0
+        # A driver run of 17 oracle calls (8 root-budget and 8 leaf-budget
+        # cuts, then a round): the trace is a summary line and one per-kind
+        # cut count, not a line per call.
+        path = tmp_path / "p10.json"
+        path.write_text(json.dumps({
+            "points": [[4.0, 0.8], [3.3, 0.6], [1.6, 0.3], [3.4, 3.3], [0.6, 2.1],
+                       [1.0, 2.0], [2.2, 0.4], [3.5, 1.1], [1.8, 0.2], [0.0, 0.8]],
+            "r1": 1.2, "r2": 1.0, "k1": 0, "k2": 1, "m": 4,
+        }))
         code, out, err = run(capsys, "solve", str(path), "--no-shortcuts", "--trace")
         assert code == 0 and json.loads(out)["status"] == "solution"
         lines = err.splitlines()
@@ -135,7 +138,7 @@ class TestSolve:
 
     def test_no_shortcuts_agrees(self, tmp_path, capsys):
         # k1 + k2 < m dodges the trivial route; the slack (4 coverable vs
-        # m = 3) keeps the ellipsoid run short.
+        # m = 3) keeps the driver run short.
         path = tmp_path / "slack.json"
         path.write_text(json.dumps({
             "points": [[0.0], [0.2], [9.0], [9.2]], "r1": 1.0, "r2": 0.3,

@@ -14,7 +14,7 @@ from nukc import (
     verify_solution,
     wellsep_separation_oracle,
 )
-from nukc.ellipsoid import ORACLE_EPS
+from nukc.cutting_plane import ORACLE_EPS
 from nukc.model import CoverageVector, Cut
 from nukc.wellsep import WELLSEP_DILATION, box_violation_cut
 
