@@ -1,4 +1,4 @@
-"""The command-line pipeline end to end: gen, solve, check, bench.
+"""The command-line pipeline end to end: gen, solve, check.
 
 Everything the library does is reachable from the `nukc` entry point with
 JSON files as the interchange format, so a full experiment fits in a shell
@@ -64,10 +64,5 @@ with tempfile.TemporaryDirectory() as tmp:
     #    --optimize searches for the smallest scale that is not refuted.
     nukc("solve", str(inst), "--rho", "0.05")
     nukc("solve", str(inst), "--optimize")
-
-    # 5. Benchmark: generate-and-solve batches with one timing line per
-    #    instance and a summary row.
-    nukc("bench", "--kind", "planted", "--count", "3", "--seed", "1",
-         "--clusters", "2", "--points-per-cluster", "6")
 
 print("workspace cleaned up; every artifact above was plain JSON")

@@ -1,8 +1,8 @@
-"""Command line front end: gen, solve, check, bench.
+"""Command line front end: gen, solve, check.
 
 Exit codes follow the feasibility verdict: 0 for a solution (or a successful
-gen/check/bench run, or --help), 2 for infeasible (or a failed check), 1 for
-usage and input errors.
+gen/check run, or --help), 2 for infeasible (or a failed check), 1 for usage
+and input errors.  Timing belongs to the benchmark harness in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
-from time import perf_counter
 
 from .generators import (
     graph_instance,
@@ -78,16 +76,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_SOLUTION
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        max_iters=args.max_iters,
-        shortcuts=not getattr(args, "no_shortcuts", False),
-    )
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = instance_from_json(load_json(args.instance))
-    cfg = _solver_config(args)
+    cfg = SolverConfig(max_iters=args.max_iters, shortcuts=not args.no_shortcuts)
     if args.optimize:
         opt = optimize(instance, cfg)
         if opt.solution is None:
@@ -140,65 +131,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_SOLUTION
 
 
-def _bench_task(task: tuple) -> dict:
-    kind, seed, params, max_iters = task
-    ns = argparse.Namespace(**params)
-    instance, _ = _generate(kind, seed, ns)
-    cfg = SolverConfig(max_iters=max_iters)
-    start = perf_counter()
-    result = solve_feasibility(instance, cfg)
-    elapsed = perf_counter() - start
-    return {
-        "seed": seed,
-        "n": instance.n,
-        "status": result.status,
-        "method": result.method,
-        "case": result.case or "-",
-        "iterations": result.iterations,
-        "dilation": result.solution.dilation if result.solution else None,
-        "seconds": elapsed,
-    }
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    params = {
-        "clusters": args.clusters,
-        "points_per_cluster": args.points_per_cluster,
-        "outliers": args.outliers,
-        "n": args.n,
-        "r1": args.r1,
-        "r2": args.r2,
-        "k1": args.k1,
-        "k2": args.k2,
-        "m": args.m,
-    }
-    tasks = [
-        (args.kind, args.seed + i, params, args.max_iters)
-        for i in range(args.count)
-    ]
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_bench_task, tasks))
-    else:
-        rows = [_bench_task(t) for t in tasks]
-
-    print(f"{'seed':>6} {'n':>4} {'status':>10} {'method':>8} {'case':>4} "
-          f"{'iters':>6} {'sec':>8}")
-    for row in rows:
-        print(
-            f"{row['seed']:>6} {row['n']:>4} {row['status']:>10} "
-            f"{row['method']:>8} {row['case']:>4} {row['iterations']:>6} "
-            f"{row['seconds']:>8.3f}"
-        )
-    times = [row["seconds"] for row in rows]
-    solved = sum(row["status"] == "solution" for row in rows)
-    print(
-        f"{len(rows)} instances, {solved} solved, "
-        f"mean {sum(times) / len(times):.3f}s, max {max(times):.3f}s"
-    )
-    return EXIT_SOLUTION
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with EXIT_ERROR: argparse's own 2 means INFEASIBLE here."""
 
@@ -217,27 +149,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_gen_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--clusters", type=int, default=3)
-    parser.add_argument("--points-per-cluster", type=int, default=5)
-    parser.add_argument("--outliers", type=int, default=2)
-    parser.add_argument("--n", type=int, default=30, help="points (uniform/graph)")
-    parser.add_argument("--r1", type=float, default=1.0)
-    parser.add_argument("--r2", type=float, default=0.4)
-    parser.add_argument("--k1", type=int, default=2, help="budget (uniform/graph)")
-    parser.add_argument("--k2", type=int, default=2, help="budget (uniform/graph)")
-    parser.add_argument("--m", type=int, default=None, help="coverage target")
-
-
-def _add_solver_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-iters", type=_positive_int, default=None,
-                        help="cap on separation oracle calls")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nukc",
-        description="Two-radius covering with outliers: generate, solve, check, bench.",
+        description="Two-radius covering with outliers: generate, solve, check.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -245,7 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("kind", choices=("planted", "kcenter", "uniform", "graph"))
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--out", default=None, help="output path (default stdout)")
-    _add_gen_params(gen)
+    gen.add_argument("--clusters", type=int, default=3)
+    gen.add_argument("--points-per-cluster", type=int, default=5)
+    gen.add_argument("--outliers", type=int, default=2)
+    gen.add_argument("--n", type=int, default=30, help="points (uniform/graph)")
+    gen.add_argument("--r1", type=float, default=1.0)
+    gen.add_argument("--r2", type=float, default=0.4)
+    gen.add_argument("--k1", type=int, default=2, help="budget (uniform/graph)")
+    gen.add_argument("--k2", type=int, default=2, help="budget (uniform/graph)")
+    gen.add_argument("--m", type=int, default=None, help="coverage target")
     gen.set_defaults(func=_cmd_gen)
 
     solve = sub.add_parser("solve", help="solve an instance file")
@@ -257,26 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--trace", action="store_true",
                        help="print solver progress to stderr")
     solve.add_argument("--no-shortcuts", action="store_true",
-                       help="disable the greedy and LP presolve")
+                       help="skip the greedy, LP-bound and LP-probe screens")
     solve.add_argument("-o", "--out", default=None)
-    _add_solver_params(solve)
+    solve.add_argument("--max-iters", type=_positive_int, default=None,
+                       help="cap on separation oracle calls")
     solve.set_defaults(func=_cmd_solve)
 
     check = sub.add_parser("check", help="verify a solution file against an instance")
     check.add_argument("instance")
     check.add_argument("solution")
     check.set_defaults(func=_cmd_check)
-
-    bench = sub.add_parser("bench", help="time the solver on generated instances")
-    bench.add_argument("--kind", choices=("planted", "kcenter", "uniform", "graph"),
-                       default="planted")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--count", type=_positive_int, default=10)
-    bench.add_argument("--parallel", type=_positive_int, default=1, metavar="N",
-                       help="worker processes")
-    _add_gen_params(bench)
-    _add_solver_params(bench)
-    bench.set_defaults(func=_cmd_bench)
 
     return parser
 

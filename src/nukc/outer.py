@@ -18,26 +18,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .cutting_plane import ORACLE_EPS, Rounded, Separating, run_round_or_cut
+from .cutting_plane import ORACLE_EPS, Rounded, Separating
 from .firefighter import solve_2ff
 from .model import (
     CoverageVector,
-    Cut,
     NUkCInstance,
     NUkCSolution,
     SolveResult,
     TheoryViolationError,
     WellSepNUkCInstance,
 )
-from .presolve import coverage_lp, greedy_cover, lp_probe_vector
 from .reduction import lift_ff_solution, reduce_to_firefighter
 from .wellsep import (
-    SolverConfig,
-    box_violation_cut,
-    engine_verdict,
-    mass_cut,
-    solve_wellsep,
+    SolverConfig, box_violation_cut, decide, mass_cut, set_cut, solve_wellsep,
 )
+
+# Not called here (``decide`` calls them): perfbench/tracing.py patches these
+# names in this module, until the solver records its own per-layer counts.
+from .cutting_plane import run_round_or_cut  # noqa: F401
+from .presolve import coverage_lp, greedy_cover  # noqa: F401
 
 # Dilations achieved by the two rounding cases.
 CASE1_DILATION = 10.0
@@ -151,19 +150,11 @@ class OuterOracle:
         s1 = float(cov.cov1[list(roots)].sum())
         s2 = float(cov.cov2[list(tree.leaves)].sum())
         if s1 > inst.k1 + ORACLE_EPS:
-            a1 = np.zeros(n)
-            a1[list(roots)] = 1.0
-            return Separating(
-                Cut(a1=a1, a2=np.zeros(n), b=float(inst.k1), kind="root-budget",
-                    meta={"roots": list(roots), "mass": s1})
-            )
+            return Separating(set_cut(n, 1, roots, 1.0, float(inst.k1), "root-budget",
+                                      roots=list(roots), mass=s1))
         if s2 > inst.k2 + ORACLE_EPS:
-            a2 = np.zeros(n)
-            a2[list(tree.leaves)] = 1.0
-            return Separating(
-                Cut(a1=np.zeros(n), a2=a2, b=float(inst.k2), kind="leaf-budget",
-                    meta={"leaves": list(tree.leaves), "mass": s2})
-            )
+            return Separating(set_cut(n, 2, tree.leaves, 1.0, float(inst.k2), "leaf-budget",
+                                      leaves=list(tree.leaves), mass=s2))
 
         if s1 <= inst.k1 - 2 + ORACLE_EPS:
             # Root mass low enough that the forest provably holds weight m.
@@ -183,12 +174,8 @@ class OuterOracle:
             if res.status == "solution":
                 lifted = lift_candidate_solution(cand, res.solution, inst)
                 return Rounded((lifted, {"case": "II", "q": cand.q}))
-        a1 = np.zeros(n)
-        a1[list(roots)] = 1.0
-        return Separating(
-            Cut(a1=a1, a2=np.zeros(n), b=float(inst.k1 - 2), kind="candidates",
-                meta={"roots": list(roots)})
-        )
+        return Separating(set_cut(n, 1, roots, 1.0, float(inst.k1 - 2), "candidates",
+                                  roots=list(roots)))
 
 
 def _trivial_solution(instance: NUkCInstance) -> NUkCSolution | None:
@@ -212,36 +199,14 @@ def solve_feasibility(
     impossible, which is the approximation contract).
     """
     cfg = config or SolverConfig()
-    n = instance.n
     trivial = _trivial_solution(instance)
     if trivial is not None:
         return SolveResult.verified(instance, trivial, "trivial")
-    if instance.m > n or (instance.k1 == 0 and instance.k2 == 0):
-        return SolveResult("infeasible", method="trivial")
 
     oracle = OuterOracle(instance, cfg)
-    probe_cuts: list[Cut] = []
-    if cfg.shortcuts:
-        sol = greedy_cover(instance)
-        if sol is not None:
-            return SolveResult.verified(instance, sol, "greedy")
-        bound, x1, x2 = coverage_lp(instance)
-        if bound < instance.m - 1e-6:
-            return SolveResult("infeasible", method="lp-bound")
-        if x1 is not None:
-            # Query the LP optimizer first; integral optima round immediately.
-            verdict = oracle(lp_probe_vector(instance, x1, x2))
-            if isinstance(verdict, Rounded):
-                solution, info = verdict.payload
-                return SolveResult.verified(
-                    instance, solution, "probe", case=info["case"],
-                    inner_runs=oracle.inner_runs,
-                )
-            probe_cuts.append(verdict.cut)
-
-    res = run_round_or_cut(2 * n, oracle, cfg.max_iters)
-    res.cuts[:0] = probe_cuts
-    return engine_verdict(instance, res, inner_runs=oracle.inner_runs)
+    res = decide(instance, oracle, cfg)
+    res.inner_runs = oracle.inner_runs
+    return res
 
 
 @dataclass
@@ -273,11 +238,11 @@ def optimize(
 
     d = instance.metric.dist
     upper = d[np.triu_indices(instance.n, k=1)]
-    values = {0.0, 1.0}
-    values.update((upper / instance.r1).tolist())
+    quotients = [np.array([0.0, 1.0]), upper / instance.r1]
     if instance.r2 > 0:
-        values.update((upper / instance.r2).tolist())
-    candidates = sorted(v for v in values if v > 0)
+        quotients.append(upper / instance.r2)
+    scales = np.unique(np.concatenate(quotients))  # sorted, deduped by float equality
+    candidates = scales[scales > 0].tolist()
 
     probes: list[tuple[float, str]] = [(0.0, "infeasible")]
     results: dict[float, SolveResult] = {}

@@ -10,12 +10,11 @@ inequality as a cut that every true solution satisfies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .cutting_plane import (
-    ORACLE_EPS, Rounded, RoundOrCutResult, Separating, run_round_or_cut,
-)
+from .cutting_plane import ORACLE_EPS, Rounded, Separating, run_round_or_cut
 from .firefighter import solve_2ff
 from .model import (
     CoverageVector,
@@ -37,7 +36,9 @@ class SolverConfig:
     """Knobs shared by the inner and outer solvers."""
 
     max_iters: int | None = None  # oracle queries per driver run; None: default_max_iters
-    shortcuts: bool = True  # greedy / LP presolve screens
+    # Both solvers run ``decide``; False skips its greedy, LP-bound and LP-probe
+    # screens, so every nontrivial verdict comes from the driver.
+    shortcuts: bool = True
 
     def __post_init__(self):
         # A cap below 1 ends the driver before its first oracle call, and the
@@ -46,27 +47,63 @@ class SolverConfig:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
-def engine_verdict(
-    instance: NUkCInstance, res: RoundOrCutResult, **fields
+def decide(
+    inst: NUkCInstance,
+    oracle: Callable[[np.ndarray], Rounded | Separating],
+    config: SolverConfig,
+    y: Sequence[int] | None = None,
 ) -> SolveResult:
-    """A driver run's verdict: verified SOLUTION, or INFEASIBLE by lp-empty or cap."""
+    """The decision pipeline both solvers run once their trivial answers fail.
+
+    With shortcuts on: greedy, the LP bound, then one oracle query at the LP
+    openings (``probe``); then the cutting-plane driver over ``oracle``.
+    ``y`` confines large centers in the screens.  perfbench/tracing.py
+    patches greedy_cover, coverage_lp and run_round_or_cut in this module,
+    so they are called through its globals.
+    """
+    n = inst.n
+    if inst.m > n or (inst.k1 == 0 and inst.k2 == 0):
+        return SolveResult("infeasible", method="trivial")
+    cuts: list[Cut] = []  # a probe cut that did not round leads the run's cuts
+    if config.shortcuts:
+        sol = greedy_cover(inst, restrict_y=y)
+        if sol is not None:
+            return SolveResult.verified(inst, sol, "greedy")
+        bound, x1, x2 = coverage_lp(inst, restrict_y=y)
+        if bound < inst.m - 1e-6:
+            return SolveResult("infeasible", method="lp-bound")
+        if x1 is not None:
+            # Query the LP optimizer first; integral optima round immediately.
+            verdict = oracle(lp_probe_vector(inst, x1, x2))
+            if isinstance(verdict, Rounded):
+                solution, info = verdict.payload
+                return SolveResult.verified(
+                    inst, solution, "probe", case=info.get("case", "")
+                )
+            cuts.append(verdict.cut)
+
+    res = run_round_or_cut(2 * n, oracle, config.max_iters)
+    cuts += res.cuts
     if res.status == "rounded":
         solution, info = res.payload
         return SolveResult.verified(
-            instance, solution, "round", case=info.get("case", ""),
-            iterations=res.iterations, cuts=res.cuts, **fields,
+            inst, solution, "round", case=info.get("case", ""),
+            iterations=res.iterations, cuts=cuts,
         )
     return SolveResult(
         "infeasible", method="lp-empty" if res.status == "infeasible" else "cap",
-        iterations=res.iterations, cuts=res.cuts, **fields,
+        iterations=res.iterations, cuts=cuts,
     )
 
 
-def _unit_cut(n: int, block: int, v: int, sign: float, b: float, kind: str) -> Cut:
+def set_cut(
+    n: int, block: int, points: Sequence[int], sign: float, b: float, kind: str, **meta
+) -> Cut:
+    """The cut ``sign * sum(cov{block}[v] for v in points) <= b``."""
     a1 = np.zeros(n)
     a2 = np.zeros(n)
-    (a1 if block == 1 else a2)[v] = sign
-    return Cut(a1=a1, a2=a2, b=b, kind=kind, meta={"point": int(v)})
+    (a1 if block == 1 else a2)[list(points)] = sign
+    return Cut(a1=a1, a2=a2, b=b, kind=kind, meta=meta)
 
 
 def box_violation_cut(cov: CoverageVector, eps: float = ORACLE_EPS) -> Cut | None:
@@ -82,7 +119,7 @@ def box_violation_cut(cov: CoverageVector, eps: float = ORACLE_EPS) -> Cut | Non
         return None
     v, which = divmod(int(hits[0]), 3)
     if which < 2:
-        return _unit_cut(n, which + 1, v, -1.0, 0.0, f"box-cov{which + 1}")
+        return set_cut(n, which + 1, [v], -1.0, 0.0, f"box-cov{which + 1}", point=v)
     a1 = np.zeros(n)
     a2 = np.zeros(n)
     a1[v] = 1.0
@@ -115,7 +152,7 @@ def wellsep_separation_oracle(
     bad = far & (cov.cov1 > ORACLE_EPS)
     if bad.any():
         v = int(np.argmax(bad))
-        return Separating(_unit_cut(n, 1, v, 1.0, 0.0, "y-support"))
+        return Separating(set_cut(n, 1, [v], 1.0, 0.0, "y-support", point=v))
 
     if float(cov.cov().sum()) < inst.m - ORACLE_EPS:
         return Separating(mass_cut(n, inst.m))
@@ -146,30 +183,10 @@ def solve_wellsep(
     """
     cfg = config or SolverConfig()
     inst = ws.base
-    n = inst.n
     if inst.m <= 0:
         return SolveResult.verified(inst, NUkCSolution.empty(), "trivial")
-    if inst.m > n or (inst.k1 == 0 and inst.k2 == 0):
-        return SolveResult("infeasible", method="trivial")
 
     def oracle(x: np.ndarray):
         return wellsep_separation_oracle(ws, CoverageVector.from_vector(x))
 
-    probe_cuts: list[Cut] = []
-    if cfg.shortcuts:
-        sol = greedy_cover(inst, restrict_y=ws.y)
-        if sol is not None:
-            return SolveResult.verified(inst, sol, "greedy")
-        bound, x1, x2 = coverage_lp(inst, restrict_y=ws.y)
-        if bound < inst.m - 1e-6:
-            return SolveResult("infeasible", method="lp-bound")
-        if x1 is not None:
-            # Query the LP optimizer first; integral optima round immediately.
-            verdict = oracle(lp_probe_vector(inst, x1, x2))
-            if isinstance(verdict, Rounded):
-                return SolveResult.verified(inst, verdict.payload[0], "probe")
-            probe_cuts.append(verdict.cut)
-
-    res = run_round_or_cut(2 * n, oracle, cfg.max_iters)
-    res.cuts[:0] = probe_cuts
-    return engine_verdict(inst, res)
+    return decide(inst, oracle, cfg, ws.y)

@@ -9,7 +9,10 @@ from nukc import (
     SolverConfig,
     WellSepNUkCInstance,
     brute_force_nukc,
+    planted_instance,
+    solve_feasibility,
     solve_wellsep,
+    uniform_instance,
     validate_cut_on_hull,
     verify_solution,
     wellsep_separation_oracle,
@@ -220,3 +223,38 @@ class TestSolver:
                 assert res.status == "solution"
             if res.status == "infeasible":
                 assert not brute.feasible
+
+
+def planted_candidate(seed: int) -> WellSepNUkCInstance:
+    """The first Case II candidate the outer solver solves on a planted instance."""
+    inst, _ = planted_instance(seed, 3, 5, 2)
+    return solve_feasibility(inst).inner_runs[0][0].instance
+
+
+class TestDecide:
+    """Both solvers run ``decide``: each screen verdict, checked by brute force."""
+
+    @pytest.mark.parametrize("build, method, case", [
+        (lambda: uniform_instance(0, 10, 0.3, 0.1, 2, 2, 8), "greedy", ""),
+        (lambda: uniform_instance(13, 10, 0.3, 0.1, 2, 2, 8), "lp-bound", ""),
+        (lambda: uniform_instance(7, 10, 0.3, 0.1, 2, 2, 8), "probe", "II"),
+        (lambda: planted_candidate(4), "greedy", ""),
+        (lambda: wellsep_line([0.0, 10.0, 20.0], y=[0], m=3, k2=1), "lp-bound", ""),
+        (lambda: planted_candidate(1), "probe", ""),
+    ], ids=["outer-greedy", "outer-lp-bound", "outer-probe",
+            "wellsep-greedy", "wellsep-lp-bound", "wellsep-probe"])
+    def test_screen_verdict(self, build, method, case):
+        inst = build()
+        if isinstance(inst, WellSepNUkCInstance):
+            res, base, y = solve_wellsep(inst), inst.base, inst.y
+        else:
+            res, base, y = solve_feasibility(inst), inst, None
+        feasible = method != "lp-bound"
+        assert (res.status, res.method, res.case) == (
+            "solution" if feasible else "infeasible", method, case)
+        assert res.iterations == 0 and res.cuts == []
+        assert brute_force_nukc(base, restrict_y=y).feasible == feasible
+        if feasible:
+            ok, _ = verify_solution(base, res.solution, res.solution.dilation)
+            assert ok
+            assert y is None or set(res.solution.centers1) <= set(y)
