@@ -2,10 +2,11 @@
 
 Everything the library does is reachable from the `nukc` entry point with
 JSON files as the interchange format, so a full experiment fits in a shell
-script.  This demo drives the same main() in process and shows the files it
-leaves behind.
+script.  This demo runs `python -m nukc.cli` for each step, shows the files
+it leaves behind, and stops with an error when a step exits with a code
+other than the one it expects.
 
-Run:  python3 demos/cli_walkthrough.py
+Run:  PYTHONPATH=src python3 demos/cli_walkthrough.py
 """
 
 import json
@@ -15,8 +16,8 @@ import tempfile
 from pathlib import Path
 
 
-def nukc(*argv: str) -> str:
-    """Run the CLI as a subprocess and echo the invocation like a shell."""
+def nukc(*argv: str, expect: int = 0) -> str:
+    """Run the CLI as a subprocess, echo it like a shell and check its exit code."""
     print(f"$ nukc {' '.join(argv)}")
     proc = subprocess.run([sys.executable, "-m", "nukc.cli", *argv],
                           capture_output=True, text=True)
@@ -26,6 +27,9 @@ def nukc(*argv: str) -> str:
     if proc.returncode != 0:
         print(f"  (exit {proc.returncode})")
     print()
+    if proc.returncode != expect:
+        sys.exit(f"nukc {argv[0]} exited {proc.returncode}, expected {expect}: "
+                 f"{proc.stderr.strip()}")
     return proc.stdout
 
 
@@ -57,12 +61,12 @@ with tempfile.TemporaryDirectory() as tmp:
     bad = work / "tampered.json"
     record["dilation"] = 0.01
     bad.write_text(json.dumps(record))
-    nukc("check", str(inst), str(bad))
+    nukc("check", str(inst), str(bad), expect=2)
 
     # 4. Shrink the radii until the verdict flips.  --rho scales both radii
     #    before solving while the report stays in original units, and
     #    --optimize searches for the smallest scale that is not refuted.
-    nukc("solve", str(inst), "--rho", "0.05")
+    nukc("solve", str(inst), "--rho", "0.05", expect=2)
     nukc("solve", str(inst), "--optimize")
 
 print("workspace cleaned up; every artifact above was plain JSON")

@@ -20,10 +20,9 @@ from nukc import (
     brute_force_nukc,
     solve_wellsep,
     validate_cut_on_hull,
-    verify_solution,
 )
 
-RAW = SolverConfig(shortcuts=False)  # no greedy / LP screens: oracle only
+RAW = SolverConfig(shortcuts=False)  # no greedy screen: the driver and oracle only
 
 
 def on_line(xs, r1, r2, k1, k2, m, y):
@@ -48,28 +47,27 @@ print(f"  oracle-only run rounds the very first query: "
 
 # ------------------------------------------- regime 2: the dilation gap zone
 # Sparser groups: no dilation-1 cover reaches m = 6, but inflating the radii
-# by 4 makes one.  The default pipeline certifies the dilation-1 verdict with
-# the coverage LP; the oracle path instead works toward a dilation-4 cover.
-# Both answers are correct, they speak about different radii.
+# by 4 makes one, so SOLUTION at dilation 4 and INFEASIBLE would both be
+# correct.  Here the coverage LP the driver starts from already falls short
+# of m: its first query draws one mass cut, the LP empties, and both
+# pipelines answer INFEASIBLE about dilation 1.
 gap = on_line([0.0, 0.6, 1.1, 20.0, 20.5, 40.0, 40.3, 40.9],
               r1=1.0, r2=0.25, k1=1, k2=2, m=6, y=(0, 3, 5))
 res = solve_wellsep(gap)
 brute = brute_force_nukc(gap.base, restrict_y=gap.y)
+wide = brute_force_nukc(gap.base, rho=4.0, restrict_y=gap.y)
 print(f"\ngap-zone instance:  solver={res.status} ({res.method}), "
-      f"brute at dilation 1: {brute.feasible}")
+      f"brute at dilation 1: {brute.feasible}, at dilation 4: {wide.feasible}")
 raw = solve_wellsep(gap, RAW)
-sol = raw.solution
-ok, count = verify_solution(gap.base, sol, sol.dilation)
 kinds = Counter(cut.kind for cut in raw.cuts)
-print(f"  oracle-only run:  {raw.status} at dilation {sol.dilation} "
-      f"covering {count} (verified {ok})")
-print(f"  after {raw.iterations} iterations and cuts {dict(kinds)}")
+print(f"  oracle-only run:  {raw.status} ({raw.method}) after "
+      f"{raw.iterations} iteration(s) and cuts {dict(kinds)}")
 valid = all(validate_cut_on_hull(gap.base, cut, restrict_y=gap.y)
             for cut in raw.cuts)
 print(f"  all {len(raw.cuts)} cuts valid on the restricted hull: {valid}")
 
 # --------------------------------------------- regime 3: beyond any dilation
-# Too few balls for the target no matter the radius: the cuts leave the
+# Too few balls for the target no matter the radius: the mass cut leaves the
 # driver's LP empty and the exact oracle confirms there is nothing to find.
 hard = on_line([0.0, 0.6, 0.9, 20.0, 20.2, 40.0, 40.15],
                r1=1.0, r2=0.25, k1=1, k2=1, m=7, y=(0, 3, 5))

@@ -37,23 +37,12 @@ EXIT_INFEASIBLE = 2
 
 def _generate(kind: str, seed: int, args: argparse.Namespace):
     """Build (instance, truth-or-None) for a generator kind."""
+    shape = dict(clusters=args.clusters, points_per_cluster=args.points_per_cluster,
+                 outliers=args.outliers, r1=args.r1)
     if kind == "planted":
-        return planted_instance(
-            seed,
-            clusters=args.clusters,
-            points_per_cluster=args.points_per_cluster,
-            outliers=args.outliers,
-            r1=args.r1,
-            r2=args.r2,
-        )
+        return planted_instance(seed, r2=args.r2, **shape)
     if kind == "kcenter":
-        return planted_kcenter_instance(
-            seed,
-            clusters=args.clusters,
-            points_per_cluster=args.points_per_cluster,
-            outliers=args.outliers,
-            r1=args.r1,
-        )
+        return planted_kcenter_instance(seed, **shape)
     if kind == "uniform":
         return (
             uniform_instance(seed, args.n, args.r1, args.r2, args.k1, args.k2, args.m),
@@ -180,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--trace", action="store_true",
                        help="print solver progress to stderr")
     solve.add_argument("--no-shortcuts", action="store_true",
-                       help="skip the greedy, LP-bound and LP-probe screens")
+                       help="skip the greedy screen: every nontrivial verdict "
+                            "comes from the cutting-plane driver")
     solve.add_argument("-o", "--out", default=None)
     solve.add_argument("--max-iters", type=_positive_int, default=None,
                        help="cap on separation oracle calls")

@@ -384,7 +384,7 @@ class SolveResult:
     status: str  # "solution" | "infeasible"
     solution: NUkCSolution | None = None
     covered_count: int = 0
-    method: str = ""  # trivial|greedy|lp-bound|probe|round|lp-empty|cap, or optimize (CLI)
+    method: str = ""  # trivial|greedy|round|lp-empty|cap, or optimize (CLI)
     case: str = ""  # which outer rounding case produced the solution, if any
     iterations: int = 0
     cuts: list[Cut] = field(default_factory=list)

@@ -33,8 +33,8 @@ from .wellsep import (
     SolverConfig, box_violation_cut, decide, mass_cut, set_cut, solve_wellsep,
 )
 
-# Not called here (``decide`` calls them): perfbench/tracing.py patches these
-# names in this module, until the solver records its own per-layer counts.
+# Not called here: perfbench/tracing.py patches these names in this module,
+# until the solver records its own per-layer counts.
 from .cutting_plane import run_round_or_cut  # noqa: F401
 from .presolve import coverage_lp, greedy_cover  # noqa: F401
 

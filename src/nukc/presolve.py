@@ -1,10 +1,10 @@
-"""Cheap sound screens run before the round-or-cut machinery.
+"""The greedy screen, and the coverage LP the cutting-plane driver starts from.
 
-Two one-sided certificates: a greedy (plus swap polish) cover that, when it
-reaches the target, is a verified dilation-1 solution; and the LP relaxation
-of maximum coverage, whose optimum below m proves infeasibility outright.
-Neither replaces the solver or the exact oracle; both only short-circuit the
-easy mass of random instances.
+A greedy (plus swap polish) cover that, when it reaches the target, is a
+verified dilation-1 solution: the one optional screen ahead of the driver.
+``opening_columns`` builds the center-opening columns of the LP relaxation of
+maximum coverage for both ``coverage_lp`` and the driver's model, whose
+optimum below m proves infeasibility.
 """
 
 from __future__ import annotations
@@ -96,6 +96,24 @@ def greedy_cover(
     return sol if ok else None
 
 
+def opening_columns(
+    instance: NUkCInstance, radius: float, first_row: int, budget_row: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC (row index, value, count per column) of one class of center openings.
+
+    Column u holds -1 on row ``first_row + v`` for each v its radius ball
+    reaches, in ascending v, then +1 on ``budget_row``.
+    """
+    reach = (instance.metric.dist <= radius).T  # reach[u, v]: u's ball covers v
+    per_col = np.count_nonzero(reach, axis=1)
+    ends = np.cumsum(per_col)
+    return (
+        np.insert(np.nonzero(reach)[1] + first_row, ends, budget_row),
+        np.insert(np.full(ends[-1], -1.0), ends, 1.0),
+        per_col + 1,
+    )
+
+
 def coverage_lp(
     instance: NUkCInstance, restrict_y: Sequence[int] | None = None
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
@@ -115,23 +133,15 @@ def coverage_lp(
     n = instance.n
     if n == 0:
         return 0.0, np.zeros(0), np.zeros(0)
-    d = instance.metric.dist
     # Variable layout x1 (n) | x2 (n) | c (n).  Rows: c_v minus the openings
     # whose ball reaches v is <= 0 (v < n), then sum x1 <= k1 and sum x2 <= k2.
-    # Column u of an opening block holds -1 on each row its ball reaches, then
-    # +1 on its budget row; column v of the c block holds +1 on row v.
-    index, value, count = [], [], []
-    for radius, budget_row in ((instance.r1, n), (instance.r2, n + 1)):
-        reach = (d <= radius).T  # reach[u, v]: u's ball covers v
-        per_col = np.count_nonzero(reach, axis=1)
-        ends = np.cumsum(per_col)
-        index.append(np.insert(np.nonzero(reach)[1], ends, budget_row))
-        value.append(np.insert(np.full(ends[-1], -1.0), ends, 1.0))
-        count.append(per_col + 1)
-    index.append(np.arange(n))
-    value.append(np.ones(n))
-    count.append(np.ones(n, dtype=np.int64))
-    start = np.concatenate([[0], np.cumsum(np.concatenate(count))])
+    # Column v of the c block holds +1 on row v.
+    index, value, count = (np.concatenate(part) for part in zip(
+        opening_columns(instance, instance.r1, 0, n),
+        opening_columns(instance, instance.r2, 0, n + 1),
+        (np.arange(n), np.ones(n), np.ones(n, dtype=np.int64)),
+    ))
+    start = np.concatenate([[0], np.cumsum(count)])
 
     upper = np.ones(3 * n)
     if restrict_y is not None:  # large balls only on restrict_y
@@ -149,8 +159,8 @@ def coverage_lp(
             np.full(n + 2, -_highs.kHighsInf),
             np.concatenate([np.zeros(n), [float(instance.k1), float(instance.k2)]]),
             start.astype(np.int32),
-            np.concatenate(index).astype(np.int32),
-            np.concatenate(value),
+            index.astype(np.int32),
+            value,
             np.zeros(3 * n, dtype=np.int32),  # every column continuous
         ) == _highs.HighsStatus.kError
         or highs.run() == _highs.HighsStatus.kError
@@ -160,20 +170,3 @@ def coverage_lp(
     x = np.array(highs.getSolution().col_value)
     return -float(highs.getInfo().objective_function_value), x[:n], x[n : 2 * n]
 
-
-def lp_probe_vector(
-    instance: NUkCInstance, x1: np.ndarray, x2: np.ndarray
-) -> np.ndarray:
-    """Coverage vector induced by fractional center openings, boxed to [0, 1].
-
-    Used as a warm-start query for the separation oracles: when the LP optimum
-    is integral (planted instances), this is the coverage vector of an actual
-    solution and the oracle rounds it immediately.  Capping keeps the box
-    constraints satisfied; any other check may still cut, which is fine.
-    """
-    d = instance.metric.dist
-    in1 = d <= instance.r1
-    in2 = d <= instance.r2
-    cov1 = np.minimum(in1 @ x1, 1.0)
-    cov2 = np.minimum(in2 @ x2, 1.0 - cov1)
-    return np.concatenate([cov1, cov2])

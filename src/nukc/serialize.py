@@ -6,7 +6,9 @@ keys are ignored on input so files can carry provenance such as generator
 metadata.  Solution objects always carry "status"; a solution additionally has
 "dilation", "centers1", "centers2", and "covered_count".  They are written by
 ``SolveResult.to_json`` and read back by :func:`solution_from_json`; a missing
-or malformed key raises ValueError naming it.
+or malformed key raises ValueError naming it; integer fields and center
+indices must be JSON integers (a float such as 2.0 passes, 2.5 and true do
+not).
 """
 
 from __future__ import annotations
@@ -37,10 +39,17 @@ def _read(data: dict[str, Any], key: str, convert: Callable[[Any], Any]) -> Any:
         raise ValueError(f"bad value for {key!r}: {data[key]!r} ({exc})") from None
 
 
+def _integer(value: Any) -> int:
+    """A JSON integer; ``int()`` would truncate 1.9 and read true as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise TypeError("expected an integer")
+    return int(value)
+
+
 def _indices(value: Any) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise TypeError("expected a list of point indices")
-    return tuple(int(v) for v in value)
+    return tuple(_integer(v) for v in value)
 
 
 def instance_to_json(instance: NUkCInstance) -> dict[str, Any]:
@@ -78,9 +87,9 @@ def instance_from_json(data: dict[str, Any]) -> NUkCInstance:
         metric=metric,
         r1=_read(data, "r1", float),
         r2=_read(data, "r2", float),
-        k1=_read(data, "k1", int),
-        k2=_read(data, "k2", int),
-        m=_read(data, "m", int),
+        k1=_read(data, "k1", _integer),
+        k2=_read(data, "k2", _integer),
+        m=_read(data, "m", _integer),
     )
 
 
@@ -99,7 +108,7 @@ def solution_from_json(data: dict[str, Any]) -> SolveResult:
         centers2=_read(data, "centers2", _indices),
         dilation=_read(data, "dilation", float),
     )
-    return SolveResult("solution", solution, _read(data, "covered_count", int))
+    return SolveResult("solution", solution, _read(data, "covered_count", _integer))
 
 
 def load_json(path: str | Path) -> Any:

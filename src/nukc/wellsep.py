@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cutting_plane import ORACLE_EPS, Rounded, Separating, run_round_or_cut
+from .cutting_plane import ORACLE_EPS, Rounded, Separating, coverage_model, run_round_or_cut
 from .firefighter import solve_2ff
 from .model import (
     CoverageVector,
@@ -24,7 +24,8 @@ from .model import (
     SolveResult,
     WellSepNUkCInstance,
 )
-from .presolve import coverage_lp, greedy_cover, lp_probe_vector
+# coverage_lp is not called here: perfbench/tracing.py patches it in this module.
+from .presolve import coverage_lp, greedy_cover  # noqa: F401
 from .reduction import lift_ff_solution, reduce_to_firefighter
 
 # Dilation achieved by rounding: both reduction layers run at factor 2.
@@ -36,8 +37,8 @@ class SolverConfig:
     """Knobs shared by the inner and outer solvers."""
 
     max_iters: int | None = None  # oracle queries per driver run; None: default_max_iters
-    # Both solvers run ``decide``; False skips its greedy, LP-bound and LP-probe
-    # screens, so every nontrivial verdict comes from the driver.
+    # Both solvers run ``decide``; False skips its greedy screen, so every
+    # nontrivial verdict comes from the driver.
     shortcuts: bool = True
 
     def __post_init__(self):
@@ -55,44 +56,25 @@ def decide(
 ) -> SolveResult:
     """The decision pipeline both solvers run once their trivial answers fail.
 
-    With shortcuts on: greedy, the LP bound, then one oracle query at the LP
-    openings (``probe``); then the cutting-plane driver over ``oracle``.
-    ``y`` confines large centers in the screens.  perfbench/tracing.py
-    patches greedy_cover, coverage_lp and run_round_or_cut in this module,
-    so they are called through its globals.
+    With shortcuts on, the greedy; then the driver over ``oracle`` from the
+    coverage LP, with large centers confined to ``y`` in both.
+    perfbench/tracing.py patches greedy_cover and run_round_or_cut in this
+    module, so they are called through its globals.
     """
-    n = inst.n
-    if inst.m > n or (inst.k1 == 0 and inst.k2 == 0):
+    if inst.m > inst.n or (inst.k1 == 0 and inst.k2 == 0):
         return SolveResult("infeasible", method="trivial")
-    cuts: list[Cut] = []  # a probe cut that did not round leads the run's cuts
     if config.shortcuts:
         sol = greedy_cover(inst, restrict_y=y)
         if sol is not None:
             return SolveResult.verified(inst, sol, "greedy")
-        bound, x1, x2 = coverage_lp(inst, restrict_y=y)
-        if bound < inst.m - 1e-6:
-            return SolveResult("infeasible", method="lp-bound")
-        if x1 is not None:
-            # Query the LP optimizer first; integral optima round immediately.
-            verdict = oracle(lp_probe_vector(inst, x1, x2))
-            if isinstance(verdict, Rounded):
-                solution, info = verdict.payload
-                return SolveResult.verified(
-                    inst, solution, "probe", case=info.get("case", "")
-                )
-            cuts.append(verdict.cut)
 
-    res = run_round_or_cut(2 * n, oracle, config.max_iters)
-    cuts += res.cuts
+    res = run_round_or_cut(coverage_model(inst, y), oracle, config.max_iters)
+    trail = dict(iterations=res.iterations, cuts=res.cuts)
     if res.status == "rounded":
         solution, info = res.payload
-        return SolveResult.verified(
-            inst, solution, "round", case=info.get("case", ""),
-            iterations=res.iterations, cuts=cuts,
-        )
+        return SolveResult.verified(inst, solution, "round", case=info.get("case", ""), **trail)
     return SolveResult(
-        "infeasible", method="lp-empty" if res.status == "infeasible" else "cap",
-        iterations=res.iterations, cuts=cuts,
+        "infeasible", method="lp-empty" if res.status == "infeasible" else "cap", **trail
     )
 
 
@@ -120,11 +102,9 @@ def box_violation_cut(cov: CoverageVector, eps: float = ORACLE_EPS) -> Cut | Non
     v, which = divmod(int(hits[0]), 3)
     if which < 2:
         return set_cut(n, which + 1, [v], -1.0, 0.0, f"box-cov{which + 1}", point=v)
-    a1 = np.zeros(n)
-    a2 = np.zeros(n)
-    a1[v] = 1.0
-    a2[v] = 1.0
-    return Cut(a1=a1, a2=a2, b=1.0, kind="box-total", meta={"point": int(v)})
+    unit = np.zeros(n)
+    unit[v] = 1.0
+    return Cut(a1=unit, a2=unit.copy(), b=1.0, kind="box-total", meta={"point": v})
 
 
 def mass_cut(n: int, m: int) -> Cut:

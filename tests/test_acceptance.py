@@ -5,7 +5,7 @@ tolerances.  Each test prints a single PASS line with its headline numbers
 Criteria 1-3 share one 500-instance mixed uniform/graph suite, solved once in
 a session fixture and cross-checked three ways: approximation soundness,
 infeasibility soundness, and hull validity of every cut either oracle emitted.
-Criteria 1, 2 and 9 also hold with the presolve shortcuts off, where every
+Criteria 1, 2, 4 and 9 also hold with the greedy screen off, where every
 verdict but the trivial ones comes from the cutting-plane driver.
 """
 
@@ -145,13 +145,13 @@ def test_criterion_3_cut_validity(suite):
                 if not inner_checker.validate(cut):
                     bad.append((seed, tag + "inner:" + cut.kind))
 
-    # Cuts both pipelines emitted across the suite (probe + driver), plus
+    # Cuts both pipelines' drivers emitted across the suite, plus
     # the inner oracle's cuts, each against its own instance's hull.
     for seed, inst, _, res, raw in rows:
         check(seed, inst, res)
         check(seed, inst, raw, tag="shortcut-free:")
     # The default pipeline short-circuits most instances, so harvest extra
-    # cuts by rerunning a slice of the suite with the screens off and a small
+    # cuts by rerunning a slice of the suite with the greedy off and a small
     # iteration cap.  Verdicts are not asserted here, only cut validity.
     cfg = SolverConfig(shortcuts=False, max_iters=80)
     for seed, inst, _, _, _ in rows:
@@ -168,6 +168,27 @@ def test_criterion_3_cut_validity(suite):
     )
 
 
+def test_shortcuts_only_add_the_greedy(suite):
+    # Past the trivial answers and the greedy, both configs run the same
+    # driver on the same LP, so the verdict and its cut trail must match.
+    rows, _ = suite
+    compared = 0
+    for seed, _, _, res, raw in rows:
+        if res.method in ("trivial", "greedy"):
+            continue
+        compared += 1
+        fingerprints = [
+            (r.status, r.method, r.case, r.iterations, [cut.kind for cut in r.cuts])
+            for r in (res, raw)
+        ]
+        assert fingerprints[0] == fingerprints[1], (seed, fingerprints)
+    assert compared > 0
+    print(
+        f"\nshortcuts add only the greedy: PASS - {compared} driver verdicts "
+        f"of {len(rows)} instances identical under both configs"
+    )
+
+
 def test_criterion_4_inner_solver_agreement():
     rng = np.random.default_rng(40342)
     done = 0
@@ -178,20 +199,19 @@ def test_criterion_4_inner_solver_agreement():
             continue
         done += 1
         brute = brute_force_nukc(ws.base, restrict_y=ws.y)
-        res = solve_wellsep(ws)
-        if brute.feasible and res.status != "solution":
-            failures.append((done, "missed a feasible instance"))
-            continue
-        if res.status == "solution":
-            ok, count = verify_solution(ws.base, res.solution, 4.0)
-            if not ok or count < ws.base.m:
-                failures.append((done, "solution invalid at dilation 4"))
-        elif brute.feasible:
-            failures.append((done, "false infeasible"))
+        for name, cfg in CONFIGS.items():
+            res = solve_wellsep(ws, cfg)
+            if brute.feasible and res.status != "solution":
+                failures.append((name, done, "missed a feasible instance"))
+            elif res.status == "solution":
+                ok, count = verify_solution(ws.base, res.solution, 4.0)
+                if not ok or count < ws.base.m:
+                    failures.append((name, done, "solution invalid at dilation 4"))
     assert not failures, failures[:10]
     print(
         f"\ncriterion 4 (inner solver vs restricted brute force): PASS - "
-        f"{done} well-separated instances, 0 disagreements"
+        f"{done} well-separated instances under {len(CONFIGS)} configs, "
+        f"0 disagreements"
     )
 
 

@@ -115,25 +115,25 @@ class TestSolve:
         json.loads(out)  # stdout stays machine readable
 
     def test_engine_trace_is_two_lines(self, tmp_path, capsys):
-        # A driver run of 17 oracle calls (8 root-budget and 8 leaf-budget
-        # cuts, then a round): the trace is a summary line and one per-kind
-        # cut count, not a line per call.
-        path = tmp_path / "p10.json"
+        # The trace is a summary line and one per-kind cut count, not a line
+        # per oracle call.  The driver starts from the coverage LP, so small
+        # instances take at most one cut: this one's LP falls short of m = 7,
+        # and one mass cut empties it.
+        path = tmp_path / "line7.json"
         path.write_text(json.dumps({
-            "points": [[4.0, 0.8], [3.3, 0.6], [1.6, 0.3], [3.4, 3.3], [0.6, 2.1],
-                       [1.0, 2.0], [2.2, 0.4], [3.5, 1.1], [1.8, 0.2], [0.0, 0.8]],
-            "r1": 1.2, "r2": 1.0, "k1": 0, "k2": 1, "m": 4,
+            "points": [[0.0], [0.6], [0.9], [20.0], [20.2], [40.0], [40.15]],
+            "r1": 1.0, "r2": 0.25, "k1": 1, "k2": 1, "m": 7,
         }))
         code, out, err = run(capsys, "solve", str(path), "--no-shortcuts", "--trace")
-        assert code == 0 and json.loads(out)["status"] == "solution"
+        assert code == 2 and json.loads(out)["status"] == "infeasible"
         lines = err.splitlines()
         assert len(lines) == 2 and all(line.startswith("trace: ") for line in lines)
         summary = dict(field.split("=") for field in lines[0].split()[1:])
-        assert summary["method"] == "round" and int(summary["iterations"]) > 2
+        assert summary == {"method": "lp-empty", "case": "-", "iterations": "1", "cuts": "1"}
         prefix = "trace: cuts by kind: "
         assert lines[1].startswith(prefix)
         kinds = dict(field.split("=") for field in lines[1][len(prefix):].split())
-        assert len(kinds) > 1
+        assert kinds == {"mass": "1"}
         assert sum(int(count) for count in kinds.values()) == int(summary["cuts"])
 
     def test_no_shortcuts_agrees(self, tmp_path, capsys):
@@ -244,6 +244,29 @@ class TestErrors:
         code, _, err = run(capsys, "solve", str(path))
         assert code == 1
         assert "error:" in err and "k1" in err
+
+    @pytest.mark.parametrize("key, value", [("m", 2.9), ("k1", True)])
+    def test_non_integer_instance_count(self, tmp_path, capsys, key, value):
+        # Truncated, k1 = 1.9 and m = 2.9 would be solved as 1 and 2.
+        doc = {"points": [[0.0], [0.3], [5.0]], "r1": 0.5, "r2": 0.25,
+               "k1": 1, "k2": 1, "m": 2}
+        doc[key] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (1, "")
+        assert "error:" in err and f"'{key}'" in err
+
+    def test_non_integer_center_index(self, tmp_path, capsys):
+        inst_path = gen_planted(tmp_path, capsys)
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(json.dumps({
+            "status": "solution", "dilation": 1.0, "centers1": [0.6],
+            "centers2": [], "covered_count": 1,
+        }))
+        code, out, err = run(capsys, "check", str(inst_path), str(sol_path))
+        assert (code, out) == (1, "")
+        assert "error:" in err and "'centers1'" in err
 
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -165,7 +165,7 @@ class TestCandidates:
         monkeypatch.setattr(MetricSpace, "__post_init__", counted("validate", validate))
         monkeypatch.setattr(MetricSpace, "restrict", counted("restrict", restrict))
         res = solve_feasibility(inst)
-        assert (res.status, res.method, res.case) == ("solution", "probe", "II")
+        assert (res.status, res.method, res.case, res.iterations) == ("solution", "round", "II", 0)
         return res, calls
 
     def test_solve_path_validates_no_metric(self, monkeypatch):

@@ -10,7 +10,7 @@ from nukc import (
     verify_solution,
 )
 from nukc import presolve
-from nukc.presolve import coverage_lp, lp_probe_vector
+from nukc.presolve import coverage_lp
 
 from conftest import random_instance
 
@@ -207,17 +207,6 @@ class TestCoverageBound:
             best = brute_force_nukc(inst, restrict_y=y).best_covered
             assert bound >= best - 1e-6
             assert bound <= coverage_lp(inst)[0] + 1e-9
-
-    def test_probe_vector_is_boxed(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            inst = random_instance(rng, max_n=8)
-            _, x1, x2 = coverage_lp(inst)
-            probe = lp_probe_vector(inst, x1, x2)
-            n = inst.n
-            cov1, cov2 = probe[:n], probe[n:]
-            assert np.all(cov1 >= -1e-12) and np.all(cov2 >= -1e-12)
-            assert np.all(cov1 + cov2 <= 1.0 + 1e-12)
 
     def test_matches_linprog_reference(self):
         # Also guards the private scipy bindings coverage_lp calls: a scipy

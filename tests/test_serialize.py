@@ -90,6 +90,23 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="'k1'"):
             instance_from_json(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("k1", 1.9), ("m", 2.9), ("k2", 0.5), ("k1", True), ("m", False), ("m", "2"),
+    ])
+    def test_non_integer_count_named(self, key, value):
+        # int() would read 1.9 as 1 and true as 1, and solve another instance.
+        doc = self.base()
+        doc["points"] = [[0.0], [1.0]]
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            instance_from_json(doc)
+
+    def test_integral_float_count_accepted(self):
+        doc = self.base()
+        doc["points"] = [[0.0], [1.0]]
+        doc["m"] = 2.0
+        assert instance_from_json(doc).m == 2
+
 
 class TestSolutionRoundTrip:
     def test_solution_exact(self):
@@ -122,6 +139,17 @@ class TestSolutionRoundTrip:
         doc = {"status": "solution", "dilation": 1.0, "centers1": 5,
                "centers2": [], "covered_count": 0}
         with pytest.raises(ValueError, match="'centers1'"):
+            solution_from_json(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("centers1", [0.6]), ("centers2", [True]), ("covered_count", 2.5),
+        ("covered_count", True),
+    ])
+    def test_non_integer_index_or_count_named(self, key, value):
+        doc = {"status": "solution", "dilation": 1.0, "centers1": [0],
+               "centers2": [], "covered_count": 2}
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
             solution_from_json(doc)
 
     def test_encoding_bad_record_rejected(self):

@@ -173,9 +173,11 @@ class TestSolver:
             SolverConfig(max_iters=cap)
 
     def test_iteration_cap_of_1_runs_the_oracle(self):
-        ws = wellsep_line([0.0, 0.5, 10.0], y=[0], m=3, k2=1)
+        # The coverage LP falls short of m, so the first query draws a mass
+        # cut, and the cap ends the run before the re-solve.
+        ws = wellsep_line([0.0, 10.0, 20.0], y=[0], m=3, k2=1)
         res = solve_wellsep(ws, SolverConfig(shortcuts=False, max_iters=1))
-        assert res.iterations == 1
+        assert (res.method, res.iterations) == ("cap", 1)
 
     def test_finds_planted_wellsep_solution(self):
         ws = wellsep_line([0.0, 0.5, 10.0], y=[0], m=3, k2=1)
@@ -232,27 +234,35 @@ def planted_candidate(seed: int) -> WellSepNUkCInstance:
 
 
 class TestDecide:
-    """Both solvers run ``decide``: each screen verdict, checked by brute force."""
+    """Both solvers run ``decide``: each way it ends early, checked by brute force.
 
-    @pytest.mark.parametrize("build, method, case", [
-        (lambda: uniform_instance(0, 10, 0.3, 0.1, 2, 2, 8), "greedy", ""),
-        (lambda: uniform_instance(13, 10, 0.3, 0.1, 2, 2, 8), "lp-bound", ""),
-        (lambda: uniform_instance(7, 10, 0.3, 0.1, 2, 2, 8), "probe", "II"),
-        (lambda: planted_candidate(4), "greedy", ""),
-        (lambda: wellsep_line([0.0, 10.0, 20.0], y=[0], m=3, k2=1), "lp-bound", ""),
-        (lambda: planted_candidate(1), "probe", ""),
+    The ids name what decides the instance: the greedy screen, the coverage
+    LP's bound (its optimum draws one mass cut, which empties the driver's
+    LP), or the LP's optimum itself, which the oracle rounds at the first
+    query (the probe).
+    """
+
+    @pytest.mark.parametrize("build, method, case, kinds", [
+        (lambda: uniform_instance(0, 10, 0.3, 0.1, 2, 2, 8), "greedy", "", []),
+        (lambda: uniform_instance(13, 10, 0.3, 0.1, 2, 2, 8), "lp-empty", "", ["mass"]),
+        (lambda: uniform_instance(7, 10, 0.3, 0.1, 2, 2, 8), "round", "II", []),
+        (lambda: planted_candidate(4), "greedy", "", []),
+        (lambda: wellsep_line([0.0, 10.0, 20.0], y=[0], m=3, k2=1), "lp-empty", "", ["mass"]),
+        (lambda: planted_candidate(1), "round", "", []),
+        # A large ball off Y would reach m; the LP's x1 = 0 off Y refutes it.
+        (lambda: wellsep_line([0.0, 10.0, 10.5, 20.0], y=[0], m=3), "lp-empty", "", ["mass"]),
     ], ids=["outer-greedy", "outer-lp-bound", "outer-probe",
-            "wellsep-greedy", "wellsep-lp-bound", "wellsep-probe"])
-    def test_screen_verdict(self, build, method, case):
+            "wellsep-greedy", "wellsep-lp-bound", "wellsep-probe", "wellsep-lp-bound-on-y"])
+    def test_screen_verdict(self, build, method, case, kinds):
         inst = build()
         if isinstance(inst, WellSepNUkCInstance):
             res, base, y = solve_wellsep(inst), inst.base, inst.y
         else:
             res, base, y = solve_feasibility(inst), inst, None
-        feasible = method != "lp-bound"
+        feasible = method != "lp-empty"
         assert (res.status, res.method, res.case) == (
             "solution" if feasible else "infeasible", method, case)
-        assert res.iterations == 0 and res.cuts == []
+        assert res.iterations == len(kinds) and [cut.kind for cut in res.cuts] == kinds
         assert brute_force_nukc(base, restrict_y=y).feasible == feasible
         if feasible:
             ok, _ = verify_solution(base, res.solution, res.solution.dilation)
