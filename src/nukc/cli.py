@@ -37,12 +37,23 @@ EXIT_INFEASIBLE = 2
 
 def _generate(kind: str, seed: int, args: argparse.Namespace):
     """Build (instance, truth-or-None) for a generator kind."""
-    shape = dict(clusters=args.clusters, points_per_cluster=args.points_per_cluster,
-                 outliers=args.outliers, r1=args.r1)
     if kind == "planted":
-        return planted_instance(seed, r2=args.r2, **shape)
+        return planted_instance(
+            seed,
+            clusters=args.clusters,
+            points_per_cluster=args.points_per_cluster,
+            outliers=args.outliers,
+            r1=args.r1,
+            r2=args.r2,
+        )
     if kind == "kcenter":
-        return planted_kcenter_instance(seed, **shape)
+        return planted_kcenter_instance(
+            seed,
+            clusters=args.clusters,
+            points_per_cluster=args.points_per_cluster,
+            outliers=args.outliers,
+            r1=args.r1,
+        )
     if kind == "uniform":
         return (
             uniform_instance(seed, args.n, args.r1, args.r2, args.k1, args.k2, args.m),

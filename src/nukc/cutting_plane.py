@@ -29,8 +29,8 @@ ORACLE_EPS = 1e-7
 # No presolve, so each re-solve starts from the last basis.  HiGHS keeps every
 # row within 1e-10 of its bound, far below CUT_CONTRACT_EPS, so a recorded cut
 # is never violated again at a later query.  The first solve runs primal
-# simplex (dual made a shortcut-free benchmark pass 25-70% slower on a 2-vCPU
-# VM), the warm re-solves after a cut dual simplex.
+# simplex, the warm re-solves after a cut dual simplex: dual throughout or
+# primal throughout made both benchmark workloads 8-47% slower in solve_s.
 _STRATEGY = _highs.simplex_constants.SimplexStrategy
 _OPTIONS = _highs_options()
 _OPTIONS.presolve = "off"

@@ -68,12 +68,12 @@ class Candidate:
         """
         inst = self.parent
         if self.q is None:
-            metric, k1, m = inst.metric, inst.k1, inst.m
+            metric, r2, k1, m = inst.metric, inst.r2, inst.k1, inst.m
         else:
             metric = inst.metric.restrict(self.points)
-            k1 = inst.k1 - 1
+            r2, k1 = 2.0 * inst.r2, inst.k1 - 1
             m = max(0, inst.m - (inst.n - len(self.points)))
-        base = NUkCInstance(metric, 2.0 * inst.r1, inst.r2, k1, inst.k2, m)
+        base = NUkCInstance(metric, 2.0 * inst.r1, r2, k1, inst.k2, m)
         return WellSepNUkCInstance(base=base, y=self.y)
 
 
@@ -84,8 +84,10 @@ def enumerate_candidates(
 
     First the no-extra-center instance (full point set, radii (2*r1, r2),
     budgets unchanged), then one instance per point q farther than r1 from Y,
-    removing B(q, r1) and spending one large ball on it.  Instances with
-    q are skipped entirely when k1 = 0.
+    removing B(q, r1) and spending one large ball on it.  These run at radii
+    (2*r1, 2*r2): a small center inside B(q, r1) is removed too, but any kept
+    point of its ball covers the kept part at 2*r2.  Instances with q are
+    skipped entirely when k1 = 0.
     """
     ys = tuple(sorted(int(v) for v in y))
     out = [Candidate(q=None, points=tuple(range(instance.n)), y=ys, parent=instance)]
@@ -106,7 +108,7 @@ def lift_candidate_solution(
 ) -> NUkCSolution:
     """Map an inner dilation-4 solution back to the full instance at dilation 8.
 
-    Inner large balls have radius 4 * (2*r1) = 8*r1 already; the extra center q
+    Inner balls have radius 8*r1 and at most 8*r2 already; the extra center q
     (when present) only needs its radius-r1 ball, granted at dilation 8 too.
     The removed ball and the inner coverage are disjoint, so counts add.
     """

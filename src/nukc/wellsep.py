@@ -102,9 +102,11 @@ def box_violation_cut(cov: CoverageVector, eps: float = ORACLE_EPS) -> Cut | Non
     v, which = divmod(int(hits[0]), 3)
     if which < 2:
         return set_cut(n, which + 1, [v], -1.0, 0.0, f"box-cov{which + 1}", point=v)
-    unit = np.zeros(n)
-    unit[v] = 1.0
-    return Cut(a1=unit, a2=unit.copy(), b=1.0, kind="box-total", meta={"point": v})
+    a1 = np.zeros(n)
+    a2 = np.zeros(n)
+    a1[v] = 1.0
+    a2[v] = 1.0
+    return Cut(a1=a1, a2=a2, b=1.0, kind="box-total", meta={"point": int(v)})
 
 
 def mass_cut(n: int, m: int) -> Cut:

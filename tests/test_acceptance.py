@@ -11,13 +11,17 @@ verdict but the trivial ones comes from the cutting-plane driver.
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from nukc import (
+    CoverageVector,
     HullChecker,
     NUkCSolution,
+    OuterOracle,
+    Separating,
     SolverConfig,
     brute_2ff,
     brute_force_nukc,
@@ -32,6 +36,7 @@ from nukc import (
     solve_wellsep,
     uniform_instance,
     verify_solution,
+    wellsep_separation_oracle,
 )
 from nukc.ellipsoid import EllipsoidState, ellipsoid_update
 from nukc.serialize import load_json
@@ -158,14 +163,54 @@ def test_criterion_3_cut_validity(suite):
         if inst.n > 6 or seed % 5 != 0:
             continue
         check(seed, inst, solve_feasibility(inst, cfg), tag="harvest:")
+    # The seeded LP keeps every driver query inside the box, off the points
+    # far from Y and within the budget rows, so the checks guarding those
+    # never fire end to end.  Query both oracles directly at random points.
+    rng = np.random.default_rng(3)
+    direct = Counter()
+    for seed, inst, _, _, _ in rows:
+        if inst.n > 6 or seed % 5 != 0:
+            continue
+        oracle, checker = OuterOracle(inst, CONFIGS["default"]), HullChecker(inst)
+        for _ in range(6):
+            verdict = oracle(random_query(rng, inst.n))
+            if isinstance(verdict, Separating):
+                direct[verdict.cut.kind] += 1
+                if not checker.validate(verdict.cut):
+                    bad.append((seed, "direct:" + verdict.cut.kind))
+    for _ in range(200):
+        ws = random_wellsep(rng, max_n=6)
+        if ws is None:
+            continue
+        checker = HullChecker(ws.base, restrict_y=ws.y)
+        for _ in range(3):
+            x = random_query(rng, ws.base.n)
+            if rng.random() < 0.5:  # large coverage only on Y itself
+                x[: ws.base.n][np.setdiff1d(np.arange(ws.base.n), ws.y)] = 0.0
+            verdict = wellsep_separation_oracle(ws, CoverageVector.from_vector(x))
+            if isinstance(verdict, Separating):
+                direct["inner:" + verdict.cut.kind] += 1
+                if not checker.validate(verdict.cut):
+                    bad.append(("wellsep", "direct:inner:" + verdict.cut.kind))
     assert not bad, bad[:10]
     assert counts["outer"] > 0 and counts["inner"] > 0  # both oracles exercised
+    expected = {"box-cov1", "box-cov2", "box-total", "mass", "root-budget", "leaf-budget"}
+    expected |= {"inner:box-total", "inner:y-support"}
+    assert expected <= set(direct), sorted(direct)
     print(
         f"\ncriterion 3 (cut validity): PASS - "
-        f"{counts['outer'] + counts['inner']} cuts hull-checked "
-        f"({counts['outer']} outer oracle, {counts['inner']} inner oracle), "
-        f"0 violations"
+        f"{counts['outer'] + counts['inner']} driver cuts hull-checked "
+        f"({counts['outer']} outer oracle, {counts['inner']} inner oracle) "
+        f"and {direct.total()} from direct queries at random points, 0 violations"
     )
+
+
+def random_query(rng, n):
+    """A point the seeded LP never queries: off the box, or over the budgets."""
+    if rng.random() < 0.3:
+        return rng.uniform(-0.2, 1.2, size=2 * n)
+    cov1 = rng.uniform(size=n)
+    return np.concatenate([cov1, (1.0 - cov1) * rng.uniform(size=n)])
 
 
 def test_shortcuts_only_add_the_greedy(suite):

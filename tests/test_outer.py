@@ -9,13 +9,16 @@ import pytest
 from nukc import (
     MetricSpace,
     NUkCInstance,
+    NUkCSolution,
     SolverConfig,
     ball,
     brute_force_nukc,
+    graph_instance,
     hs_partition,
     optimize,
     planted_instance,
     solve_feasibility,
+    solve_wellsep,
     uniform_instance,
     validate_cut_on_hull,
     verify_solution,
@@ -144,10 +147,49 @@ class TestCandidates:
                 assert cand.points == tuple(int(v) for v in keep)
                 assert cand.instance.y == tuple(pos[v] for v in y)
                 assert sub.m == max(0, inst.m - int(removed.size))
-                assert (sub.r1, sub.r2, sub.k1, sub.k2) == (2 * r1, inst.r2, inst.k1 - 1, 1)
+                assert (sub.r1, sub.r2, sub.k1, sub.k2) == (2 * r1, 2 * inst.r2, inst.k1 - 1, 1)
                 assert not sub.metric.dist.flags.writeable
                 assert sub.metric.coords is None or not sub.metric.coords.flags.writeable
                 checked += 1
+        assert checked > 100
+
+    def test_q_candidate_keeps_small_centers_inside_the_removed_ball(self):
+        # Small center s lies in B(q, r1); its kept points t1, t2 are 0.7
+        # apart, so no kept point covers both at r2 = 0.5, but either does at
+        # 2 * r2.  Solution: large q, small s.
+        inst = euclidean([[0, 0], [0.9, 0], [1.2, 0.35], [1.2, -0.35]], 1.0, 0.5, 1, 1, 4)
+        truth = NUkCSolution(centers1=(0,), centers2=(1,), dilation=1.0)
+        assert verify_solution(inst, truth, 1.0) == (True, 4)
+        cand = next(c for c in enumerate_candidates(inst, []) if c.q == 0)
+        assert cand.points == (2, 3)
+        assert solve_wellsep(cand.instance).status == "solution"
+
+    def test_q_candidates_keep_every_solution_they_guess(self):
+        # A solution whose large centers other than q lie within r1 of Y must
+        # survive in q's candidate, whatever its small centers do.
+        rng = np.random.default_rng(47)
+        checked = 0
+        for _ in range(300):
+            inst = random_instance(rng, max_n=9)
+            n, d = inst.n, inst.metric.dist
+            if inst.k1 == 0:
+                continue
+            centers1 = rng.choice(n, size=min(n, inst.k1), replace=False).tolist()
+            q, y = centers1[0], centers1[1:]
+            # Small centers drawn from B(q, r1) when it has room: the case
+            # where removing the ball removes a center.
+            near = np.flatnonzero(d[q] <= inst.r1)
+            pool = near if near.size >= inst.k2 > 0 else np.arange(n)
+            centers2 = rng.choice(pool, size=min(pool.size, inst.k2), replace=False).tolist()
+            if any(d[q, v] <= inst.r1 for v in y):
+                continue
+            sol = NUkCSolution(tuple(centers1), tuple(centers2), dilation=1.0)
+            covered = verify_solution(inst, sol, 1.0)[1]
+            guessed = NUkCInstance(inst.metric, inst.r1, inst.r2, inst.k1, inst.k2, covered)
+            cand = next(c for c in enumerate_candidates(guessed, y) if c.q == q)
+            sub = cand.instance
+            assert brute_force_nukc(sub.base, restrict_y=sub.y).feasible
+            checked += 1
         assert checked > 100
 
     @staticmethod
@@ -196,6 +238,19 @@ class TestCandidates:
         assert cands[0].instance.base.metric is inst.metric
         with pytest.raises(AssertionError, match="sub-metric built"):
             cands[1].instance
+
+
+def test_small_center_inside_a_guessed_ball_stays_feasible():
+    # Its dilation-1 solution puts small center 14 inside B(0, r1), the ball
+    # the q = 0 candidate removes.  With that candidate at r2 this instance
+    # ended INFEASIBLE after a candidates cut that cut the solution off.
+    inst = graph_instance(1462587161, 60, 2, 2).scaled(0.7677618360608947)
+    truth = NUkCSolution(centers1=(0, 13), centers2=(14, 45), dilation=1.0)
+    assert verify_solution(inst, truth, 1.0) == (True, inst.m)
+    for config in (SolverConfig(), SolverConfig(shortcuts=False)):
+        res = solve_feasibility(inst, config)
+        assert (res.status, res.method, res.case) == ("solution", "round", "II")
+        assert verify_solution(inst, res.solution, 8.0)[0]
 
 
 class TestOptimize:
