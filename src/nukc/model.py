@@ -384,7 +384,9 @@ class SolveResult:
     status: str  # "solution" | "infeasible"
     solution: NUkCSolution | None = None
     covered_count: int = 0
-    method: str = ""  # trivial|greedy|round|lp-empty|cap, or optimize (CLI)
+    # trivial|start|greedy|round|lp-empty|cap, or optimize (CLI); start: an
+    # inner run rounded the outer query it was handed, before any LP.
+    method: str = ""
     case: str = ""  # which outer rounding case produced the solution, if any
     iterations: int = 0
     cuts: list[Cut] = field(default_factory=list)

@@ -50,22 +50,34 @@ class Candidate:
     ``q`` is the one large center allowed off the root set (None for the
     no-such-center case); its ball is granted for free, so the sub-instance
     lives on the remaining points with the target reduced accordingly.
-    ``points`` maps sub-metric indices back to original ones, ``y`` is the
-    root set in sub-metric indices, and ``parent`` is the full instance.
+    ``roots`` is the root set in original indices and ``parent`` the full
+    instance.  ``points`` (sub-metric index to original index), ``y`` (the
+    roots in sub-metric indices) and ``instance`` are built on first access:
+    the oracle stops at the first candidate that rounds, so most candidates
+    never pay for them.
     """
 
     q: int | None
-    points: tuple[int, ...]
-    y: tuple[int, ...]
+    roots: tuple[int, ...]
     parent: NUkCInstance = field(repr=False)
 
     @cached_property
-    def instance(self) -> WellSepNUkCInstance:
-        """The sub-instance, built on first access.
+    def points(self) -> tuple[int, ...]:
+        inst = self.parent
+        if self.q is None:
+            return tuple(range(inst.n))
+        # Outside B(q, r1), ascending.
+        return tuple(np.flatnonzero(inst.metric.dist[self.q] > inst.r1).tolist())
 
-        The oracle stops at the first candidate that rounds, so most
-        candidates never pay for their sub-metric.
-        """
+    @cached_property
+    def y(self) -> tuple[int, ...]:
+        if self.q is None:
+            return self.roots
+        # Y is disjoint from B(q, r1), so every root has a position in points.
+        return tuple(np.searchsorted(self.points, self.roots).tolist())
+
+    @cached_property
+    def instance(self) -> WellSepNUkCInstance:
         inst = self.parent
         if self.q is None:
             metric, r2, k1, m = inst.metric, inst.r2, inst.k1, inst.m
@@ -75,6 +87,25 @@ class Candidate:
             m = max(0, inst.m - (inst.n - len(self.points)))
         base = NUkCInstance(metric, 2.0 * inst.r1, r2, k1, inst.k2, m)
         return WellSepNUkCInstance(base=base, y=self.y)
+
+    def start(self, cov: CoverageVector) -> np.ndarray:
+        """The outer query ``cov`` as a first query for this candidate's inner run.
+
+        Restricted to the candidate's points, with cov1 kept only within the
+        inner r1 (2 * r1) of the roots, where the inner Y-support check
+        allows it, and moved into cov2 elsewhere.  Each point's total is
+        unchanged; every point dropped carries at most 1, so the kept mass
+        is at least the reduced target whenever ``cov`` met the full one.
+        """
+        ws = self.instance
+        sub = ws.base
+        if ws.y:
+            near = sub.metric.dist[:, list(ws.y)].min(axis=1) <= sub.r1
+        else:
+            near = np.zeros(sub.n, dtype=bool)
+        keep = list(self.points)
+        cov1, cov2 = cov.cov1[keep], cov.cov2[keep]
+        return np.concatenate([np.where(near, cov1, 0.0), cov2 + np.where(near, 0.0, cov1)])
 
 
 def enumerate_candidates(
@@ -87,19 +118,17 @@ def enumerate_candidates(
     removing B(q, r1) and spending one large ball on it.  These run at radii
     (2*r1, 2*r2): a small center inside B(q, r1) is removed too, but any kept
     point of its ball covers the kept part at 2*r2.  Instances with q are
-    skipped entirely when k1 = 0.
+    skipped entirely when k1 = 0.  Only the q's are found here; each
+    candidate builds its point set and sub-instance when first asked.
     """
     ys = tuple(sorted(int(v) for v in y))
-    out = [Candidate(q=None, points=tuple(range(instance.n)), y=ys, parent=instance)]
+    out = [Candidate(q=None, roots=ys, parent=instance)]
     if instance.k1 == 0:
         return out
     d = instance.metric.dist
     d_to_y = d[:, list(ys)].min(axis=1) if ys else np.full(instance.n, np.inf)
-    for q in np.flatnonzero(d_to_y > instance.r1).tolist():
-        keep = np.flatnonzero(d[q] > instance.r1)  # outside B(q, r1), ascending
-        # Y is disjoint from B(q, r1), so every Y point has a position in keep.
-        sub_y = tuple(np.searchsorted(keep, ys).tolist())
-        out.append(Candidate(q=q, points=tuple(keep.tolist()), y=sub_y, parent=instance))
+    out += [Candidate(q=q, roots=ys, parent=instance)
+            for q in np.flatnonzero(d_to_y > instance.r1).tolist()]
     return out
 
 
@@ -171,7 +200,7 @@ class OuterOracle:
             return Rounded((solution, {"case": "I", "value": selection.value}))
 
         for cand in enumerate_candidates(inst, roots):
-            res = solve_wellsep(cand.instance, self.config)
+            res = solve_wellsep(cand.instance, self.config, start=cand.start(cov))
             self.inner_runs.append((cand, res))
             if res.status == "solution":
                 lifted = lift_candidate_solution(cand, res.solution, inst)

@@ -8,12 +8,14 @@ metadata.  Solution objects always carry "status"; a solution additionally has
 ``SolveResult.to_json`` and read back by :func:`solution_from_json`; a missing
 or malformed key raises ValueError naming it; integer fields and center
 indices must be JSON integers (a float such as 2.0 passes, 2.5 and true do
-not).
+not), and the radii and the dilation finite JSON numbers (true, "0.5",
+Infinity and NaN do not pass).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Callable
 
@@ -44,6 +46,13 @@ def _integer(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
         raise TypeError("expected an integer")
     return int(value)
+
+
+def _real(value: Any) -> float:
+    """A finite JSON number; ``float()`` would read true, "0.5" and Infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError("expected a finite number")
+    return float(value)
 
 
 def _indices(value: Any) -> tuple[int, ...]:
@@ -85,8 +94,8 @@ def instance_from_json(data: dict[str, Any]) -> NUkCInstance:
         metric = MetricSpace.from_matrix(np.asarray(data["distance_matrix"], dtype=float))
     return NUkCInstance(
         metric=metric,
-        r1=_read(data, "r1", float),
-        r2=_read(data, "r2", float),
+        r1=_read(data, "r1", _real),
+        r2=_read(data, "r2", _real),
         k1=_read(data, "k1", _integer),
         k2=_read(data, "k2", _integer),
         m=_read(data, "m", _integer),
@@ -106,7 +115,7 @@ def solution_from_json(data: dict[str, Any]) -> SolveResult:
     solution = NUkCSolution(
         centers1=_read(data, "centers1", _indices),
         centers2=_read(data, "centers2", _indices),
-        dilation=_read(data, "dilation", float),
+        dilation=_read(data, "dilation", _real),
     )
     return SolveResult("solution", solution, _read(data, "covered_count", _integer))
 

@@ -37,8 +37,9 @@ class SolverConfig:
     """Knobs shared by the inner and outer solvers."""
 
     max_iters: int | None = None  # oracle queries per driver run; None: default_max_iters
-    # Both solvers run ``decide``; False skips its greedy screen, so every
-    # nontrivial verdict comes from the driver.
+    # Both solvers run ``decide``; False skips its greedy screen and nothing
+    # else, so every nontrivial outer verdict comes from the driver (an inner
+    # run still queries its start first).
     shortcuts: bool = True
 
     def __post_init__(self):
@@ -53,16 +54,25 @@ def decide(
     oracle: Callable[[np.ndarray], Rounded | Separating],
     config: SolverConfig,
     y: Sequence[int] | None = None,
+    start: np.ndarray | None = None,
 ) -> SolveResult:
     """The decision pipeline both solvers run once their trivial answers fail.
 
-    With shortcuts on, the greedy; then the driver over ``oracle`` from the
-    coverage LP, with large centers confined to ``y`` in both.
-    perfbench/tracing.py patches greedy_cover and run_round_or_cut in this
-    module, so they are called through its globals.
+    First one query of ``oracle`` at ``start`` when given: a ``Rounded``
+    answer is verified like any other and returned with method ``start``; a
+    ``Separating`` one is dropped, so its cut never reaches the LP.  Then,
+    with shortcuts on, the greedy; then the driver over ``oracle`` from the
+    coverage LP, with large centers confined to ``y`` in both.  INFEASIBLE
+    comes only from the driver.  perfbench/tracing.py patches greedy_cover
+    and run_round_or_cut in this module, so they are called through its
+    globals.
     """
     if inst.m > inst.n or (inst.k1 == 0 and inst.k2 == 0):
         return SolveResult("infeasible", method="trivial")
+    if start is not None:
+        verdict = oracle(start)
+        if isinstance(verdict, Rounded):
+            return SolveResult.verified(inst, verdict.payload[0], "start")
     if config.shortcuts:
         sol = greedy_cover(inst, restrict_y=y)
         if sol is not None:
@@ -156,12 +166,17 @@ def wellsep_separation_oracle(
 
 
 def solve_wellsep(
-    ws: WellSepNUkCInstance, config: SolverConfig | None = None
+    ws: WellSepNUkCInstance,
+    config: SolverConfig | None = None,
+    start: np.ndarray | None = None,
 ) -> SolveResult:
     """Decide a well-separated instance: dilation-4 solution or infeasible.
 
     INFEASIBLE means no solution with large centers inside Y covers m points at
-    dilation 1; the returned cuts are the certificate trail.
+    dilation 1; the returned cuts are the certificate trail.  ``start``, a
+    flat cov1 | cov2 vector over the instance's points, is queried before the
+    greedy and the driver (see ``decide``); the outer oracle passes its own
+    query mapped onto a Case II candidate.
     """
     cfg = config or SolverConfig()
     inst = ws.base
@@ -171,4 +186,4 @@ def solve_wellsep(
     def oracle(x: np.ndarray):
         return wellsep_separation_oracle(ws, CoverageVector.from_vector(x))
 
-    return decide(inst, oracle, cfg, ws.y)
+    return decide(inst, oracle, cfg, ws.y, start)

@@ -39,6 +39,7 @@ from nukc import (
     wellsep_separation_oracle,
 )
 from nukc.ellipsoid import EllipsoidState, ellipsoid_update
+from nukc.outer import Candidate
 from nukc.serialize import load_json
 
 import test_gap_fixture as gap
@@ -142,16 +143,21 @@ def test_criterion_3_cut_validity(suite):
                 if not checker.validate(cut):
                     bad.append((seed, tag + cut.kind))
         for cand, inner in res.inner_runs:
-            if not inner.cuts:
+            # The outer query rounds most candidates before their driver
+            # runs, so rerun each without it and without the greedy too.
+            cold = solve_wellsep(cand.instance, CONFIGS["shortcut-free"])
+            cuts = inner.cuts + cold.cuts
+            if not cuts:
                 continue
             inner_checker = HullChecker(cand.instance.base, restrict_y=cand.instance.y)
-            for cut in inner.cuts:
+            for cut in cuts:
                 counts["inner"] += 1
                 if not inner_checker.validate(cut):
                     bad.append((seed, tag + "inner:" + cut.kind))
 
-    # Cuts both pipelines' drivers emitted across the suite, plus
-    # the inner oracle's cuts, each against its own instance's hull.
+    # Cuts both pipelines' drivers emitted across the suite, plus the inner
+    # oracle's cuts on every Case II candidate, each against its own
+    # instance's hull.
     for seed, inst, _, res, raw in rows:
         check(seed, inst, res)
         check(seed, inst, raw, tag="shortcut-free:")
@@ -232,6 +238,54 @@ def test_shortcuts_only_add_the_greedy(suite):
         f"\nshortcuts add only the greedy: PASS - {compared} driver verdicts "
         f"of {len(rows)} instances identical under both configs"
     )
+
+
+def test_warm_start_only_adds_solutions(suite, monkeypatch):
+    # Each Case II inner run first queries the outer query mapped onto its
+    # candidate.  A rounded start is a verified solution and a separated one
+    # is dropped, so against cold inner runs the warm start may only turn
+    # INFEASIBLE into SOLUTION, and only where dilation 1 is infeasible.
+    rows, _ = suite
+    started = sum(inner.method == "start" for _, _, _, *results in rows
+                  for res in results for _, inner in res.inner_runs)
+    monkeypatch.setattr(Candidate, "start", lambda self, cov: None)
+    gained = 0
+    for name, seed, inst, brute, warm in verdicts(rows):
+        cold = solve_feasibility(inst, CONFIGS[name])
+        if cold.status == "solution":
+            assert warm.status == "solution", (name, seed)
+        elif warm.status != cold.status:
+            assert not brute.feasible, (name, seed)
+            gained += 1
+    assert started > 0
+    print(
+        f"\nwarm start: PASS - {started} inner runs rounded at the outer query, "
+        f"{gained} verdicts gained on brute-infeasible instances, none lost"
+    )
+
+
+def test_case_one_rounds():
+    # Seeded instances, k1 in 3..5, where the greedy falls short and a
+    # driver query has root mass at most k1 - 2, so the outer oracle rounds
+    # the whole forest at dilation 10 (Case I).
+    corpus = [
+        uniform_instance(46, 18, 0.15, 0.05, 4, 1, 13),
+        uniform_instance(96, 16, 0.15, 0.05, 3, 2, 11),
+        uniform_instance(148, 15, 0.15, 0.05, 4, 0, 10),
+        uniform_instance(168, 12, 0.15, 0.05, 3, 1, 8),
+        uniform_instance(350, 18, 0.15, 0.05, 5, 1, 12),
+        uniform_instance(566, 18, 0.15, 0.05, 5, 1, 13),
+        graph_instance(417, 18, 3, 0, 18),
+        graph_instance(495, 15, 3, 0, 15),
+    ]
+    assert {inst.k1 for inst in corpus} == {3, 4, 5}
+    for inst in corpus:
+        for name, cfg in CONFIGS.items():
+            res = solve_feasibility(inst, cfg)
+            assert (res.status, res.method, res.case) == ("solution", "round", "I"), (inst, name)
+            ok, count = verify_solution(inst, res.solution, 10.0)
+            assert ok and count >= inst.m
+    print(f"\ncase I: PASS - {len(corpus)} instances round in Case I under {len(CONFIGS)} configs")
 
 
 def test_criterion_4_inner_solver_agreement():

@@ -257,6 +257,30 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert "error:" in err and f"'{key}'" in err
 
+    @pytest.mark.parametrize("key, value", [("r1", "0.5"), ("r2", float("nan"))])
+    def test_non_number_instance_radius(self, tmp_path, capsys, key, value):
+        doc = {"points": [[0.0], [0.3], [5.0]], "r1": 0.5, "r2": 0.25,
+               "k1": 1, "k2": 1, "m": 2}
+        doc[key] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (1, "")
+        assert "error:" in err and f"'{key}'" in err
+
+    @pytest.mark.parametrize("value", [float("inf"), True])
+    def test_non_finite_dilation(self, tmp_path, capsys, value):
+        # With Infinity every ball covers everything, and the check passed.
+        inst_path = gen_planted(tmp_path, capsys)
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(json.dumps({
+            "status": "solution", "dilation": value, "centers1": [0],
+            "centers2": [], "covered_count": 1,
+        }))
+        code, out, err = run(capsys, "check", str(inst_path), str(sol_path))
+        assert (code, out) == (1, "")
+        assert "error:" in err and "'dilation'" in err
+
     def test_non_integer_center_index(self, tmp_path, capsys):
         inst_path = gen_planted(tmp_path, capsys)
         sol_path = tmp_path / "sol.json"

@@ -10,6 +10,8 @@ from nukc import (
     MetricSpace,
     NUkCInstance,
     NUkCSolution,
+    OuterOracle,
+    Rounded,
     SolverConfig,
     ball,
     brute_force_nukc,
@@ -193,8 +195,8 @@ class TestCandidates:
         assert checked > 100
 
     @staticmethod
-    def counted_solve(inst, monkeypatch):
-        """solve_feasibility's result plus its restrict and validation calls."""
+    def count_metric_calls(monkeypatch):
+        """Live counts of MetricSpace validation and restrict calls."""
         calls = {"validate": 0, "restrict": 0}
         validate, restrict = MetricSpace.__post_init__, MetricSpace.restrict
 
@@ -206,9 +208,7 @@ class TestCandidates:
 
         monkeypatch.setattr(MetricSpace, "__post_init__", counted("validate", validate))
         monkeypatch.setattr(MetricSpace, "restrict", counted("restrict", restrict))
-        res = solve_feasibility(inst)
-        assert (res.status, res.method, res.case, res.iterations) == ("solution", "round", "II", 0)
-        return res, calls
+        return calls
 
     def test_solve_path_validates_no_metric(self, monkeypatch):
         # A Case II query enumerates one candidate per point q far from the
@@ -216,13 +216,28 @@ class TestCandidates:
         # and none of them runs the n x n x n metric check again.  This one
         # rounds on the q=None candidate, which needs no sub-metric.
         inst, _ = planted_instance(3, 6, 9, 6)
-        res, calls = self.counted_solve(inst, monkeypatch)
+        calls = self.count_metric_calls(monkeypatch)
+        res = solve_feasibility(inst)
+        assert (res.status, res.method, res.case, res.iterations) == ("solution", "round", "II", 0)
         assert calls["restrict"] == sum(cand.q is not None for cand, _ in res.inner_runs)
         assert calls["validate"] == 0
 
     def test_solve_path_restricts_once_per_solved_q(self, monkeypatch):
-        res, calls = self.counted_solve(uniform_instance(1, 20, 0.3, 0.1, 2, 2), monkeypatch)
-        solved_q = sum(cand.q is not None for cand, _ in res.inner_runs)
+        # The outer query puts root 5 in charge of the cluster 10..12 (within
+        # 8 r1), but 5 is too far for the inner 2 r1 ball, and root 15 splits
+        # that cluster in the inner forest.  So the q=None candidate and the
+        # q candidates before 11 are refuted; q = 11 grants the whole cluster
+        # and rounds.  Dilation-1 solution: large centers -101 and 11.
+        xs = [-102, -101.5, -101, -100.5, -100, 5, 15, 10, 10.5, 11, 11.5, 12]
+        inst = euclidean(np.array(xs)[:, None], 1.0, 0.01, 2, 0, 10)
+        cov1 = [1, 1, 1, 1, 1, 1, 0, 0.8, 0.8, 0.8, 0.8, 0.8]
+        calls = self.count_metric_calls(monkeypatch)
+        oracle = OuterOracle(inst, SolverConfig())
+        verdict = oracle(np.concatenate([cov1, np.zeros(inst.n)]))
+        assert isinstance(verdict, Rounded) and verdict.payload[1] == {"case": "II", "q": 9}
+        runs = [(cand.q, res.status) for cand, res in oracle.inner_runs]
+        assert runs[0] == (None, "infeasible") and runs[-1] == (9, "solution")
+        solved_q = sum(q is not None for q, _ in runs)
         assert solved_q > 0
         assert calls["restrict"] == solved_q
         assert calls["validate"] == 0
@@ -296,6 +311,26 @@ class TestOptimize:
         assert optimize(no_budget).solution is None
         too_many = euclidean([[0.0], [5.0]], 1.0, 0.5, 2, 2, 3)
         assert optimize(too_many).rho_star == math.inf
+
+
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(shortcuts=False)],
+                             ids=["default", "shortcut-free"])
+    def test_every_infeasible_probe_is_brute_force_infeasible(self, config):
+        # A false INFEASIBLE probe only raises rho_star, and the solution
+        # still checks at 10 * rho_star, so it is caught only here.
+        rng = np.random.default_rng(91)
+        checked = 0
+        for _ in range(100):
+            inst = random_instance(rng, max_n=7)
+            d = inst.metric.dist
+            # Below the smallest positive distance a ball holds only copies
+            # of its center, as at scale 0.
+            tiny = 0.5 * float(d[d > 0].min(initial=1.0)) / inst.r1
+            for rho, status in optimize(inst, config).probes:
+                if status == "infeasible":
+                    assert not brute_force_nukc(inst.scaled(rho or tiny)).feasible, (inst, rho)
+                    checked += 1
+        assert checked > 40
 
 
 class TestResultJson:

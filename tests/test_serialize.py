@@ -101,6 +101,18 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match=f"'{key}'"):
             instance_from_json(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("r1", True), ("r2", "0.5"), ("r1", float("inf")), ("r2", float("nan")),
+    ])
+    def test_non_number_radius_named(self, key, value):
+        # float() would read true as 1.0 and "0.5" as 0.5; inf and nan are
+        # no radius.
+        doc = self.base()
+        doc["points"] = [[0.0], [1.0]]
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            instance_from_json(json.loads(json.dumps(doc)))
+
     def test_integral_float_count_accepted(self):
         doc = self.base()
         doc["points"] = [[0.0], [1.0]]
@@ -151,6 +163,18 @@ class TestSolutionRoundTrip:
         doc[key] = value
         with pytest.raises(ValueError, match=f"'{key}'"):
             solution_from_json(doc)
+
+    @pytest.mark.parametrize("value", [True, "4.0", float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_dilation_named(self, value):
+        doc = {"status": "solution", "dilation": value, "centers1": [0],
+               "centers2": [], "covered_count": 2}
+        with pytest.raises(ValueError, match="'dilation'"):
+            solution_from_json(json.loads(json.dumps(doc)))
+
+    def test_integer_dilation_accepted(self):
+        doc = {"status": "solution", "dilation": 4, "centers1": [0],
+               "centers2": [], "covered_count": 2}
+        assert solution_from_json(doc).solution.dilation == 4.0
 
     def test_encoding_bad_record_rejected(self):
         with pytest.raises(ValueError):

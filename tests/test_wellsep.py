@@ -19,6 +19,7 @@ from nukc import (
 )
 from nukc.cutting_plane import ORACLE_EPS
 from nukc.model import CoverageVector, Cut
+from nukc import wellsep
 from nukc.wellsep import WELLSEP_DILATION, box_violation_cut
 
 from conftest import random_wellsep
@@ -268,3 +269,34 @@ class TestDecide:
             ok, _ = verify_solution(base, res.solution, res.solution.dilation)
             assert ok
             assert y is None or set(res.solution.centers1) <= set(y)
+
+    def test_start_that_rounds_skips_the_greedy_and_the_lp(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("greedy or LP reached")
+
+        monkeypatch.setattr(wellsep, "greedy_cover", refuse)
+        monkeypatch.setattr(wellsep, "coverage_model", refuse)
+        ws = wellsep_line([0.0, 0.5, 10.0], y=[0], m=3, k2=1)
+        res = solve_wellsep(ws, start=np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0]))
+        assert (res.status, res.method, res.case, res.iterations, res.cuts) == (
+            "solution", "start", "", 0, [])
+        assert verify_solution(ws.base, res.solution, WELLSEP_DILATION) == (True, 3)
+
+    @pytest.mark.parametrize("build, start", [
+        # Mass on the far points: the start draws a y-support cut.
+        (lambda: wellsep_line([0.0, 10.0, 20.0], y=[0], m=3, k2=1), [0, 1, 1, 0, 0, 0]),
+        # No mass: the start draws a mass cut.
+        (lambda: planted_candidate(1), None),
+    ], ids=["infeasible", "feasible"])
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(shortcuts=False)],
+                             ids=["default", "shortcut-free"])
+    def test_separated_start_leaves_the_run_as_without_it(self, build, start, config):
+        ws = build()
+        x = np.zeros(2 * ws.base.n) if start is None else np.array(start, dtype=float)
+        verdict = wellsep_separation_oracle(ws, CoverageVector.from_vector(x))
+        assert isinstance(verdict, Separating)
+        runs = [solve_wellsep(ws, config, start=s) for s in (x, None)]
+        fingerprints = [(r.status, r.method, r.case, r.iterations,
+                         [cut.kind for cut in r.cuts]) for r in runs]
+        # The start's cut would show up in the trail and the count.
+        assert fingerprints[0] == fingerprints[1]
