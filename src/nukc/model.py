@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 # Tolerance for metric axioms (symmetry, triangle inequality) and for hull-side
 # cut validation.  Kept small; oracle firing thresholds are handled separately.
@@ -38,6 +39,59 @@ class TheoryViolationError(RuntimeError):
         self.dump = dump or {}
 
 
+# Rows (and as many columns) per block of the symmetry check.
+_SYMMETRY_BLOCK = 64
+
+
+def _checked_matrix(dist) -> np.ndarray:
+    """``dist`` as a float array, after the O(n^2) metric checks.
+
+    Square, finite, nonnegative, zero diagonal, symmetric within METRIC_EPS;
+    the triangle inequality is left to :func:`_check_triangle`.
+    """
+    d = np.asarray(dist, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise MetricError(f"distance matrix must be square, got shape {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise MetricError("distance matrix contains non-finite entries")
+    if np.any(d < 0):
+        raise MetricError("distances must be nonnegative")
+    if np.any(np.abs(np.diag(d)) > 0):
+        raise MetricError("self-distances must be zero")
+    # By row blocks: d - d.T at once reads d.T against the cache and
+    # allocates n x n temporaries.
+    for i in range(0, d.shape[0], _SYMMETRY_BLOCK):
+        rows, cols = d[i : i + _SYMMETRY_BLOCK], d[:, i : i + _SYMMETRY_BLOCK]
+        if np.any(np.abs(rows - cols.T) > METRIC_EPS):
+            raise MetricError(f"distance matrix not symmetric within {METRIC_EPS}")
+    return d
+
+
+def _check_triangle(d: np.ndarray) -> None:
+    """Raise unless d[i,k] <= d[i,j] + d[j,k] + METRIC_EPS for all i, j, k.
+
+    ``best[i,k]``, the minimum over j of d[i,j] + d[j,k], is built one middle
+    index j at a time in O(n^2) memory, not from the n x n x n array of all
+    sums.  The sums and their minimum are the same floats either way, so the
+    worst pair and its amount are too.
+    """
+    n = d.shape[0]
+    if not n:
+        return
+    best = np.full_like(d, np.inf)
+    sums = np.empty_like(d)
+    for j in range(n):
+        np.add(d[:, j, None], d[None, j, :], out=sums)
+        np.minimum(best, sums, out=best)
+    slack = np.subtract(best, d, out=best)
+    worst = int(np.argmin(slack))
+    if slack.flat[worst] < -METRIC_EPS:
+        i, k = divmod(worst, n)
+        raise MetricError(
+            f"triangle inequality violated at pair ({i}, {k}) by {-slack.flat[worst]:.3g}"
+        )
+
+
 @dataclass(frozen=True)
 class MetricSpace:
     """A finite metric given by an explicit distance matrix.
@@ -45,39 +99,40 @@ class MetricSpace:
     ``coords`` is kept when the metric came from points in the plane so that
     instances can be serialized compactly and plotted; it never participates in
     distance computations.
+
+    Constructing it directly (and through :meth:`from_matrix`) validates every
+    metric axiom, the triangle inequality in O(n^3) time but O(n^2) memory.
+    :meth:`from_points`, :meth:`restrict` and the graph generator build
+    metrics whose triangle inequality holds by construction and skip that
+    check.  Both arrays are read-only copies.
     """
 
     dist: np.ndarray
     coords: np.ndarray | None = None
 
     def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise MetricError(f"distance matrix must be square, got shape {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise MetricError("distance matrix contains non-finite entries")
-        if np.any(d < 0):
-            raise MetricError("distances must be nonnegative")
-        if np.any(np.abs(np.diag(d)) > 0):
-            raise MetricError("self-distances must be zero")
-        if np.any(np.abs(d - d.T) > METRIC_EPS):
-            raise MetricError(f"distance matrix not symmetric within {METRIC_EPS}")
-        n = d.shape[0]
-        if n:
-            # d[i,k] <= d[i,j] + d[j,k] + eps for all j; vectorized over (i,k).
-            slack = (d[:, :, None] + d[None, :, :]).min(axis=1) - d
-            if slack.min() < -METRIC_EPS:
-                worst = np.unravel_index(np.argmin(slack), slack.shape)
-                raise MetricError(
-                    f"triangle inequality violated at pair {worst} by {-slack.min():.3g}"
-                )
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "dist", d)
-        if self.coords is not None:
-            c = np.asarray(self.coords, dtype=float).copy()
-            c.setflags(write=False)
-            object.__setattr__(self, "coords", c)
+        d = _checked_matrix(self.dist)
+        _check_triangle(d)
+        self._set(d.copy(), self.coords)
+
+    def _set(self, dist: np.ndarray, coords) -> None:
+        """Store ``dist`` and a float copy of ``coords``, both read-only."""
+        dist.setflags(write=False)
+        object.__setattr__(self, "dist", dist)
+        if coords is not None:
+            coords = np.array(coords, dtype=float)
+            coords.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def _trusted(cls, dist, coords=None) -> MetricSpace:
+        """A metric whose triangle inequality holds by construction.
+
+        Keeps the O(n^2) checks and skips the O(n^3) triangle check.
+        """
+        out = object.__new__(cls)
+        out._set(np.array(_checked_matrix(dist)), coords)
+        return out
 
     @property
     def n(self) -> int:
@@ -85,18 +140,23 @@ class MetricSpace:
 
     @staticmethod
     def from_points(points: Sequence[Sequence[float]]) -> MetricSpace:
-        """Euclidean metric on explicit planar (or any-dimensional) points."""
+        """Euclidean metric on explicit planar (or any-dimensional) points.
+
+        A Euclidean distance is a metric, so the triangle check is skipped:
+        with large coordinates its rounding would exceed METRIC_EPS and
+        reject genuine point sets.  Time and memory are O(n^2).
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise MetricError(f"points must be a 2-d array, got shape {pts.shape}")
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        dist = cdist(pts, pts)
         dist = np.maximum(dist, dist.T)  # exact symmetry despite rounding
         np.fill_diagonal(dist, 0.0)
-        return MetricSpace(dist=dist, coords=pts)
+        return MetricSpace._trusted(dist, coords=pts)
 
     @staticmethod
     def from_matrix(dist: Sequence[Sequence[float]]) -> MetricSpace:
+        """Metric from an explicit matrix, checked against every metric axiom."""
         return MetricSpace(dist=np.asarray(dist, dtype=float))
 
     def restrict(self, points: Sequence[int]) -> MetricSpace:
@@ -110,15 +170,8 @@ class MetricSpace:
         bad = (idx < 0) | (idx >= self.n)
         if bad.any():
             raise ValueError(f"restrict index {idx[bad][0]} out of range for {self.n} points")
-        sub = self.dist[np.ix_(idx, idx)]
-        sub.setflags(write=False)
-        coords = None
-        if self.coords is not None:
-            coords = self.coords[idx]
-            coords.setflags(write=False)
         out = object.__new__(MetricSpace)
-        object.__setattr__(out, "dist", sub)
-        object.__setattr__(out, "coords", coords)
+        out._set(self.dist[np.ix_(idx, idx)], None if self.coords is None else self.coords[idx])
         return out
 
     def __eq__(self, other) -> bool:
@@ -198,12 +251,11 @@ class WellSepNUkCInstance:
                 raise ValueError(f"Y index {v} out of range")
         d = self.base.metric.dist
         thresh = 4.0 * self.base.r1
-        for i, u in enumerate(ys):
-            for v in ys[i + 1 :]:
-                if not d[u, v] > thresh:
-                    raise ValueError(
-                        f"Y not well separated: d({u},{v})={d[u, v]} <= 4*r1={thresh}"
-                    )
+        # Pairs i < j, first in row-major order, that are not strictly apart.
+        close = np.argwhere(np.triu(~(d[np.ix_(ys, ys)] > thresh), k=1))
+        if len(close):
+            u, v = ys[close[0][0]], ys[close[0][1]]
+            raise ValueError(f"Y not well separated: d({u},{v})={d[u, v]} <= 4*r1={thresh}")
         object.__setattr__(self, "y", ys)
 
     @property

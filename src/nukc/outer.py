@@ -199,7 +199,15 @@ class OuterOracle:
             solution = lift_ff_solution(tree, selection)
             return Rounded((solution, {"case": "I", "value": selection.value}))
 
+        # A q whose B(q, r1) equals an earlier one's poses the same instance
+        # from the same start, which already failed; points are read only
+        # once the loop gets past the first candidate.
+        tried: set[tuple[int, ...]] = set()
         for cand in enumerate_candidates(inst, roots):
+            if cand.q is not None:
+                if cand.points in tried:
+                    continue
+                tried.add(cand.points)
             res = solve_wellsep(cand.instance, self.config, start=cand.start(cov))
             self.inner_runs.append((cand, res))
             if res.status == "solution":

@@ -1,8 +1,10 @@
 """Instance generators: planted ground truth, determinism, metric validity."""
 
 import numpy as np
+import pytest
 
 from nukc import (
+    MetricSpace,
     NUkCSolution,
     graph_instance,
     planted_instance,
@@ -94,3 +96,27 @@ class TestGraph:
         a = graph_instance(2, n=7, k1=1, k2=2)
         b = graph_instance(2, n=7, k1=1, k2=2)
         assert np.array_equal(a.metric.dist, b.metric.dist)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda s: planted_instance(s, 3, 5, 2)[0],
+        lambda s: planted_instance(s, 6, 9, 6)[0],
+        lambda s: planted_instance(s, 10, 11, 10)[0],
+        lambda s: planted_kcenter_instance(s, 2, 6, 2)[0],
+        lambda s: planted_kcenter_instance(s, 8, 14, 8)[0],
+        lambda s: uniform_instance(s, 5, 0.3, 0.1, 1, 1),
+        lambda s: uniform_instance(s, 120, 0.1, 0.05, 4, 4),
+        lambda s: graph_instance(s, 2, 1, 1),
+        lambda s: graph_instance(s, 60, 2, 2),
+        lambda s: graph_instance(s, 120, 4, 4),
+    ],
+)
+def test_generated_metrics_pass_the_full_check(make, seed):
+    # Generators build trusted metrics that skip the triangle check; the
+    # validating constructor must accept every one of them unchanged.
+    metric = make(seed).metric
+    assert 2 <= metric.n <= 120
+    assert MetricSpace(metric.dist, metric.coords) == metric

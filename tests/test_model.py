@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from nukc import (
     ball,
     covered_points,
     eval_cut,
+    instance_from_json,
     verify_solution,
 )
 from nukc.model import coverage_of_solution
@@ -56,8 +59,78 @@ class TestMetricSpace:
                 [5.0, 1.0, 0.0],
             ]
         )
-        with pytest.raises(MetricError, match="triangle"):
+        with pytest.raises(MetricError, match=r"triangle inequality violated at pair \(0, 2\)"):
             MetricSpace.from_matrix(d)
+
+    def test_triangle_check_matches_the_tensor(self):
+        # The check, one middle index at a time, must accept, reject and
+        # report exactly as the n x n x n tensor of all sums d[i,j] + d[j,k].
+        rng = np.random.default_rng(5)
+        verdicts = set()
+        for _ in range(120):
+            n = int(rng.integers(1, 40))
+            d = MetricSpace.from_points(rng.uniform(0, 10, size=(n, 2))).dist.copy()
+            if rng.random() < 0.7 and n > 2:
+                i, k = rng.choice(n, size=2, replace=False)
+                d[i, k] = d[k, i] = d[i, k] * float(rng.uniform(0.3, 3.0))
+            slack = (d[:, :, None] + d[None, :, :]).min(axis=1) - d
+            if slack.min() < -1e-9:
+                i, k = np.unravel_index(np.argmin(slack), slack.shape)
+                message = f"at pair ({i}, {k}) by {-slack.min():.3g}"
+                with pytest.raises(MetricError) as err:
+                    MetricSpace.from_matrix(d)
+                assert str(err.value).endswith(message)
+            else:
+                assert np.array_equal(MetricSpace.from_matrix(d).dist, d)
+            verdicts.add(bool(slack.min() < -1e-9))
+        assert verdicts == {True, False}
+
+    def test_from_points_matches_the_difference_formula(self):
+        # Generated instances must not change: the Euclidean distances are
+        # the same floats as sqrt of the summed squared coordinate differences.
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            n, dim = int(rng.integers(2, 60)), int(rng.integers(1, 4))
+            pts = rng.uniform(-1, 1, size=(n, dim)) * 10.0 ** rng.integers(-3, 7)
+            diff = pts[:, None, :] - pts[None, :, :]
+            expect = np.sqrt((diff * diff).sum(axis=2))
+            expect = np.maximum(expect, expect.T)
+            np.fill_diagonal(expect, 0.0)
+            assert np.array_equal(MetricSpace.from_points(pts).dist, expect)
+
+    @staticmethod
+    def near_collinear(seed: int, scale: float) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        t = rng.random(30)
+        return (t[:, None] * np.array([0.6, 0.8]) + 1e-9 * rng.random((30, 2))) * scale
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_large_coordinates_load(self, seed):
+        # Rounding of Euclidean distances at 1e7 exceeds METRIC_EPS, so a
+        # triangle check rejects these genuine point sets; points skip it.
+        pts = self.near_collinear(seed, 1e7)
+        with pytest.raises(MetricError, match="triangle"):
+            MetricSpace.from_matrix(MetricSpace.from_points(pts).dist)
+        metric = MetricSpace.from_points(pts)
+        doc = {"points": pts.tolist(), "r1": 1e6, "r2": 1e5, "k1": 1, "k2": 1, "m": 2}
+        assert np.array_equal(instance_from_json(doc).metric.dist, metric.dist)
+
+    @staticmethod
+    def peak_bytes(build) -> int:
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_construction_memory_is_quadratic(self):
+        # An n x n x n array of all sums d[i,j] + d[j,k] would take 8 GB and
+        # 512 MB here; one n x n matrix is 8 MB and 1.3 MB.
+        pts = np.random.default_rng(3).random((1000, 2))
+        assert self.peak_bytes(lambda: MetricSpace.from_points(pts)) < 64 * 2**20
+        d = MetricSpace.from_points(pts[:400]).dist
+        assert self.peak_bytes(lambda: MetricSpace.from_matrix(d)) < 32 * 2**20
 
     def test_accepts_shortest_path_metric(self):
         d = np.array(
@@ -132,6 +205,11 @@ class TestInstances:
             WellSepNUkCInstance(base=inst, y=(0, 1))
         ok = WellSepNUkCInstance(base=square_instance(r1=0.2, r2=0.1), y=(0, 3))
         assert ok.y == (0, 3)
+
+    def test_wellsep_names_the_first_close_pair_in_y_order(self):
+        # Pairs (3, 1) and (1, 0) are both 1 apart; (3, 1) comes first in Y.
+        with pytest.raises(ValueError, match=r"d\(3,1\)=1.0 <= 4\*r1=1.0"):
+            WellSepNUkCInstance(base=square_instance(r1=0.25, r2=0.1), y=(3, 1, 0))
 
 
 class TestCoverageAndCuts:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nukc import (
+    CoverageVector,
     MetricSpace,
     NUkCInstance,
     NUkCSolution,
@@ -25,7 +26,8 @@ from nukc import (
     validate_cut_on_hull,
     verify_solution,
 )
-from nukc.outer import enumerate_candidates
+import nukc.outer as outer_module
+from nukc.outer import Candidate, enumerate_candidates
 
 from conftest import random_instance, random_metric
 
@@ -213,7 +215,7 @@ class TestCandidates:
     def test_solve_path_validates_no_metric(self, monkeypatch):
         # A Case II query enumerates one candidate per point q far from the
         # roots, but only the candidates the oracle solves build a sub-metric,
-        # and none of them runs the n x n x n metric check again.  This one
+        # and none of them runs the O(n^3) triangle check again.  This one
         # rounds on the q=None candidate, which needs no sub-metric.
         inst, _ = planted_instance(3, 6, 9, 6)
         calls = self.count_metric_calls(monkeypatch)
@@ -241,6 +243,40 @@ class TestCandidates:
         assert solved_q > 0
         assert calls["restrict"] == solved_q
         assert calls["validate"] == 0
+
+    @pytest.mark.parametrize("m, mass, verdict", [(10, 0.8, "II"), (12, 1.0, "candidates")])
+    def test_candidates_sharing_a_ball_solve_once(self, monkeypatch, m, mass, verdict):
+        # Points 7 and 8 share a location, so B(7, r1) = B(8, r1) and their
+        # candidates are one instance from one start.  The q = 7 candidate
+        # is refuted, so q = 8 is skipped: at m = 10 q = 9 rounds, at m = 12
+        # every candidate is refuted and the root set is cut.
+        xs = [-102, -101.5, -101, -100.5, -100, 5, 15, 10, 10, 10.5, 11, 11.5, 12]
+        inst = euclidean(np.array(xs)[:, None], 1.0, 0.01, 2, 0, m)
+        cov = CoverageVector(np.array([1, 1, 1, 1, 1, 1, 0] + [mass] * 6), np.zeros(inst.n))
+        solved = []
+
+        def spy(ws, config=None, start=None):
+            solved.append(ws)
+            return solve_wellsep(ws, config, start=start)
+
+        monkeypatch.setattr(outer_module, "solve_wellsep", spy)
+        oracle = OuterOracle(inst, SolverConfig())
+        result = oracle(cov.to_vector())
+        runs = {cand.q: cand for cand, _ in oracle.inner_runs}
+        assert 7 in runs and 8 not in runs
+        assert [cand.instance for cand, _ in oracle.inner_runs] == solved
+        if verdict == "II":
+            assert isinstance(result, Rounded) and result.payload[1] == {"case": "II", "q": 9}
+        else:
+            cut = result.cut
+            assert (cut.kind, cut.b) == ("candidates", inst.k1 - 2)
+            assert np.flatnonzero(cut.a1).tolist() == sorted(cut.meta["roots"])
+            assert not cut.a2.any()
+        # The skipped candidate poses q = 7's instance and fails the same way.
+        skipped = Candidate(q=8, roots=runs[7].roots, parent=inst)
+        assert skipped.points == runs[7].points
+        assert skipped.instance == runs[7].instance
+        assert solve_wellsep(skipped.instance, start=skipped.start(cov)).status == "infeasible"
 
     def test_enumeration_builds_no_sub_instance(self, monkeypatch):
         def refuse(*args):
