@@ -54,21 +54,16 @@ def hs_partition(
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     cov = np.asarray(cov, dtype=float)
-
-    def key(v: int):
-        pri = 0 if (priority is not None and bool(priority[v])) else 1
-        return (-cov[v], pri, v)
-
-    order = sorted(pts, key=key)
-    d = metric.dist
-    unassigned = dict.fromkeys(order)  # insertion-ordered set
+    idx = np.array(pts, dtype=np.intp)
+    pri = np.ones(idx.size) if priority is None else np.where(np.asarray(priority)[idx], 0, 1)
+    live = np.zeros(metric.n, dtype=bool)  # not yet assigned
+    live[idx] = True
     reps: list[int] = []
     child: dict[int, tuple[int, ...]] = {}
-    while unassigned:
-        u = next(iter(unassigned))
-        members = tuple(sorted(v for v in unassigned if d[u, v] <= radius))
-        for v in members:
-            del unassigned[v]
-        reps.append(u)
-        child[u] = members
+    for u in idx[np.lexsort((idx, pri, -cov[idx]))].tolist():
+        if live[u]:
+            members = (live & (metric.dist[u] <= radius)).nonzero()[0]
+            live[members] = False
+            reps.append(u)
+            child[u] = tuple(members.tolist())
     return HSResult(reps=tuple(reps), child=child)

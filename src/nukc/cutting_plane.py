@@ -1,10 +1,11 @@
 """Cutting-plane driver for round-or-cut searches (Kelley's method).
 
-The driver starts from the instance's coverage LP and hands each optimum's
-coverage cov1 | cov2 to a separation oracle.  The oracle rounds it into a
-finished payload or returns one violated ``Cut``, which is recorded and added
-as a row; dual simplex re-solves from the last basis.  Oracle cuts come from
-finite families and each is new, so runs are short.
+The driver starts from the instance's compact coverage LP (columns c | x1 | x2,
+n + 2 rows) and hands each optimum's coverage, split into cov1 | cov2, to a
+separation oracle.  The oracle rounds it into a finished payload or returns
+one violated ``Cut``, which is recorded and added as a row; dual simplex
+re-solves from the last basis.  Oracle cuts come from finite families and
+each is new, so runs are short.
 """
 
 from __future__ import annotations
@@ -78,62 +79,99 @@ def _check(status, what: str) -> None:
         raise LPSolveError(f"HiGHS failed to {what}")
 
 
-def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None) -> _highs._Highs:
-    """The driver's start: maximise total coverage over columns cov1 | cov2 | x1 | x2.
+@dataclass(frozen=True)
+class CoverageModel:
+    """One driver run's HiGHS model of ``instance``'s coverage LP."""
 
-    All in [0, 1], x1 = 0 off ``y`` when given.  Rows: cov1_v + cov2_v <= 1,
-    cov1_v <= sum of x1 over B(v, r1), cov2_v <= sum of x2 over B(v, r2),
-    sum x1 <= k1, sum x2 <= k2.  Each integral solution meets them all.
+    instance: NUkCInstance
+    lp: _highs._Highs
+
+
+def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None) -> CoverageModel:
+    """The driver's start: maximise total coverage over columns c | x1 | x2.
+
+    All in [0, 1], x1 = 0 off ``y`` when given.  Rows: c_v <= sum of x1 over
+    B(v, r1) + sum of x2 over B(v, r2), sum x1 <= k1, sum x2 <= k2, as in
+    ``presolve.coverage_lp``.  Each integral solution meets them all.
     """
     n = inst.n
-    cols = np.arange(2 * n)  # cov column j: +1 on box row j mod n and opening row n + j
     index, value, count = (np.concatenate(part) for part in zip(
-        (np.column_stack([cols % n, n + cols]).ravel(), np.ones(4 * n), np.full(2 * n, 2)),
-        opening_columns(inst, inst.r1, n, 3 * n),
-        opening_columns(inst, inst.r2, 2 * n, 3 * n + 1),
+        (np.arange(n), np.ones(n), np.ones(n, dtype=np.int64)),
+        opening_columns(inst, inst.r1, 0, n),
+        opening_columns(inst, inst.r2, 0, n + 1),
     ))
-    upper = np.ones(4 * n)
+    upper = np.ones(3 * n)
     if y is not None:
-        upper[2 * n : 3 * n] = np.isin(np.arange(n), y)
+        upper[n : 2 * n] = np.isin(np.arange(n), y)
     lp = _highs._Highs()
     _check(lp.passOptions(_OPTIONS), "take the driver options")
     _check(lp.passModel(
-        4 * n, 3 * n + 2, int(count.sum()), _COLWISE, _MINIMIZE, 0.0,
-        np.concatenate([-np.ones(2 * n), np.zeros(2 * n)]), np.zeros(4 * n), upper,
-        np.full(3 * n + 2, -_highs.kHighsInf),
-        np.concatenate([np.ones(n), np.zeros(2 * n), [float(inst.k1), float(inst.k2)]]),
+        3 * n, n + 2, int(count.sum()), _COLWISE, _MINIMIZE, 0.0,
+        np.concatenate([-np.ones(n), np.zeros(2 * n)]), np.zeros(3 * n), upper,
+        np.full(n + 2, -_highs.kHighsInf), np.concatenate([np.zeros(n), [inst.k1, inst.k2]]),
         np.concatenate([[0], np.cumsum(count)]).astype(np.int32), index.astype(np.int32),
-        value, np.zeros(4 * n, dtype=np.int32),  # every column continuous
+        value, np.zeros(3 * n, dtype=np.int32),  # every column continuous
     ), "load the coverage LP")
-    return lp
+    return CoverageModel(inst, lp)
+
+
+def _split(model: CoverageModel) -> None:
+    """Add columns cov1 | cov2 with rows cov1_v <= sum of x1 over B(v, r1),
+    cov2_v <= sum of x2 over B(v, r2) (``opening_columns`` read as rows) and
+    c_v = cov1_v + cov2_v."""
+    inst, n = model.instance, model.instance.n
+    v = np.arange(n)
+    index, value, count = (np.concatenate(part) for part in zip(
+        opening_columns(inst, inst.r1, n, 3 * n + v),
+        opening_columns(inst, inst.r2, 2 * n, 4 * n + v),
+        (np.column_stack([v, 3 * n + v, 4 * n + v]).ravel(), np.tile([1.0, -1.0, -1.0], n),
+         np.full(n, 3)),
+    ))
+    _check(model.lp.addVars(2 * n, np.zeros(2 * n), np.ones(2 * n)), "add the split columns")
+    _check(model.lp.addRows(
+        3 * n, np.concatenate([np.full(2 * n, -_highs.kHighsInf), np.zeros(n)]), np.zeros(3 * n),
+        int(count.sum()), np.concatenate([[0], np.cumsum(count)[:-1]]).astype(np.int32),
+        index.astype(np.int32), value,
+    ), "add the split rows")
 
 
 def run_round_or_cut(
-    lp: _highs._Highs,
+    model: CoverageModel,
     oracle: Callable[[np.ndarray], Rounded | Separating],
     max_iters: int | None = None,
 ) -> RoundOrCutResult:
     """Query the oracle at LP optima until it rounds, the LP empties or the cap runs out.
 
-    ``lp`` comes from ``coverage_model``; the oracle sees its first half of
-    columns, cov1 | cov2, at most ``max_iters`` times.  A returned cut must be
-    violated at the query by more than CUT_CONTRACT_EPS, or
-    OracleContractError is raised.  Status ``infeasible`` (HiGHS found the LP
-    plus the cuts empty) and ``exhausted`` (the cap ran out) are not proofs
-    in floating-point arithmetic.
+    The oracle sees cov1 = min(c, sum of x1 over B(v, r1)) | cov2 = c - cov1
+    at most ``max_iters`` times, until the first cut with a1 != a2 adds
+    cov1 | cov2 columns (``_split``) for later queries and cuts.  A returned
+    cut must be violated at the query by more than CUT_CONTRACT_EPS, or
+    OracleContractError is raised.  A violated -t * (total coverage) <= b,
+    t > 0, empties the LP, whose optimum maximises the total: the run stops
+    without a re-solve.  Status ``infeasible`` (the LP plus the cuts is
+    empty) and ``exhausted`` (the cap ran out) are not proofs in
+    floating-point arithmetic.
     """
-    dim = lp.getNumCol() // 2
+    lp, inst, n = model.lp, model.instance, model.instance.n
     if max_iters is None:
-        max_iters = default_max_iters(dim)
+        max_iters = default_max_iters(2 * n)
     cuts: list[Cut] = []
+    split = empty = False
     for _ in range(max_iters):
+        if empty:
+            return RoundOrCutResult("infeasible", iterations=len(cuts), cuts=cuts)
         _check(lp.run(), f"solve after {len(cuts)} cuts")
         status = lp.getModelStatus()
         if status == _highs.HighsModelStatus.kInfeasible:
             return RoundOrCutResult("infeasible", iterations=len(cuts), cuts=cuts)
         if status != _highs.HighsModelStatus.kOptimal:
             raise LPSolveError(f"HiGHS ended with {lp.modelStatusToString(status)!r}")
-        x = np.array(lp.getSolution().col_value[:dim])
+        x = np.array(lp.getSolution().col_value)
+        if not split:  # a point of the full coverage polytope, with the same total
+            s = np.flatnonzero(x[n : 2 * n])
+            cov1 = np.minimum(x[:n], (inst.metric.dist[s] <= inst.r1).T @ x[n + s])
+            x = np.concatenate([x, cov1, x[:n] - cov1])
+        x = x[3 * n :]
         verdict = oracle(x.copy())
         if isinstance(verdict, Rounded):
             return RoundOrCutResult("rounded", verdict.payload, len(cuts), cuts)
@@ -151,7 +189,13 @@ def run_round_or_cut(
             _check(lp.setOptionValue("simplex_strategy", int(_STRATEGY.kSimplexStrategyDual)),
                    "switch to dual simplex")
         cuts.append(cut)
+        empty = a[0] < 0 and bool(np.all(a == a[0]))
+        if not split and not np.array_equal(cut.a1, cut.a2):
+            _split(model)
+            split = True
+        # Before the split a1 = a2, and the cut is the same row on c.
+        a, first = (a, 3 * n) if split else (cut.a1, 0)
         nz = np.flatnonzero(a)
         _check(lp.addRow(-_highs.kHighsInf, float(cut.b), nz.size,
-                         nz.astype(np.int32), a[nz]), f"add cut {cut.kind!r}")
+                         (first + nz).astype(np.int32), a[nz]), f"add cut {cut.kind!r}")
     return RoundOrCutResult("exhausted", iterations=len(cuts), cuts=cuts)

@@ -128,10 +128,10 @@ class MetricSpace:
     def _trusted(cls, dist, coords=None) -> MetricSpace:
         """A metric whose triangle inequality holds by construction.
 
-        Keeps the O(n^2) checks and skips the O(n^3) triangle check.
+        Keeps the O(n^2) checks, skips the O(n^3) triangle check, and keeps ``dist`` uncopied.
         """
         out = object.__new__(cls)
-        out._set(np.array(_checked_matrix(dist)), coords)
+        out._set(_checked_matrix(dist), coords)
         return out
 
     @property
@@ -149,10 +149,8 @@ class MetricSpace:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise MetricError(f"points must be a 2-d array, got shape {pts.shape}")
-        dist = cdist(pts, pts)
-        dist = np.maximum(dist, dist.T)  # exact symmetry despite rounding
-        np.fill_diagonal(dist, 0.0)
-        return MetricSpace._trusted(dist, coords=pts)
+        # cdist computes (i, j) and (j, i) alike: exactly symmetric, zero diagonal.
+        return MetricSpace._trusted(cdist(pts, pts), coords=pts)
 
     @staticmethod
     def from_matrix(dist: Sequence[Sequence[float]]) -> MetricSpace:

@@ -111,3 +111,37 @@ class TestGreedyPartition:
             priority = rng.random(n) < 0.5 if rng.random() < 0.5 else None
             res = hs_partition(metric, points, radius, cov, priority=priority)
             check_partition_invariants(metric, points, radius, cov, res)
+
+    def test_matches_the_set_scan(self):
+        # Ties in coverage, priority and distance (radius set to a distance
+        # of the metric), subsets in any order, zero radius.
+        rng = np.random.default_rng(7)
+        for _ in range(3000):
+            n = int(rng.integers(1, 13))
+            metric = random_metric(rng, n)
+            points = [int(v) for v in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+            radius = float(rng.choice(metric.dist.ravel())) * float(rng.choice([1.0, 1.0, 0.7]))
+            cov = rng.integers(0, 3, size=n) / 2.0
+            priority = rng.random(n) < 0.5 if rng.random() < 0.5 else None
+            got = hs_partition(metric, points, radius, cov, priority=priority)
+            want = set_scan_partition(metric, points, radius, cov, priority)
+            assert (got.reps, got.child) == want, (points, radius, cov, priority)
+
+
+def set_scan_partition(metric, points, radius, cov, priority):
+    """The scan over an insertion-ordered set of unassigned points that
+    ``hs_partition`` replaced: the reference for its output."""
+    def key(v):
+        return (-cov[v], 0 if (priority is not None and bool(priority[v])) else 1, v)
+
+    d = metric.dist
+    unassigned = dict.fromkeys(sorted(points, key=key))
+    reps, child = [], {}
+    while unassigned:
+        u = next(iter(unassigned))
+        members = tuple(sorted(v for v in unassigned if d[u, v] <= radius))
+        for v in members:
+            del unassigned[v]
+        reps.append(u)
+        child[u] = members
+    return tuple(reps), child

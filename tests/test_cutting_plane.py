@@ -17,15 +17,19 @@ from nukc import (
     verify_solution,
 )
 from nukc.cutting_plane import (
+    CUT_CONTRACT_EPS,
+    CoverageModel,
     LPSolveError,
     OracleContractError,
     Rounded,
     Separating,
+    _split,
     coverage_model,
     default_max_iters,
     run_round_or_cut,
 )
 from nukc.model import Cut
+from nukc.presolve import _highs
 
 from conftest import random_instance
 from test_presolve import linprog_coverage_lp
@@ -55,20 +59,27 @@ class TestDefaults:
 
 class TestDriver:
     def test_finds_small_target_box(self):
+        # The box is where no axis cut +-x_i <= +-target_i + 0.05 is violated
+        # in the driver's sense, so every cut the oracle returns keeps the
+        # contract: a check on |x - target| instead rejects a query on the
+        # boundary that its own cut does not separate.
         target = np.array([0.31, 0.62])
+        axes = np.vstack([np.eye(2), -np.eye(2)])
+        bounds = axes @ target + 0.05
+
+        def violations(x):
+            return axes @ x - bounds
 
         def oracle(x):
-            if np.all(np.abs(x - target) <= 0.05):
+            worst = int(np.argmax(violations(x)))
+            if violations(x)[worst] <= CUT_CONTRACT_EPS:
                 return Rounded(("hit", x.copy()))
-            i = int(np.argmax(np.abs(x - target)))
-            a = np.zeros(2)
-            a[i] = 1.0 if x[i] > target[i] else -1.0
-            return separate(a, float(a @ target) + 0.05)
+            return separate(axes[worst], float(bounds[worst]))
 
         res = box_run(oracle)
         assert res.status == "rounded"
         tag, point = res.payload
-        assert tag == "hit" and np.all(np.abs(point - target) <= 0.05)
+        assert tag == "hit" and np.all(violations(point) <= CUT_CONTRACT_EPS)
         assert res.iterations == len(res.cuts) > 0
 
     def test_rounds_at_iteration_0(self):
@@ -133,6 +144,27 @@ class TestDriver:
             box_run(oracle)
 
 
+def dense_lp(model):
+    """The model's (A, column bounds, row bounds) as dense arrays."""
+    lp = model.lp.getLp()
+    mat = lp.a_matrix_
+    # Adding rows can leave the matrix stored row-wise.
+    colwise = mat.format_ == _highs.MatrixFormat.kColwise
+    a = np.zeros((lp.num_row_, lp.num_col_) if colwise else (lp.num_col_, lp.num_row_))
+    for j in range(a.shape[1]):
+        span = slice(mat.start_[j], mat.start_[j + 1])
+        a[mat.index_[span], j] = mat.value_[span]
+    a = a if colwise else a.T
+    cols = np.array(lp.col_lower_), np.array(lp.col_upper_)
+    return a, cols, (np.array(lp.row_lower_), np.array(lp.row_upper_))
+
+
+def reach(inst, x1, x2):
+    """Per point, the x1 over B(v, r1) and the x2 over B(v, r2)."""
+    d = inst.metric.dist
+    return (d <= inst.r1) @ x1, (d <= inst.r2) @ x2
+
+
 class TestSeededLP:
     """The driver's model is the coverage LP: valid on the hull, same optimum."""
 
@@ -145,36 +177,117 @@ class TestSeededLP:
                 yield inst, y
 
     def test_hull_points_meet_every_static_row(self):
+        # Columns c | x1 | x2 on n + 2 rows, then cov1 | cov2 on 3n more
+        # once the split is forced.
         checked = 0
         for inst, y in self.corpus():
             n = inst.n
-            lp = coverage_model(inst, y).getLp()
-            a = np.zeros((lp.num_row_, lp.num_col_))
-            start = lp.a_matrix_.start_
-            for j in range(lp.num_col_):
-                rows = lp.a_matrix_.index_[start[j] : start[j + 1]]
-                a[rows, j] = lp.a_matrix_.value_[start[j] : start[j + 1]]
+            model = coverage_model(inst, y)
+            compact = dense_lp(model)
+            assert compact[0].shape == (n + 2, 3 * n)
+            _split(model)
+            full = dense_lp(model)
+            assert full[0].shape == (4 * n + 2, 5 * n)
             for sol, cov in hull_coverage_vectors(inst, restrict_y=y):
-                x = np.zeros(4 * n)
-                x[: 2 * n] = cov.to_vector()
-                x[2 * n + np.array(sol.centers1, dtype=int)] = 1.0
-                x[3 * n + np.array(sol.centers2, dtype=int)] = 1.0
-                assert np.all(x >= np.array(lp.col_lower_)) and np.all(x <= np.array(lp.col_upper_))
-                ax = a @ x
-                assert np.all(ax >= np.array(lp.row_lower_) - 1e-12), (inst, y, sol)
-                assert np.all(ax <= np.array(lp.row_upper_) + 1e-12), (inst, y, sol)
+                x = np.zeros(5 * n)
+                x[:n] = cov.cov()
+                x[n + np.array(sol.centers1, dtype=int)] = 1.0
+                x[2 * n + np.array(sol.centers2, dtype=int)] = 1.0
+                x[3 * n :] = cov.to_vector()
+                for (a, (lo, hi), (row_lo, row_hi)), z in ((compact, x[: 3 * n]), (full, x)):
+                    assert np.all(z >= lo) and np.all(z <= hi)
+                    assert np.all(a @ z >= row_lo - 1e-12), (inst, y, sol)
+                    assert np.all(a @ z <= row_hi + 1e-12), (inst, y, sol)
                 checked += 1
         assert checked > 100
 
     def test_first_optimum_is_the_coverage_lp_bound(self):
+        # Every query before the split is a point of the full coverage
+        # polytope for the optimum's openings, and the first one sums to
+        # the coverage LP's optimum.  Cuts with a1 = a2 halve the largest
+        # point total twice before rounding.
         for inst, y in self.corpus():
+            n = inst.n
+            model = coverage_model(inst, y)
             queries = []
-            res = run_round_or_cut(
-                coverage_model(inst, y), lambda x: queries.append(x) or Rounded(None)
-            )
-            assert res.status == "rounded" and len(queries) == 1
+
+            def oracle(x):
+                col = np.array(model.lp.getSolution().col_value)
+                assert col.size == 3 * n
+                cov1, cov2 = x[:n], x[n:]
+                r1, r2 = reach(inst, col[n : 2 * n], col[2 * n :])
+                assert np.all(x >= -1e-9) and np.all(cov1 + cov2 <= 1.0 + 1e-9)
+                assert np.all(cov1 <= r1 + 1e-9) and np.all(cov2 <= r2 + 1e-9), (inst, y)
+                assert x.sum() == pytest.approx(col[:n].sum(), abs=1e-12)
+                queries.append(x)
+                total = cov1 + cov2
+                v = int(np.argmax(total))
+                if len(queries) > 2 or total[v] < 1e-6:
+                    return Rounded(None)
+                e = np.eye(n)[v]
+                return Separating(Cut(a1=e, a2=e, b=float(total[v]) / 2.0, kind="halve"))
+
+            res = run_round_or_cut(model, oracle)
+            assert res.status == "rounded" and model.lp.getNumCol() == 3 * n
             want = linprog_coverage_lp(inst, restrict_y=y)[0]
             assert queries[0].sum() == pytest.approx(want, abs=1e-7), (inst, y)
+
+
+def test_cut_with_unequal_blocks_splits_once():
+    # A mixed cut adds cov1 | cov2 columns once; later queries read them and
+    # meet every recorded cut, the ones on c from before the split included.
+    inst, _ = planted_instance(3, 3, 5, 2)
+    n = inst.n
+    model = coverage_model(inst, y=(0, 5, 10))
+    sizes = []
+
+    def oracle(x):
+        sizes.append(model.lp.getNumCol())
+        for cut in res_cuts:
+            assert cut.a1 @ x[:n] + cut.a2 @ x[n:] <= cut.b + CUT_CONTRACT_EPS
+        block = len(res_cuts) % 3  # total, cov1, cov2, total, ...
+        part = x[:n] + x[n:] if block == 0 else x[(block - 1) * n : block * n]
+        v = int(np.argmax(part))
+        if len(res_cuts) == 7 or part[v] < 1e-6:
+            return Rounded(None)
+        e, zero = np.eye(n)[v], np.zeros(n)
+        a1, a2 = (e, e) if block == 0 else (e, zero) if block == 1 else (zero, e)
+        res_cuts.append(Cut(a1=a1, a2=a2, b=float(part[v]) / 2.0, kind=f"halve-{block}"))
+        return Separating(res_cuts[-1])
+
+    res_cuts = []
+    res = run_round_or_cut(model, oracle)
+    assert res.status == "rounded" and res.cuts == res_cuts and len(res_cuts) > 2
+    assert sizes[:2] == [3 * n, 3 * n] and set(sizes[2:]) == {5 * n}
+    assert model.lp.getNumRow() == (n + 2) + 3 * n + len(res_cuts)
+
+
+class CountingLP:
+    """A HiGHS model that counts its solves."""
+
+    def __init__(self, lp):
+        self.lp, self.runs = lp, 0
+
+    def run(self):
+        self.runs += 1
+        return self.lp.run()
+
+    def __getattr__(self, name):
+        return getattr(self.lp, name)
+
+
+def test_violated_mass_cut_stops_without_a_resolve():
+    # The optimum maximises the total, so a cut on it that the optimum
+    # violates empties the LP: the run stops with one solve, not two.
+    points = [[x] for x in (0.0, 0.6, 0.9, 20.0, 20.2, 40.0, 40.15)]
+    inst = NUkCInstance(MetricSpace.from_points(points), 1.0, 0.25, 1, 1, 7)
+    mass = Separating(Cut(a1=-np.ones(7), a2=-np.ones(7), b=-7.0, kind="mass"))
+    for cap, status in ((None, "infeasible"), (1, "exhausted")):
+        model = coverage_model(inst)
+        counted = CountingLP(model.lp)
+        res = run_round_or_cut(CoverageModel(inst, counted), lambda x: mass, cap)
+        assert (res.status, res.iterations, counted.runs) == (status, 1, 1)
+        assert [cut.kind for cut in res.cuts] == ["mass"]
 
 
 GATE_FAMILIES = {

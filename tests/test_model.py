@@ -126,9 +126,10 @@ class TestMetricSpace:
 
     def test_construction_memory_is_quadratic(self):
         # An n x n x n array of all sums d[i,j] + d[j,k] would take 8 GB and
-        # 512 MB here; one n x n matrix is 8 MB and 1.3 MB.
+        # 512 MB here; one n x n matrix is 8 MB and 1.3 MB.  from_points keeps
+        # cdist's matrix: a second n x n array would reach 16 MB.
         pts = np.random.default_rng(3).random((1000, 2))
-        assert self.peak_bytes(lambda: MetricSpace.from_points(pts)) < 64 * 2**20
+        assert self.peak_bytes(lambda: MetricSpace.from_points(pts)) < 12 * 2**20
         d = MetricSpace.from_points(pts[:400]).dist
         assert self.peak_bytes(lambda: MetricSpace.from_matrix(d)) < 32 * 2**20
 
