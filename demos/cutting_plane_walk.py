@@ -1,19 +1,20 @@
 """Watch the cutting-plane driver round, cut and re-solve, and find an empty LP.
 
-The driver starts from the compact coverage LP of an instance: for each
-point a coverage c in [0, 1], at most the center openings x1 and x2 whose
-balls reach the point, within the budgets, maximising total coverage.  It
-hands each LP optimum to a separation oracle split into cov1 | cov2, with
-cov1 = min(c, the x1 reaching the point) and cov2 = c - cov1.  The oracle
-either rounds the query into a payload, which ends the run, or returns one
-violated inequality as a ``Cut``.  The driver records the cut, adds it to the
-LP as a row, and re-solves with dual simplex from the previous basis.  A cut
-with equal cov1 and cov2 coefficients is a row on c; the first cut whose
-coefficients differ adds explicit cov1 and cov2 columns, which later
-queries read.  A run also ends when the LP becomes empty (status
-"infeasible"): at once, without a re-solve, when the cut is a violated
-lower bound on the total coverage the optimum maximises; or when the
-iteration cap runs out (status "exhausted").
+The driver starts from the coverage LP of an instance in excess form: center
+openings x1 and x2 within the budgets, and per point an excess e >= 0, so
+that the point's coverage c = (the x1 and x2 whose balls reach it) - e is a
+row activity in [0, 1]; it maximises total coverage, with dual simplex from
+the first solve.  It hands each LP optimum to a separation oracle split into
+cov1 | cov2, with cov1 = min(c, the x1 reaching the point) and cov2 =
+c - cov1.  The oracle either rounds the query into a payload, which ends the
+run, or returns one violated inequality as a ``Cut``.  The driver records the
+cut, adds it to the LP as a row, and re-solves from the previous basis.  A
+cut with equal cov1 and cov2 coefficients is a row on x and e through c; the
+first cut whose coefficients differ adds explicit cov1 and cov2 columns,
+which later queries read.  A run also ends when the LP becomes empty (status
+"infeasible"): at once, without a re-solve or a new row, when the cut is a
+violated lower bound on the total coverage the optimum maximises; or when
+the iteration cap runs out (status "exhausted").
 
 The toy oracles below run on one point with one ball of each size, whose LP
 projects onto the triangle cov1, cov2 >= 0, cov1 + cov2 <= 1, so a query is

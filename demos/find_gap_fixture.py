@@ -80,7 +80,7 @@ def search(max_trials: int = 20000, seed: int = SEED) -> dict | None:
         y = list(seps.reps)
         if len(y) < 2:
             continue
-        near_y = metric.dist[:, y].min(axis=1) <= r1
+        near_y = metric.dist[y].min(axis=0) <= r1
         cov = random_coverage(rng, n, near_y)
         tree = reduce_to_firefighter(probe, 2.0, 2.0, cov, y=y)
         frac = frac_ff_solution(tree, cov).value

@@ -99,10 +99,7 @@ class Candidate:
         """
         ws = self.instance
         sub = ws.base
-        if ws.y:
-            near = sub.metric.dist[:, list(ws.y)].min(axis=1) <= sub.r1
-        else:
-            near = np.zeros(sub.n, dtype=bool)
+        near = sub.metric.dist[list(ws.y)].min(axis=0) <= sub.r1 if ws.y else np.zeros(sub.n, bool)
         keep = list(self.points)
         cov1, cov2 = cov.cov1[keep], cov.cov2[keep]
         return np.concatenate([np.where(near, cov1, 0.0), cov2 + np.where(near, 0.0, cov1)])
@@ -126,7 +123,7 @@ def enumerate_candidates(
     if instance.k1 == 0:
         return out
     d = instance.metric.dist
-    d_to_y = d[:, list(ys)].min(axis=1) if ys else np.full(instance.n, np.inf)
+    d_to_y = d[list(ys)].min(axis=0) if ys else np.full(instance.n, np.inf)
     out += [Candidate(q=q, roots=ys, parent=instance)
             for q in np.flatnonzero(d_to_y > instance.r1).tolist()]
     return out

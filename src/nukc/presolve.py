@@ -2,9 +2,9 @@
 
 A greedy (plus swap polish) cover that, when it reaches the target, is a
 verified dilation-1 solution: the one optional screen ahead of the driver.
-``opening_columns`` builds the center-opening columns of the LP relaxation of
-maximum coverage for both ``coverage_lp`` and the driver's model, whose
-optimum below m proves infeasibility.
+``coverage_lp`` solves the LP relaxation of maximum coverage, whose optimum
+below m proves infeasibility; the driver builds the same LP in excess form
+(``cutting_plane.coverage_model``).
 """
 
 from __future__ import annotations

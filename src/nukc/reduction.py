@@ -51,10 +51,7 @@ def reduce_to_firefighter(
     cov1 = cov.cov1
     if y is not None:
         y = list(y)
-        d_to_y = (
-            metric.dist[:, y].min(axis=1) if y else np.full(instance.n, np.inf)
-        )
-        priority = d_to_y <= instance.r1
+        priority = metric.dist[y].min(axis=0) <= instance.r1 if y else np.zeros(instance.n, bool)
         cov1 = np.where(priority, np.maximum(cov.cov1, 0.0), 0.0)
     layer1 = hs_partition(metric, layer2.reps, alpha1 * instance.r1, cov1, priority)
 

@@ -139,7 +139,7 @@ def wellsep_separation_oracle(
     if cut is not None:
         return Separating(cut)
 
-    d_to_y = inst.metric.dist[:, list(ws.y)].min(axis=1) if ws.y else np.full(n, np.inf)
+    d_to_y = inst.metric.dist[list(ws.y)].min(axis=0) if ws.y else np.full(n, np.inf)
     far = d_to_y > inst.r1
     bad = far & (cov.cov1 > ORACLE_EPS)
     if bad.any():

@@ -13,6 +13,7 @@ from nukc import (
     NUkCInstance,
     TwoFFInstance,
     WellSepNUkCInstance,
+    brute_force_nukc,
     graph_instance,
     hs_partition,
 )
@@ -46,6 +47,31 @@ def random_instance(rng: np.random.Generator, max_n: int = 10) -> NUkCInstance:
         k1 = 1
     m = int(rng.integers(1, n + 1))
     return NUkCInstance(metric=metric, r1=r1, r2=r2, k1=k1, k2=k2, m=m)
+
+
+def near_symmetric_instance(rng):
+    """Points in the plane whose matrix is off symmetric by up to 1e-9.
+
+    Every off-diagonal entry is raised by 2e-9, which keeps the triangle
+    inequality with room, and then moved by up to 5e-10 either way, which
+    ``from_matrix`` accepts.  The radii are entries of the matrix, so a ball
+    edge falls between d[u, v] and d[v, u].  Half the targets are the most
+    that dilation 1 covers, so the instance is feasible and tight.
+    """
+    n = int(rng.integers(2, 8))
+    pts = rng.uniform(0.0, 4.0, size=(n, 2))
+    d = np.linalg.norm(pts[:, None] - pts[None], axis=2) + 2e-9 + rng.uniform(-5e-10, 5e-10, (n, n))
+    np.fill_diagonal(d, 0.0)
+    entries = np.sort(d[~np.eye(n, dtype=bool)])
+    r1 = float(rng.choice(entries))
+    smaller = entries[entries < r1]
+    r2 = float(rng.choice(smaller)) if smaller.size and rng.random() < 0.8 else 0.0
+    k1, k2 = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+    k1 = k1 or int(k2 == 0)
+    inst = NUkCInstance(MetricSpace.from_matrix(d), r1, r2, k1, k2, int(rng.integers(1, n + 1)))
+    if rng.random() < 0.5:
+        inst = NUkCInstance(inst.metric, r1, r2, k1, k2, brute_force_nukc(inst).best_covered)
+    return inst
 
 
 def random_wellsep(

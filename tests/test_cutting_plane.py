@@ -2,6 +2,8 @@
 solvers it drives with the greedy screen off."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from nukc import (
 )
 from nukc.cutting_plane import (
     CUT_CONTRACT_EPS,
-    CoverageModel,
     LPSolveError,
     OracleContractError,
     Rounded,
@@ -31,7 +32,7 @@ from nukc.cutting_plane import (
 from nukc.model import Cut
 from nukc.presolve import _highs
 
-from conftest import random_instance
+from conftest import near_symmetric_instance, random_instance
 from test_presolve import linprog_coverage_lp
 
 # One point, one ball of each size: the coverage LP projects onto the box
@@ -137,8 +138,10 @@ class TestDriver:
             box_run(oracle)
 
     def test_row_rejected_by_highs_raises_lp_solve_error(self):
+        # Violated at any query that covers the point at all; HiGHS refuses
+        # coefficients this large.
         def oracle(x):
-            return separate([np.inf, 0.0], 0.0)
+            return separate([1e300, 1e300], 0.0)
 
         with pytest.raises(LPSolveError):
             box_run(oracle)
@@ -160,52 +163,62 @@ def dense_lp(model):
 
 
 def reach(inst, x1, x2):
-    """Per point, the x1 over B(v, r1) and the x2 over B(v, r2)."""
+    """Per point v, the x1 at centers u with d[u, v] <= r1 and the x2 with d[u, v] <= r2."""
     d = inst.metric.dist
-    return (d <= inst.r1) @ x1, (d <= inst.r2) @ x2
+    return (d <= inst.r1).T @ x1, (d <= inst.r2).T @ x2
 
 
 class TestSeededLP:
     """The driver's model is the coverage LP: valid on the hull, same optimum."""
 
     @staticmethod
-    def corpus():
+    def corpus(build=None):
         rng = np.random.default_rng(88)
         for _ in range(40):
-            inst = random_instance(rng, max_n=7)
+            inst = build(rng) if build else random_instance(rng, max_n=7)
             for y in (None, (0,), tuple(range(0, inst.n, 2))):
                 yield inst, y
 
-    def test_hull_points_meet_every_static_row(self):
-        # Columns c | x1 | x2 on n + 2 rows, then cov1 | cov2 on 3n more
-        # once the split is forced.
+    def static_rows_hold_on_the_hull(self, corpus):
+        # Columns x1 | x2 | e on n ranged point rows and the two budget
+        # rows, then cov1 | cov2 on 3n more rows once the split is forced.
         checked = 0
-        for inst, y in self.corpus():
+        for inst, y in corpus:
             n = inst.n
             model = coverage_model(inst, y)
             compact = dense_lp(model)
             assert compact[0].shape == (n + 2, 3 * n)
+            assert np.all(compact[2][0][:n] == 0) and np.all(compact[2][1][:n] == 1)
             _split(model)
             full = dense_lp(model)
             assert full[0].shape == (4 * n + 2, 5 * n)
             for sol, cov in hull_coverage_vectors(inst, restrict_y=y):
                 x = np.zeros(5 * n)
-                x[:n] = cov.cov()
-                x[n + np.array(sol.centers1, dtype=int)] = 1.0
-                x[2 * n + np.array(sol.centers2, dtype=int)] = 1.0
+                x[np.array(sol.centers1, dtype=int)] = 1.0
+                x[n + np.array(sol.centers2, dtype=int)] = 1.0
+                x[2 * n : 3 * n] = sum(reach(inst, x[:n], x[n : 2 * n])) - cov.cov()
                 x[3 * n :] = cov.to_vector()
                 for (a, (lo, hi), (row_lo, row_hi)), z in ((compact, x[: 3 * n]), (full, x)):
                     assert np.all(z >= lo) and np.all(z <= hi)
                     assert np.all(a @ z >= row_lo - 1e-12), (inst, y, sol)
                     assert np.all(a @ z <= row_hi + 1e-12), (inst, y, sol)
                 checked += 1
-        assert checked > 100
+        return checked
+
+    def test_hull_points_meet_every_static_row(self):
+        assert self.static_rows_hold_on_the_hull(self.corpus()) > 100
+
+    def test_near_symmetric_hull_points_meet_every_static_row(self):
+        # A row that read d[v, u] for center u would cut off integral
+        # solutions here: each radius is an entry of the matrix.
+        assert self.static_rows_hold_on_the_hull(self.corpus(near_symmetric_instance)) > 100
 
     def test_first_optimum_is_the_coverage_lp_bound(self):
         # Every query before the split is a point of the full coverage
-        # polytope for the optimum's openings, and the first one sums to
-        # the coverage LP's optimum.  Cuts with a1 = a2 halve the largest
-        # point total twice before rounding.
+        # polytope for the optimum's openings that sums to the total
+        # coverage reach - e, and the first one sums to the coverage LP's
+        # optimum.  Cuts with a1 = a2 halve the largest point total twice
+        # before rounding.
         for inst, y in self.corpus():
             n = inst.n
             model = coverage_model(inst, y)
@@ -215,10 +228,10 @@ class TestSeededLP:
                 col = np.array(model.lp.getSolution().col_value)
                 assert col.size == 3 * n
                 cov1, cov2 = x[:n], x[n:]
-                r1, r2 = reach(inst, col[n : 2 * n], col[2 * n :])
+                r1, r2 = reach(inst, col[:n], col[n : 2 * n])
                 assert np.all(x >= -1e-9) and np.all(cov1 + cov2 <= 1.0 + 1e-9)
                 assert np.all(cov1 <= r1 + 1e-9) and np.all(cov2 <= r2 + 1e-9), (inst, y)
-                assert x.sum() == pytest.approx(col[:n].sum(), abs=1e-12)
+                assert x.sum() == pytest.approx((r1 + r2 - col[2 * n :]).sum(), abs=1e-9)
                 queries.append(x)
                 total = cov1 + cov2
                 v = int(np.argmax(total))
@@ -231,6 +244,29 @@ class TestSeededLP:
             assert res.status == "rounded" and model.lp.getNumCol() == 3 * n
             want = linprog_coverage_lp(inst, restrict_y=y)[0]
             assert queries[0].sum() == pytest.approx(want, abs=1e-7), (inst, y)
+
+
+def test_cut_before_the_split_is_a_row_on_x_and_e():
+    # a . c with c = reach - e: the row holds sum of a over the points each
+    # center covers, read from the shared sparse index, and -a on e.
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        inst = near_symmetric_instance(rng)
+        n, d = inst.n, inst.metric.dist
+        a = rng.integers(-2, 4, size=n).astype(float)
+        a[0] = 1.0  # never a mass cut, which is recorded but not added
+        queries = []
+
+        def oracle(x):
+            queries.append(x)
+            if len(queries) > 1:
+                return Rounded(None)
+            return Separating(Cut(a1=a, a2=a, b=float(a @ (x[:n] + x[n:])) - 0.5, kind="a"))
+
+        model = coverage_model(inst)
+        run_round_or_cut(model, oracle)
+        row = dense_lp(model)[0][n + 2]
+        assert np.array_equal(row, np.concatenate([(d <= inst.r1) @ a, (d <= inst.r2) @ a, -a]))
 
 
 def test_cut_with_unequal_blocks_splits_once():
@@ -262,6 +298,36 @@ def test_cut_with_unequal_blocks_splits_once():
     assert model.lp.getNumRow() == (n + 2) + 3 * n + len(res_cuts)
 
 
+def test_sparse_build_memory_is_linear_in_the_reach():
+    # Build, one pre-split cut with a1 = a2 (a row on x and e), then a cut
+    # on cov1 that forces the split, at n = 2000: every array is as long as
+    # the reach pairs, where a dense 3n x 5n split block alone needs 480 MB.
+    inst, _ = planted_instance(1, 20, 99, 20)
+    n = inst.n
+    kinds = []
+
+    def oracle(x):
+        if len(kinds) == 2:
+            return Rounded(None)
+        part = x[:n] if kinds else x[:n] + x[n:]
+        e = np.zeros(n)
+        e[int(np.argmax(part))] = 1.0
+        a1, a2 = (e, np.zeros(n)) if kinds else (e, e)
+        kinds.append("cov1" if kinds else "total")
+        return Separating(Cut(a1=a1, a2=a2, b=float(part.max()) / 2, kind=kinds[-1]))
+
+    tracemalloc.start()
+    try:
+        model = coverage_model(inst)
+        res = run_round_or_cut(model, oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "rounded" and [cut.kind for cut in res.cuts] == ["total", "cov1"]
+    assert model.lp.getNumCol() == 5 * n
+    assert peak < 64 * 2**20, peak
+
+
 class CountingLP:
     """A HiGHS model that counts its solves."""
 
@@ -278,16 +344,18 @@ class CountingLP:
 
 def test_violated_mass_cut_stops_without_a_resolve():
     # The optimum maximises the total, so a cut on it that the optimum
-    # violates empties the LP: the run stops with one solve, not two.
+    # violates empties the LP: the run stops with one solve, not two, and
+    # the cut is recorded but never becomes a row.
     points = [[x] for x in (0.0, 0.6, 0.9, 20.0, 20.2, 40.0, 40.15)]
     inst = NUkCInstance(MetricSpace.from_points(points), 1.0, 0.25, 1, 1, 7)
     mass = Separating(Cut(a1=-np.ones(7), a2=-np.ones(7), b=-7.0, kind="mass"))
     for cap, status in ((None, "infeasible"), (1, "exhausted")):
         model = coverage_model(inst)
         counted = CountingLP(model.lp)
-        res = run_round_or_cut(CoverageModel(inst, counted), lambda x: mass, cap)
+        res = run_round_or_cut(replace(model, lp=counted), lambda x: mass, cap)
         assert (res.status, res.iterations, counted.runs) == (status, 1, 1)
         assert [cut.kind for cut in res.cuts] == ["mass"]
+        assert model.lp.getNumRow() == 7 + 2
 
 
 GATE_FAMILIES = {

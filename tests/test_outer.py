@@ -23,13 +23,16 @@ from nukc import (
     solve_feasibility,
     solve_wellsep,
     uniform_instance,
+    WellSepNUkCInstance,
+    reduce_to_firefighter,
     validate_cut_on_hull,
     verify_solution,
+    wellsep_separation_oracle,
 )
 import nukc.outer as outer_module
 from nukc.outer import Candidate, enumerate_candidates
 
-from conftest import random_instance, random_metric
+from conftest import near_symmetric_instance, random_instance, random_metric
 
 
 def euclidean(points, r1, r2, k1, k2, m):
@@ -302,6 +305,51 @@ def test_small_center_inside_a_guessed_ball_stays_feasible():
         res = solve_feasibility(inst, config)
         assert (res.status, res.method, res.case) == ("solution", "round", "II")
         assert verify_solution(inst, res.solution, 8.0)[0]
+
+
+class TestNearSymmetricMetrics:
+    """Every part of the solver reads a ball as dist[center, point] <= r."""
+
+    def test_transposed_reach_is_not_refuted(self):
+        # d[0, v] = 1 = r1 but d[v, 0] = 1 + 5e-10: center 0 covers all
+        # three points, so an LP that reads d[v, u] is refuted.
+        metric = MetricSpace.from_matrix([[0, 1, 1], [1 + 5e-10, 0, 2], [1 + 5e-10, 2, 0]])
+        inst = NUkCInstance(metric, 1.0, 0.5, 1, 0, 3)
+        assert brute_force_nukc(inst).feasible
+        for config in (SolverConfig(), SolverConfig(shortcuts=False)):
+            res = solve_feasibility(inst, config)
+            assert res.status == "solution", (config, res.method)
+            assert verify_solution(inst, res.solution, res.solution.dilation)[0]
+
+    def test_distance_to_y_is_read_from_the_roots(self):
+        # Each point lies within r1 (inner r1 = 2 for the second matrix) of
+        # root 0 as a center, and just beyond it in the transposed entry.
+        near = MetricSpace.from_matrix([[0, 1, 1], [1 + 5e-10, 0, 2], [1 + 5e-10, 2, 0]])
+        inst = NUkCInstance(near, 1.0, 0.5, 1, 1, 3)
+        assert [c.q for c in enumerate_candidates(inst, [0])] == [None]
+        ws = WellSepNUkCInstance(base=inst, y=(0,))
+        all_large = CoverageVector(np.ones(3), np.zeros(3))
+        assert isinstance(wellsep_separation_oracle(ws, all_large), Rounded)
+        one = CoverageVector(np.array([0.0, 1.0, 0.0]), np.zeros(3))
+        assert reduce_to_firefighter(inst, 2.0, 2.0, one, y=[0]).roots == (1,)  # near Y: cov1 counts
+        wide = MetricSpace.from_matrix([[0, 2, 2], [2 + 5e-10, 0, 2], [2 + 5e-10, 2, 0]])
+        cand = Candidate(q=None, roots=(0,), parent=NUkCInstance(wide, 1.0, 0.5, 1, 1, 3))
+        assert cand.start(all_large).tolist() == [1, 1, 1, 0, 0, 0]
+
+    def test_random_instances_agree_with_brute_force(self):
+        rng = np.random.default_rng(97)
+        feasible = 0
+        for _ in range(200):
+            inst = near_symmetric_instance(rng)
+            truth = brute_force_nukc(inst).feasible
+            feasible += truth
+            for config in (SolverConfig(), SolverConfig(shortcuts=False)):
+                res = solve_feasibility(inst, config)
+                if res.status == "solution":
+                    assert verify_solution(inst, res.solution, res.solution.dilation)[0]
+                else:
+                    assert not truth, (inst, config, res.method)
+        assert feasible > 100
 
 
 class TestOptimize:
