@@ -77,6 +77,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.optimize and args.rho != 1.0:
+        raise ValueError("--rho cannot be combined with --optimize, which searches the scale itself")
     instance = instance_from_json(load_json(args.instance))
     cfg = SolverConfig(max_iters=args.max_iters, shortcuts=not args.no_shortcuts)
     if args.optimize:

@@ -5,7 +5,8 @@ x1 | x2 | e, n + 2 rows) and hands each optimum's coverage, split into
 cov1 | cov2, to a separation oracle.  The oracle rounds it into a finished
 payload or returns one violated ``Cut``, which is recorded and added as a row;
 dual simplex re-solves from the last basis.  Oracle cuts come from finite
-families and each is new, so runs are short.
+families and each is new, so runs are short.  This module makes every HiGHS
+call in the package, through scipy's private ``_highspy`` bindings.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
+from scipy.optimize._highspy import _core as _highs
 
 from .model import Cut, NUkCInstance
-from .presolve import _COLWISE, _MINIMIZE, _highs, _highs_options
 
 # A cut returned by an oracle must be violated at the queried point by more
 # than this; anything closer counts as satisfied and is an oracle bug.
@@ -27,13 +28,17 @@ CUT_CONTRACT_EPS = 1e-9
 # the driver's contract with room and near-ties count as satisfied.
 ORACLE_EPS = 1e-7
 
-# Dual simplex from the slack basis, which the excess form makes dual
-# feasible, and no presolve, so each re-solve starts from the last basis.
-# HiGHS keeps every row within 1e-10 of its bound, far below CUT_CONTRACT_EPS,
-# so a recorded cut is never violated again at a later query.
-_OPTIONS = _highs_options()
+# Quiet dual simplex (the default) from the slack basis, which the excess form
+# makes dual feasible, and no presolve, so each re-solve starts from the last
+# basis.  HiGHS keeps every row within 1e-10 of its bound, far below
+# CUT_CONTRACT_EPS, so a recorded cut is never violated at a later query.
+_OPTIONS = _highs.HighsOptions()
 _OPTIONS.presolve = "off"
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
 _OPTIONS.primal_feasibility_tolerance = 1e-10
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
 class OracleContractError(RuntimeError):
@@ -62,8 +67,11 @@ class Separating:
 class RoundOrCutResult:
     status: str  # "rounded" | "infeasible" (the LP is empty) | "exhausted" (cap)
     payload: Any = None
-    iterations: int = 0  # cuts the oracle returned
-    cuts: list[Cut] = field(default_factory=list)
+    cuts: list[Cut] = field(default_factory=list)  # in the order the oracle returned them
+
+    @property
+    def iterations(self) -> int:
+        return len(self.cuts)
 
 
 def default_max_iters(dim: int) -> int:
@@ -112,8 +120,8 @@ def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None) -> Covera
     x1, x2 in [0, 1] (x1 = 0 off ``y`` when given), e >= 0.  Row v's activity
     c_v = (the x1 covering v) + (the x2 covering v) - e_v lies in [0, 1]; then
     sum x1 <= k1, sum x2 <= k2.  Maximising sum |B(u, r1)| x1_u + |B(u, r2)|
-    x2_u - sum e maximises the total coverage over the polytope of
-    ``presolve.coverage_lp``, and each integral solution meets every row.
+    x2_u - sum e maximises the total coverage, the sum over v of min(1, the
+    openings covering v), and each integral solution meets every row.
     """
     n = inst.n
     reach = tuple(_reach(inst.metric.dist <= r) for r in (inst.r1, inst.r2))
@@ -180,11 +188,11 @@ def run_round_or_cut(
     split = empty = False
     for _ in range(max_iters):
         if empty:
-            return RoundOrCutResult("infeasible", iterations=len(cuts), cuts=cuts)
+            return RoundOrCutResult("infeasible", cuts=cuts)
         _check(lp.run(), f"solve after {len(cuts)} cuts")
         status = lp.getModelStatus()
         if status == _highs.HighsModelStatus.kInfeasible:
-            return RoundOrCutResult("infeasible", iterations=len(cuts), cuts=cuts)
+            return RoundOrCutResult("infeasible", cuts=cuts)
         if status != _highs.HighsModelStatus.kOptimal:
             raise LPSolveError(f"HiGHS ended with {lp.modelStatusToString(status)!r}")
         solution = lp.getSolution()
@@ -199,7 +207,7 @@ def run_round_or_cut(
             x = np.concatenate([cov1, c - cov1])
         verdict = oracle(x.copy())
         if isinstance(verdict, Rounded):
-            return RoundOrCutResult("rounded", verdict.payload, len(cuts), cuts)
+            return RoundOrCutResult("rounded", verdict.payload, cuts)
         if not isinstance(verdict, Separating):
             raise TypeError(f"oracle returned {type(verdict).__name__}")
         cut = verdict.cut
@@ -221,4 +229,21 @@ def run_round_or_cut(
                                + [-cut.a1])
         nz = np.flatnonzero(a)
         _add_rows(lp, [cut.b], [nz.size], nz + 3 * n * split, a[nz], f"add cut {cut.kind!r}")
-    return RoundOrCutResult("exhausted", iterations=len(cuts), cuts=cuts)
+    return RoundOrCutResult("exhausted", cuts=cuts)
+
+
+def coverage_lp(
+    instance: NUkCInstance, restrict_y: Sequence[int] | None = None
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(optimum, x1, x2) of maximum coverage's LP relaxation: the driver's first vertex.
+
+    The optimum bounds every integral coverage, so one below m certifies
+    infeasibility at dilation 1.  HiGHS failures raise LPSolveError.
+    """
+    n = instance.n
+    if n == 0:
+        return 0.0, np.zeros(0), np.zeros(0)
+    model = coverage_model(instance, restrict_y)
+    run_round_or_cut(model, Rounded)  # the oracle rounds the first optimum
+    x = np.array(model.lp.getSolution().col_value)
+    return -float(model.lp.getInfo().objective_function_value), x[:n], x[n : 2 * n]

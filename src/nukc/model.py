@@ -438,9 +438,13 @@ class SolveResult:
     # inner run rounded the outer query it was handed, before any LP.
     method: str = ""
     case: str = ""  # which outer rounding case produced the solution, if any
-    iterations: int = 0
     cuts: list[Cut] = field(default_factory=list)
     inner_runs: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        """Driver steps: one per cut the oracle returned."""
+        return len(self.cuts)
 
     @classmethod
     def verified(

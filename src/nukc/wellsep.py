@@ -15,6 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cutting_plane import ORACLE_EPS, Rounded, Separating, coverage_model, run_round_or_cut
+# Unused here, as in the whole package: perfbench/tracing.py patches it here.
+from .cutting_plane import coverage_lp  # noqa: F401
 from .firefighter import solve_2ff
 from .model import (
     CoverageVector,
@@ -24,8 +26,7 @@ from .model import (
     SolveResult,
     WellSepNUkCInstance,
 )
-# coverage_lp is not called here: perfbench/tracing.py patches it in this module.
-from .presolve import coverage_lp, greedy_cover  # noqa: F401
+from .presolve import greedy_cover
 from .reduction import lift_ff_solution, reduce_to_firefighter
 
 # Dilation achieved by rounding: both reduction layers run at factor 2.
@@ -79,12 +80,11 @@ def decide(
             return SolveResult.verified(inst, sol, "greedy")
 
     res = run_round_or_cut(coverage_model(inst, y), oracle, config.max_iters)
-    trail = dict(iterations=res.iterations, cuts=res.cuts)
     if res.status == "rounded":
         solution, info = res.payload
-        return SolveResult.verified(inst, solution, "round", case=info.get("case", ""), **trail)
+        return SolveResult.verified(inst, solution, "round", case=info.get("case", ""), cuts=res.cuts)
     return SolveResult(
-        "infeasible", method="lp-empty" if res.status == "infeasible" else "cap", **trail
+        "infeasible", method="lp-empty" if res.status == "infeasible" else "cap", cuts=res.cuts
     )
 
 

@@ -325,6 +325,13 @@ class TestErrors:
         assert "infeasible" not in out
         assert "--max-iters" in err
 
+    def test_rho_with_optimize_is_an_input_error(self, tmp_path, capsys):
+        # optimize searches the scale itself, so a --rho would be ignored.
+        path = gen_planted(tmp_path, capsys)
+        code, out, err = run(capsys, "solve", str(path), "--optimize", "--rho", "2")
+        assert (code, out) == (1, "")
+        assert "error:" in err and "--rho" in err
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--help"])

@@ -24,13 +24,14 @@ from nukc.cutting_plane import (
     OracleContractError,
     Rounded,
     Separating,
+    _highs,
     _split,
+    coverage_lp,
     coverage_model,
     default_max_iters,
     run_round_or_cut,
 )
 from nukc.model import Cut
-from nukc.presolve import _highs
 
 from conftest import near_symmetric_instance, random_instance
 from test_presolve import linprog_coverage_lp
@@ -244,6 +245,7 @@ class TestSeededLP:
             assert res.status == "rounded" and model.lp.getNumCol() == 3 * n
             want = linprog_coverage_lp(inst, restrict_y=y)[0]
             assert queries[0].sum() == pytest.approx(want, abs=1e-7), (inst, y)
+            assert coverage_lp(inst, restrict_y=y)[0] == pytest.approx(queries[0].sum(), abs=1e-9)
 
 
 def test_cut_before_the_split_is_a_row_on_x_and_e():

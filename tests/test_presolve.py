@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
 from nukc import (
@@ -9,10 +10,10 @@ from nukc import (
     greedy_cover,
     verify_solution,
 )
-from nukc import presolve
-from nukc.presolve import coverage_lp
+from nukc import cutting_plane
+from nukc.cutting_plane import LPSolveError, coverage_lp, coverage_model, run_round_or_cut
 
-from conftest import random_instance
+from conftest import near_symmetric_instance, random_instance
 
 
 def loop_greedy_cover(instance, restrict_y=None):
@@ -84,7 +85,10 @@ def loop_greedy_cover(instance, restrict_y=None):
 
 
 def linprog_coverage_lp(instance, restrict_y=None):
-    """The linprog construction coverage_lp replaced; the reference for its answers."""
+    """Maximum coverage's LP relaxation through linprog; the reference for coverage_lp.
+
+    Row v, column u reads dist[u, v] <= r: a center at u covers v.
+    """
     n = instance.n
     if n == 0:
         return 0.0, np.zeros(0), np.zeros(0)
@@ -93,8 +97,8 @@ def linprog_coverage_lp(instance, restrict_y=None):
     in2 = d <= instance.r2
     obj = np.concatenate([np.zeros(2 * n), -np.ones(n)])
     rows = np.zeros((n + 2, 3 * n))
-    rows[:n, :n] = -in1.astype(float)
-    rows[:n, n : 2 * n] = -in2.astype(float)
+    rows[:n, :n] = -in1.T.astype(float)
+    rows[:n, n : 2 * n] = -in2.T.astype(float)
     rows[:n, 2 * n :] = np.eye(n)
     rows[n, :n] = 1.0
     rows[n + 1, n : 2 * n] = 1.0
@@ -208,9 +212,19 @@ class TestCoverageBound:
             assert bound >= best - 1e-6
             assert bound <= coverage_lp(inst)[0] + 1e-9
 
+    def test_reads_balls_from_their_center(self):
+        # Point 0 reaches both others within r1 = 1, but they reach it only at
+        # 1 + 5e-10: one large ball at 0 covers all three.  Balls read as
+        # dist[v, u] <= r cover at most 2.
+        metric = MetricSpace.from_matrix([[0, 1, 1], [1 + 5e-10, 0, 2], [1 + 5e-10, 2, 0]])
+        inst = NUkCInstance(metric, 1.0, 0.5, 1, 0, 3)
+        assert coverage_lp(inst)[0] == pytest.approx(3.0, abs=1e-9)
+
     def test_matches_linprog_reference(self):
         # Also guards the private scipy bindings coverage_lp calls: a scipy
-        # that moves or changes them fails here.
+        # that moves or changes them fails here.  The vertex is HiGHS's on the
+        # driver's model, not linprog's, so the openings are checked for
+        # feasibility and for reaching the optimum rather than compared.
         rng = np.random.default_rng(9)
         corpus = [
             NUkCInstance(MetricSpace(np.zeros((0, 0))), 1.0, 0.5, 1, 1, 0),
@@ -224,19 +238,30 @@ class TestCoverageBound:
                 k1, k2 = (0, inst.k2 or 1) if t % 10 == 0 else (inst.k1 or 1, 0)
                 inst = NUkCInstance(inst.metric, inst.r1, inst.r2, k1, k2, inst.m)
             corpus.append(inst)
+        corpus += [near_symmetric_instance(rng) for _ in range(60)]
         for inst in corpus:
-            n = inst.n
+            n, d = inst.n, inst.metric.dist
             subset = tuple(sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)))
             for y in (None, (), (0,), subset) if n else (None, ()):
-                got = coverage_lp(inst, restrict_y=y)
-                want = linprog_coverage_lp(inst, restrict_y=y)
-                assert got[0] == want[0], (inst, y)
-                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+                optimum, x1, x2 = coverage_lp(inst, restrict_y=y)
+                want = linprog_coverage_lp(inst, restrict_y=y)[0]
+                assert optimum == pytest.approx(want, abs=1e-7), (inst, y)
+                for x, k in ((x1, inst.k1), (x2, inst.k2)):
+                    assert np.all(x >= -1e-9) and np.all(x <= 1 + 1e-9) and x.sum() <= k + 1e-9
+                if y is not None:
+                    assert np.all(np.delete(x1, list(y)) == 0.0), (inst, y)
+                reach = x1 @ (d <= inst.r1) + x2 @ (d <= inst.r2)  # reach[v]: openings covering v
+                assert np.minimum(1.0, reach).sum() == pytest.approx(optimum, abs=1e-7), (inst, y)
 
     def test_no_certificate_when_highs_stops_early(self, monkeypatch):
-        options = presolve._highs_options()
-        options.presolve = "off"
-        options.simplex_iteration_limit = 0
-        monkeypatch.setattr(presolve, "_HIGHS_OPTIONS", options)
+        # An LP that HiGHS does not finish is an error, never a bound or a verdict.
+        monkeypatch.setattr(cutting_plane._OPTIONS, "simplex_iteration_limit", 0)
         inst = random_instance(np.random.default_rng(1), max_n=10)
-        assert coverage_lp(inst) == (float("inf"), None, None)
+        with pytest.raises(LPSolveError, match="HiGHS ended with"):
+            coverage_lp(inst)
+
+        def oracle(x):
+            raise AssertionError("no query before the first optimum")
+
+        with pytest.raises(LPSolveError, match="HiGHS ended with"):
+            run_round_or_cut(coverage_model(inst), oracle)
