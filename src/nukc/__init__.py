@@ -47,7 +47,6 @@ from .model import (
     SolveResult,
     TheoryViolationError,
     WellSepNUkCInstance,
-    ball,
     covered_points,
     eval_cut,
     verify_solution,
@@ -95,7 +94,6 @@ __all__ = [
     "TwoFFInstance",
     "TwoFFSolution",
     "WellSepNUkCInstance",
-    "ball",
     "brute_2ff",
     "brute_force_nukc",
     "covered_leaves",

@@ -53,8 +53,11 @@ def hs_partition(
         raise ValueError("points contains repeated indices")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    cov = np.asarray(cov, dtype=float)
     idx = np.array(pts, dtype=np.intp)
+    bad = (idx < 0) | (idx >= metric.n)
+    if bad.any():
+        raise ValueError(f"point index {idx[bad][0]} out of range for {metric.n} points")
+    cov = np.asarray(cov, dtype=float)
     pri = np.ones(idx.size) if priority is None else np.where(np.asarray(priority)[idx], 0, 1)
     live = np.zeros(metric.n, dtype=bool)  # not yet assigned
     live[idx] = True
@@ -62,7 +65,7 @@ def hs_partition(
     child: dict[int, tuple[int, ...]] = {}
     for u in idx[np.lexsort((idx, pri, -cov[idx]))].tolist():
         if live[u]:
-            members = (live & (metric.dist[u] <= radius)).nonzero()[0]
+            members = (live & metric.covers(u, radius)).nonzero()[0]
             live[members] = False
             reps.append(u)
             child[u] = tuple(members.tolist())

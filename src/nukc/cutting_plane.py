@@ -88,10 +88,10 @@ def _check(status, what: str) -> None:
 class CoverageModel:
     """One driver run's HiGHS model of ``instance``'s coverage LP.
 
-    ``reach`` holds, for r1 and then r2, the points v with dist[u, v] <= r
-    (a center at u covers v) in sparse row form: ``(start, points)`` with
-    u's points, ascending, at ``points[start[u] : start[u + 1]]``.  Every
-    row, column and query is built from it in time linear in its length.
+    ``reach`` holds, for r1 and then r2, each center u's ball B(u, r) from
+    ``MetricSpace.covers`` in sparse row form: ``(start, points)`` with u's
+    points, ascending, at ``points[start[u] : start[u + 1]]``.  Every row,
+    column and query is built from it in time linear in its length.
     """
 
     instance: NUkCInstance
@@ -121,10 +121,11 @@ def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None) -> Covera
     c_v = (the x1 covering v) + (the x2 covering v) - e_v lies in [0, 1]; then
     sum x1 <= k1, sum x2 <= k2.  Maximising sum |B(u, r1)| x1_u + |B(u, r2)|
     x2_u - sum e maximises the total coverage, the sum over v of min(1, the
-    openings covering v), and each integral solution meets every row.
+    openings covering v), and each integral solution meets every row.  An
+    opening at u covers its ball B(u, r) as ``MetricSpace.covers`` reads it.
     """
     n = inst.n
-    reach = tuple(_reach(inst.metric.dist <= r) for r in (inst.r1, inst.r2))
+    reach = tuple(_reach(inst.metric.covers(None, r)) for r in (inst.r1, inst.r2))
     count = np.concatenate([np.diff(start) for start, _ in reach] + [np.ones(n, int)])
     upper = np.concatenate([np.ones(2 * n), np.full(n, _highs.kHighsInf)])
     if y is not None:

@@ -164,6 +164,8 @@ class MetricSpace:
         points.  The result is not validated again, because every axiom on
         the submatrix is an axiom on entries and triples of this metric.
         """
+        if np.asarray(points).dtype == bool:
+            raise ValueError(f"restrict takes point indices, not the boolean mask {points!r}")
         idx = np.asarray(points, dtype=int)
         bad = (idx < 0) | (idx >= self.n)
         if bad.any():
@@ -171,6 +173,19 @@ class MetricSpace:
         out = object.__new__(MetricSpace)
         out._set(self.dist[np.ix_(idx, idx)], None if self.coords is None else self.coords[idx])
         return out
+
+    def covers(self, centers: int | Sequence[int] | None, radius: float) -> np.ndarray:
+        """Row i: the mask of B(centers[i], radius), the v with dist[centers[i], v] <= radius.
+
+        The one ball predicate of the solver (``bruteforce`` keeps its own as
+        the reference).  ``None`` takes every point as a center; one int gives
+        its ball as a 1-d mask, read from a view of its row.
+        """
+        if centers is None:
+            return self.dist <= radius
+        if not isinstance(centers, (int, np.integer)):  # a tuple would index dimensions
+            centers = np.asarray(centers, dtype=np.intp)
+        return self.dist[centers] <= radius
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MetricSpace):
@@ -242,6 +257,9 @@ class WellSepNUkCInstance:
     def __post_init__(self):
         n = self.base.n
         ys = tuple(int(v) for v in self.y)
+        bad = [v for v, u in zip(self.y, ys) if isinstance(v, (bool, np.bool_)) or u != v]
+        if bad:
+            raise ValueError(f"Y entry {bad[0]!r} is not an integer index")
         if len(set(ys)) != len(ys):
             raise ValueError("Y contains repeated indices")
         for v in ys:
@@ -282,8 +300,8 @@ class NUkCSolution:
     def __post_init__(self):
         object.__setattr__(self, "centers1", tuple(int(c) for c in self.centers1))
         object.__setattr__(self, "centers2", tuple(int(c) for c in self.centers2))
-        if self.dilation < 0:
-            raise ValueError("dilation must be nonnegative")
+        if not self.dilation >= 0:
+            raise ValueError(f"dilation must be nonnegative, got {self.dilation}")
 
     @staticmethod
     def empty(dilation: float = 1.0) -> NUkCSolution:
@@ -366,20 +384,11 @@ def eval_cut(cut: Cut, cov: CoverageVector) -> float:
     return float(cut.b - cut.a1 @ cov.cov1 - cut.a2 @ cov.cov2)
 
 
-def ball(metric: MetricSpace, center: int, radius: float) -> np.ndarray:
-    """Indices within ``radius`` of ``center`` (closed ball, ascending order)."""
-    return np.flatnonzero(metric.dist[center] <= radius)
-
-
 def covered_points(instance: NUkCInstance, solution: NUkCSolution, rho: float) -> np.ndarray:
     """Indices covered by the solution's balls dilated by ``rho``."""
-    d = instance.metric.dist
-    mask = np.zeros(instance.n, dtype=bool)
-    for c in solution.centers1:
-        mask |= d[c] <= rho * instance.r1
-    for c in solution.centers2:
-        mask |= d[c] <= rho * instance.r2
-    return np.flatnonzero(mask)
+    metric = instance.metric
+    return np.flatnonzero(metric.covers(solution.centers1, rho * instance.r1).any(axis=0)
+                          | metric.covers(solution.centers2, rho * instance.r2).any(axis=0))
 
 
 def verify_solution(
@@ -411,14 +420,9 @@ def coverage_of_solution(
     A point claimed by the large-radius class is not counted again for the
     small one, so cov1 + cov2 is the indicator of the covered set.
     """
-    d = instance.metric.dist
-    c1 = np.zeros(instance.n, dtype=float)
-    c2 = np.zeros(instance.n, dtype=float)
-    for c in centers1:
-        c1[d[c] <= instance.r1] = 1.0
-    for c in centers2:
-        c2[d[c] <= instance.r2] = 1.0
-    c2[c1 > 0] = 0.0
+    metric = instance.metric
+    c1 = metric.covers(list(centers1), instance.r1).any(axis=0)
+    c2 = metric.covers(list(centers2), instance.r2).any(axis=0) & ~c1
     return CoverageVector(c1, c2)
 
 

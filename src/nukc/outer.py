@@ -67,8 +67,7 @@ class Candidate:
         inst = self.parent
         if self.q is None:
             return tuple(range(inst.n))
-        # Outside B(q, r1), ascending.
-        return tuple(np.flatnonzero(inst.metric.dist[self.q] > inst.r1).tolist())
+        return tuple(np.flatnonzero(~inst.metric.covers(self.q, inst.r1)).tolist())
 
     @cached_property
     def y(self) -> tuple[int, ...]:
@@ -100,7 +99,7 @@ class Candidate:
         """
         ws = self.instance
         sub = ws.base
-        near = sub.metric.dist[list(ws.y)].min(axis=0) <= sub.r1 if ws.y else np.zeros(sub.n, bool)
+        near = sub.metric.covers(ws.y, sub.r1).any(axis=0)
         keep = list(self.points)
         cov1, cov2 = cov.cov1[keep], cov.cov2[keep]
         return np.concatenate([np.where(near, cov1, 0.0), cov2 + np.where(near, 0.0, cov1)])
@@ -123,10 +122,8 @@ def enumerate_candidates(
     out = [Candidate(q=None, roots=ys, parent=instance)]
     if instance.k1 == 0:
         return out
-    d = instance.metric.dist
-    d_to_y = d[list(ys)].min(axis=0) if ys else np.full(instance.n, np.inf)
-    out += [Candidate(q=q, roots=ys, parent=instance)
-            for q in np.flatnonzero(d_to_y > instance.r1).tolist()]
+    near_y = instance.metric.covers(ys, instance.r1).any(axis=0)
+    out += [Candidate(q=q, roots=ys, parent=instance) for q in np.flatnonzero(~near_y).tolist()]
     return out
 
 
@@ -312,13 +309,12 @@ def optimize(
 
 def _zero_scale_solution(instance: NUkCInstance) -> NUkCSolution | None:
     """Feasibility at scale 0: cover m points with k1 + k2 duplicate classes."""
-    d = instance.metric.dist
     classes: list[list[int]] = []
     assigned = np.zeros(instance.n, dtype=bool)
     for v in range(instance.n):
         if assigned[v]:
             continue
-        members = np.flatnonzero(d[v] == 0)
+        members = np.flatnonzero(instance.metric.covers(v, 0.0))
         assigned[members] = True
         classes.append([int(u) for u in members])
     classes.sort(key=lambda c: (-len(c), c[0]))

@@ -27,14 +27,14 @@ def greedy_cover(
         return NUkCSolution.empty()
     if instance.m > instance.n:
         return None
-    d = instance.metric.dist
     cand1 = sorted(int(v) for v in restrict_y) if restrict_y is not None else list(range(instance.n))
     n1 = len(cand1)
     # One row per candidate ball, the large-radius class first.  argmax takes
     # the first maximum, so ties go to class 1 and then to the lowest
     # position: class 2 wins only on a strictly larger gain.
     centers = cand1 + list(range(instance.n))
-    balls = np.vstack([d[cand1] <= instance.r1, d <= instance.r2])
+    balls = np.vstack([instance.metric.covers(cand1, instance.r1),
+                       instance.metric.covers(None, instance.r2)])
     cls = (np.arange(len(centers)) >= n1).astype(int)  # 0: large, 1: small
     budget = np.array([instance.k1, instance.k2])
     chosen: list[int] = []  # rows of balls

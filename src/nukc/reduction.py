@@ -50,8 +50,7 @@ def reduce_to_firefighter(
     priority = None
     cov1 = cov.cov1
     if y is not None:
-        y = list(y)
-        priority = metric.dist[y].min(axis=0) <= instance.r1 if y else np.zeros(instance.n, bool)
+        priority = metric.covers(y, instance.r1).any(axis=0)
         cov1 = np.where(priority, np.maximum(cov.cov1, 0.0), 0.0)
     layer1 = hs_partition(metric, layer2.reps, alpha1 * instance.r1, cov1, priority)
 

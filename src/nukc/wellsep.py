@@ -139,9 +139,7 @@ def wellsep_separation_oracle(
     if cut is not None:
         return Separating(cut)
 
-    d_to_y = inst.metric.dist[list(ws.y)].min(axis=0) if ws.y else np.full(n, np.inf)
-    far = d_to_y > inst.r1
-    bad = far & (cov.cov1 > ORACLE_EPS)
+    bad = ~inst.metric.covers(ws.y, inst.r1).any(axis=0) & (cov.cov1 > ORACLE_EPS)
     if bad.any():
         v = int(np.argmax(bad))
         return Separating(set_cut(n, 1, [v], 1.0, 0.0, "y-support", point=v))

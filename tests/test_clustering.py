@@ -75,6 +75,13 @@ class TestGreedyPartition:
         with pytest.raises(ValueError):
             hs_partition(metric, [0, 0], 1.0, np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [-1, 12])
+    def test_rejects_out_of_range_points(self, bad):
+        # Unchecked, -1 would read point 11's row and name a representative -1.
+        metric = line_metric(*range(12))
+        with pytest.raises(ValueError, match=f"index {bad} out of range"):
+            hs_partition(metric, [0, bad], 0.1, np.zeros(12))
+
     def test_rejects_negative_radius(self):
         metric = line_metric(0.0, 1.0)
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from nukc import (
     NUkCInstance,
     NUkCSolution,
     WellSepNUkCInstance,
-    ball,
     covered_points,
     eval_cut,
     instance_from_json,
@@ -175,6 +174,12 @@ class TestMetricSpace:
         with pytest.raises(ValueError, match=f"index {bad} out of range"):
             metric.restrict(points)
 
+    @pytest.mark.parametrize("mask", [np.array([True, False]), [False, True, True]])
+    def test_restrict_rejects_boolean_mask(self, mask):
+        metric = MetricSpace.from_points([(0, 0), (1, 0), (5, 0)])
+        with pytest.raises(ValueError, match="boolean mask"):
+            metric.restrict(mask)
+
     def test_equality_by_contents(self):
         a = MetricSpace.from_points([(0, 0), (1, 0)])
         b = MetricSpace.from_points([(0, 0), (1, 0)])
@@ -207,6 +212,12 @@ class TestInstances:
         ok = WellSepNUkCInstance(base=square_instance(r1=0.2, r2=0.1), y=(0, 3))
         assert ok.y == (0, 3)
 
+    @pytest.mark.parametrize("y", [(0.5,), (3, 1.5), (True,), (np.True_,), ("0",)])
+    def test_wellsep_rejects_non_integer_y(self, y):
+        bad = next(v for v in y if type(v) is not int)
+        with pytest.raises(ValueError, match=f"Y entry {bad!r} is not an integer"):
+            WellSepNUkCInstance(base=square_instance(r1=0.2, r2=0.1), y=y)
+
     def test_wellsep_names_the_first_close_pair_in_y_order(self):
         # Pairs (3, 1) and (1, 0) are both 1 apart; (3, 1) comes first in Y.
         with pytest.raises(ValueError, match=r"d\(3,1\)=1.0 <= 4\*r1=1.0"):
@@ -231,7 +242,10 @@ class TestCoverageAndCuts:
 
     def test_ball_is_closed(self):
         metric = MetricSpace.from_points([(0, 0), (1, 0), (2.5, 0)])
-        assert list(ball(metric, 0, 1.0)) == [0, 1]
+        assert metric.covers(0, 1.0).tolist() == [True, True, False]
+        assert metric.covers([2, 0], 1.5).tolist() == [[False, True, True], [True, True, False]]
+        assert metric.covers(None, 0.0).tolist() == np.eye(3, dtype=bool).tolist()
+        assert metric.covers((), 1.0).shape == (0, 3)
 
 
 class TestSolutions:
@@ -276,3 +290,5 @@ class TestSolutions:
     def test_negative_dilation_rejected(self):
         with pytest.raises(ValueError):
             NUkCSolution(centers1=(), centers2=(), dilation=-0.5)
+        with pytest.raises(ValueError, match="nan"):
+            NUkCSolution((), (), float("nan"))

@@ -14,9 +14,10 @@ from nukc import (
     OuterOracle,
     Rounded,
     SolverConfig,
-    ball,
     brute_force_nukc,
+    covered_points,
     graph_instance,
+    greedy_cover,
     hs_partition,
     optimize,
     planted_instance,
@@ -30,6 +31,7 @@ from nukc import (
     wellsep_separation_oracle,
 )
 import nukc.outer as outer_module
+from nukc.model import coverage_of_solution
 from nukc.outer import Candidate, enumerate_candidates
 
 from conftest import near_symmetric_instance, random_instance, random_metric
@@ -145,7 +147,7 @@ class TestCandidates:
             for cand in cands[1:]:
                 # The construction the enumeration used before sub-metrics
                 # were trusted, with the validating constructor.
-                removed = ball(metric, cand.q, r1)
+                removed = np.flatnonzero(metric.dist[cand.q] <= r1)
                 keep = np.setdiff1d(np.arange(n), removed)
                 pos = {int(orig): i for i, orig in enumerate(keep)}
                 sub = cand.instance.base
@@ -310,10 +312,13 @@ def test_small_center_inside_a_guessed_ball_stays_feasible():
 class TestNearSymmetricMetrics:
     """Every part of the solver reads a ball as dist[center, point] <= r."""
 
+    # d[0, v] = 1 but d[v, 0] = 1 + 5e-10: at radius 1 center 0 covers all
+    # three points, and a read of d[v, u] sees it cover only itself.
+    NEAR = [[0, 1, 1], [1 + 5e-10, 0, 2], [1 + 5e-10, 2, 0]]
+
     def test_transposed_reach_is_not_refuted(self):
-        # d[0, v] = 1 = r1 but d[v, 0] = 1 + 5e-10: center 0 covers all
-        # three points, so an LP that reads d[v, u] is refuted.
-        metric = MetricSpace.from_matrix([[0, 1, 1], [1 + 5e-10, 0, 2], [1 + 5e-10, 2, 0]])
+        # An LP that reads d[v, u] is refuted.
+        metric = MetricSpace.from_matrix(self.NEAR)
         inst = NUkCInstance(metric, 1.0, 0.5, 1, 0, 3)
         assert brute_force_nukc(inst).feasible
         for config in (SolverConfig(), SolverConfig(shortcuts=False)):
@@ -324,7 +329,7 @@ class TestNearSymmetricMetrics:
     def test_distance_to_y_is_read_from_the_roots(self):
         # Each point lies within r1 (inner r1 = 2 for the second matrix) of
         # root 0 as a center, and just beyond it in the transposed entry.
-        near = MetricSpace.from_matrix([[0, 1, 1], [1 + 5e-10, 0, 2], [1 + 5e-10, 2, 0]])
+        near = MetricSpace.from_matrix(self.NEAR)
         inst = NUkCInstance(near, 1.0, 0.5, 1, 1, 3)
         assert [c.q for c in enumerate_candidates(inst, [0])] == [None]
         ws = WellSepNUkCInstance(base=inst, y=(0,))
@@ -335,6 +340,17 @@ class TestNearSymmetricMetrics:
         wide = MetricSpace.from_matrix([[0, 2, 2], [2 + 5e-10, 0, 2], [2 + 5e-10, 2, 0]])
         cand = Candidate(q=None, roots=(0,), parent=NUkCInstance(wide, 1.0, 0.5, 1, 1, 3))
         assert cand.start(all_large).tolist() == [1, 1, 1, 0, 0, 0]
+
+    def test_each_ball_reader_reads_the_center_row(self):
+        metric = MetricSpace.from_matrix(self.NEAR)
+        inst = NUkCInstance(metric, 1.0, 0.5, 1, 0, 3)
+        sol = NUkCSolution(centers1=(0,), centers2=(), dilation=1.0)
+        assert covered_points(inst, sol, 1.0).tolist() == [0, 1, 2]
+        assert verify_solution(inst, sol, 1.0) == (True, 3)
+        assert coverage_of_solution(inst, (0,), ()).cov1.tolist() == [1, 1, 1]
+        assert greedy_cover(inst) == sol
+        assert hs_partition(metric, range(3), 1.0, np.array([1.0, 0.0, 0.0])).child[0] == (0, 1, 2)
+        assert Candidate(q=0, roots=(), parent=inst).points == ()
 
     def test_random_instances_agree_with_brute_force(self):
         rng = np.random.default_rng(97)
