@@ -2,10 +2,11 @@
 
 A planted instance hides a known dilation-1 solution: each cluster fits inside
 one ball of its radius class and the strays must be left out.  The default
-solver pipeline screens with a greedy cover and the coverage LP before any
-cutting-plane work, so instances like this resolve instantly; the second half
-of the script disables those screens on a small slack instance to show the
-separation oracle rounding a query by itself.
+solver pipeline decides it with its greedy cover at dilation 1, before any
+cutting-plane work: ties go to the small radius, so the large balls stay
+free for the clusters only they can hold.  The second half of the script
+turns the greedy off on a small slack instance to show the separation
+oracle rounding a query by itself.
 
 Run:  python3 demos/solve_planted.py
 """
@@ -42,8 +43,7 @@ print(f"witness:  covers {count} at dilation 1: {ok}")
 
 # ------------------------------------------------------- oracle path, no nets
 # Four points in two pairs, budgets one ball each, target 3 of 4: the greedy
-# and LP screens are off, so the cutting-plane driver queries the oracle
-# directly.  The first query (an optimum of the uncut coverage LP) already
+# screen is off, so the cutting-plane driver queries the oracle directly.  The first query (an optimum of the uncut coverage LP) already
 # satisfies every hull constraint here and Case II rounds it through a
 # candidate sub-instance.
 slack = NUkCInstance(

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import MetricSpace
+from .model import MetricSpace, as_indices
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def hs_partition(
       (c) the child sets partition ``points``,
       (d) cov[u] >= cov[v] for each child v.
     """
-    pts = [int(v) for v in points]
+    pts = as_indices(points, "point")
     if len(set(pts)) != len(pts):
         raise ValueError("points contains repeated indices")
     if radius < 0:

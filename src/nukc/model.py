@@ -39,6 +39,24 @@ class TheoryViolationError(RuntimeError):
         self.dump = dump or {}
 
 
+def as_indices(values: Iterable, what: str) -> list[int]:
+    """``values`` as point indices.
+
+    Raises ValueError naming the first boolean or non-integral entry, which
+    ``int`` would silently truncate.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.tolist()
+    vals = list(values)
+    if set(map(type, vals)) <= {int}:  # the common case, checked without a Python loop
+        return vals
+    out = [int(v) for v in vals]
+    for v, u in zip(vals, out):
+        if isinstance(v, (bool, np.bool_)) or u != v:
+            raise ValueError(f"{what} {v!r} is not an integer index")
+    return out
+
+
 # Rows (and as many columns) per block of the symmetry check.
 _SYMMETRY_BLOCK = 64
 
@@ -166,7 +184,7 @@ class MetricSpace:
         """
         if np.asarray(points).dtype == bool:
             raise ValueError(f"restrict takes point indices, not the boolean mask {points!r}")
-        idx = np.asarray(points, dtype=int)
+        idx = np.array(as_indices(points, "restrict index"), dtype=int)
         bad = (idx < 0) | (idx >= self.n)
         if bad.any():
             raise ValueError(f"restrict index {idx[bad][0]} out of range for {self.n} points")
@@ -256,10 +274,7 @@ class WellSepNUkCInstance:
 
     def __post_init__(self):
         n = self.base.n
-        ys = tuple(int(v) for v in self.y)
-        bad = [v for v, u in zip(self.y, ys) if isinstance(v, (bool, np.bool_)) or u != v]
-        if bad:
-            raise ValueError(f"Y entry {bad[0]!r} is not an integer index")
+        ys = tuple(as_indices(self.y, "Y entry"))
         if len(set(ys)) != len(ys):
             raise ValueError("Y contains repeated indices")
         for v in ys:
@@ -298,8 +313,8 @@ class NUkCSolution:
     dilation: float
 
     def __post_init__(self):
-        object.__setattr__(self, "centers1", tuple(int(c) for c in self.centers1))
-        object.__setattr__(self, "centers2", tuple(int(c) for c in self.centers2))
+        object.__setattr__(self, "centers1", tuple(as_indices(self.centers1, "center")))
+        object.__setattr__(self, "centers2", tuple(as_indices(self.centers2, "center")))
         if not self.dilation >= 0:
             raise ValueError(f"dilation must be nonnegative, got {self.dilation}")
 

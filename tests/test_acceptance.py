@@ -267,14 +267,16 @@ def test_warm_start_only_adds_solutions(suite, monkeypatch):
 def test_case_one_rounds():
     # Seeded instances, k1 in 3..5, where the greedy falls short and a
     # driver query has root mass at most k1 - 2, so the outer oracle rounds
-    # the whole forest at dilation 10 (Case I).
+    # the whole forest at dilation 10 (Case I).  The uniform ones come from a
+    # search over seeds s, with n in 12..18, k1 in 3..5, k2 in 0..2 and m in
+    # [0.6 n, n] drawn in that order by default_rng(s).
     corpus = [
-        uniform_instance(46, 18, 0.15, 0.05, 4, 1, 13),
-        uniform_instance(96, 16, 0.15, 0.05, 3, 2, 11),
         uniform_instance(148, 15, 0.15, 0.05, 4, 0, 10),
-        uniform_instance(168, 12, 0.15, 0.05, 3, 1, 8),
-        uniform_instance(350, 18, 0.15, 0.05, 5, 1, 12),
+        uniform_instance(485, 18, 0.15, 0.05, 4, 0, 13),
+        uniform_instance(513, 18, 0.15, 0.05, 4, 1, 12),
         uniform_instance(566, 18, 0.15, 0.05, 5, 1, 13),
+        uniform_instance(943, 16, 0.15, 0.05, 5, 0, 11),
+        uniform_instance(1570, 17, 0.15, 0.05, 4, 0, 10),
         graph_instance(417, 18, 3, 0, 18),
         graph_instance(495, 15, 3, 0, 15),
     ]

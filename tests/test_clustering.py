@@ -82,6 +82,13 @@ class TestGreedyPartition:
         with pytest.raises(ValueError, match=f"index {bad} out of range"):
             hs_partition(metric, [0, bad], 0.1, np.zeros(12))
 
+    @pytest.mark.parametrize("points, bad", [([0.5, 1.7], "0.5"), ([0, False], "False")])
+    def test_rejects_non_integral_points(self, points, bad):
+        # int() would truncate [0.5, 1.7] and partition points [0, 1].
+        metric = line_metric(0.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match=f"point {bad} is not an integer index"):
+            hs_partition(metric, points, 1.0, np.zeros(3))
+
     def test_rejects_negative_radius(self):
         metric = line_metric(0.0, 1.0)
         with pytest.raises(ValueError):

@@ -180,6 +180,13 @@ class TestMetricSpace:
         with pytest.raises(ValueError, match="boolean mask"):
             metric.restrict(mask)
 
+    @pytest.mark.parametrize("points, bad", [([0.5, 2.7], "0.5"), ([1, 2.7], "2.7"), ([2, True], "True")])
+    def test_restrict_rejects_non_integral_index(self, points, bad):
+        # int() would truncate [0.5, 2.7] to the sub-metric on points [0, 2].
+        metric = MetricSpace.from_points([(0, 0), (1, 0), (5, 0)])
+        with pytest.raises(ValueError, match=f"restrict index {bad}"):
+            metric.restrict(points)
+
     def test_equality_by_contents(self):
         a = MetricSpace.from_points([(0, 0), (1, 0)])
         b = MetricSpace.from_points([(0, 0), (1, 0)])
@@ -286,6 +293,13 @@ class TestSolutions:
         # point 1 is inside both balls; it must count only as large coverage
         assert cov.cov1[1] == 1.0
         assert cov.cov2[1] == 0.0
+
+    @pytest.mark.parametrize("centers1, centers2, bad", [((0.5,), (), "0.5"), ((), (True,), "True"),
+                                                         ((1,), (2, 3.5), "3.5")])
+    def test_non_integral_center_rejected(self, centers1, centers2, bad):
+        # int() would truncate 0.5 to center 0 and True to center 1.
+        with pytest.raises(ValueError, match=f"center {bad} is not an integer index"):
+            NUkCSolution(centers1, centers2, 1.0)
 
     def test_negative_dilation_rejected(self):
         with pytest.raises(ValueError):

@@ -221,8 +221,9 @@ class TestCandidates:
         # A Case II query enumerates one candidate per point q far from the
         # roots, but only the candidates the oracle solves build a sub-metric,
         # and none of them runs the O(n^3) triangle check again.  This one
-        # rounds on the q=None candidate, which needs no sub-metric.
-        inst, _ = planted_instance(3, 6, 9, 6)
+        # (the greedy falls short on it) rounds on the q=None candidate, which
+        # needs no sub-metric.
+        inst = uniform_instance(189, 40, 0.2, 0.1, 2, 4, 25)
         calls = self.count_metric_calls(monkeypatch)
         res = solve_feasibility(inst)
         assert (res.status, res.method, res.case, res.iterations) == ("solution", "round", "II", 0)

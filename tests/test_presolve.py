@@ -6,8 +6,11 @@ from nukc import (
     MetricSpace,
     NUkCInstance,
     NUkCSolution,
+    SolverConfig,
     brute_force_nukc,
     greedy_cover,
+    planted_instance,
+    solve_feasibility,
     verify_solution,
 )
 from nukc import cutting_plane
@@ -17,7 +20,10 @@ from conftest import near_symmetric_instance, random_instance
 
 
 def loop_greedy_cover(instance, restrict_y=None):
-    """The per-candidate loop greedy_cover replaced; the reference for its picks."""
+    """The per-candidate loop greedy_cover replaced; the reference for its picks.
+
+    Ties go to class 2, then to the lowest position in the class.
+    """
     if instance.m <= 0:
         return NUkCSolution.empty()
     d = instance.metric.dist
@@ -31,7 +37,7 @@ def loop_greedy_cover(instance, restrict_y=None):
     pools = {1: (cand1, masks1), 2: (cand2, masks2)}
     while (budget[1] > 0 or budget[2] > 0) and covered.sum() < instance.m:
         best = None
-        for cls in (1, 2):
+        for cls in (2, 1):
             if budget[cls] == 0:
                 continue
             for i, mask in enumerate(pools[cls][1]):
@@ -177,6 +183,25 @@ class TestGreedy:
                 assert len(sol.centers1) <= inst.k1
                 assert len(sol.centers2) <= inst.k2
         assert hits > 0  # the corpus is not all-infeasible
+
+    def test_ties_spend_the_small_ball(self):
+        # The r2 cluster 10..10.1 comes first, and an r1 ball there ties with
+        # the r2 ball (3 points each) and with the r1 ball on the wide cluster
+        # 0..1.8.  Spent on a tie, the one large ball leaves the wide cluster
+        # to a small ball that reaches one of its points; kept for the wide
+        # cluster, it covers all six.
+        pts = np.array([10.0, 10.05, 10.1, 0.0, 0.9, 1.8])[:, None]
+        inst = NUkCInstance(MetricSpace.from_points(pts), 1.0, 0.1, 1, 1, 6)
+        sol = greedy_cover(inst)
+        assert sol == NUkCSolution(centers1=(4,), centers2=(0,), dilation=1.0)
+        assert verify_solution(inst, sol, 1.0) == (True, 6)
+
+    def test_planted_instances_decided_by_the_greedy(self):
+        for seed in range(20):
+            inst, _ = planted_instance(seed, 6, 9, 6)
+            res = solve_feasibility(inst, SolverConfig())
+            assert (res.status, res.method, res.solution.dilation) == ("solution", "greedy", 1.0), seed
+            assert verify_solution(inst, res.solution, 1.0)[0], seed
 
     def test_picks_match_loop_reference(self):
         rng = np.random.default_rng(8)

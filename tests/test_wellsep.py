@@ -9,6 +9,7 @@ from nukc import (
     SolverConfig,
     WellSepNUkCInstance,
     brute_force_nukc,
+    graph_instance,
     planted_instance,
     solve_feasibility,
     solve_wellsep,
@@ -228,10 +229,13 @@ class TestSolver:
                 assert not brute.feasible
 
 
-def planted_candidate(seed: int) -> WellSepNUkCInstance:
-    """The first Case II candidate the outer solver solves on a planted instance."""
-    inst, _ = planted_instance(seed, 3, 5, 2)
-    return solve_feasibility(inst).inner_runs[0][0].instance
+def first_candidate(inst: NUkCInstance) -> WellSepNUkCInstance:
+    """The first Case II candidate the outer solver solves on ``inst``.
+
+    The solve runs without shortcuts, so the greedy cannot decide the outer
+    instance first; once it has failed, both configs make the same queries.
+    """
+    return solve_feasibility(inst, SolverConfig(shortcuts=False)).inner_runs[0][0].instance
 
 
 class TestDecide:
@@ -246,10 +250,10 @@ class TestDecide:
     @pytest.mark.parametrize("build, method, case, kinds", [
         (lambda: uniform_instance(0, 10, 0.3, 0.1, 2, 2, 8), "greedy", "", []),
         (lambda: uniform_instance(13, 10, 0.3, 0.1, 2, 2, 8), "lp-empty", "", ["mass"]),
-        (lambda: uniform_instance(7, 10, 0.3, 0.1, 2, 2, 8), "round", "II", []),
-        (lambda: planted_candidate(4), "greedy", "", []),
+        (lambda: uniform_instance(8, 10, 0.3, 0.1, 2, 2, 10), "round", "II", []),
+        (lambda: first_candidate(planted_instance(4)[0]), "greedy", "", []),
         (lambda: wellsep_line([0.0, 10.0, 20.0], y=[0], m=3, k2=1), "lp-empty", "", ["mass"]),
-        (lambda: planted_candidate(1), "round", "", []),
+        (lambda: first_candidate(graph_instance(104, 10, 2, 2, 9)), "round", "", []),
         # A large ball off Y would reach m; the LP's x1 = 0 off Y refutes it.
         (lambda: wellsep_line([0.0, 10.0, 10.5, 20.0], y=[0], m=3), "lp-empty", "", ["mass"]),
     ], ids=["outer-greedy", "outer-lp-bound", "outer-probe",
@@ -285,8 +289,9 @@ class TestDecide:
     @pytest.mark.parametrize("build, start", [
         # Mass on the far points: the start draws a y-support cut.
         (lambda: wellsep_line([0.0, 10.0, 20.0], y=[0], m=3, k2=1), [0, 1, 1, 0, 0, 0]),
-        # No mass: the start draws a mass cut.
-        (lambda: planted_candidate(1), None),
+        # No mass: the start draws a mass cut.  The greedy fails on this
+        # candidate, so both configs go on to the driver.
+        (lambda: first_candidate(graph_instance(104, 10, 2, 2, 9)), None),
     ], ids=["infeasible", "feasible"])
     @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(shortcuts=False)],
                              ids=["default", "shortcut-free"])
