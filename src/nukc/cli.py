@@ -1,8 +1,9 @@
 """Command line front end: gen, solve, check.
 
-Exit codes follow the feasibility verdict: 0 for a solution (or a successful
-gen/check run, or --help), 2 for infeasible (or a failed check), 1 for usage
-and input errors.  Timing belongs to the benchmark harness in ``perfbench/``.
+Exit codes follow the verdict: 0 for a solution (or a successful gen/check
+run, or --help), 2 for infeasible (or a failed check), 3 for undecided (the
+iteration cap ran out), 1 for usage and input errors.  Timing belongs to the
+benchmark harness in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .wellsep import SolverConfig
 EXIT_SOLUTION = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
+EXIT_UNDECIDED = 3
+EXIT_CODES = {"solution": EXIT_SOLUTION, "infeasible": EXIT_INFEASIBLE, "undecided": EXIT_UNDECIDED}
 
 
 def _generate(kind: str, seed: int, args: argparse.Namespace):
@@ -84,8 +87,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.optimize:
         opt = optimize(instance, cfg)
         if opt.solution is None:
-            dump_json(SolveResult("infeasible").to_json(), args.out)
-            return EXIT_INFEASIBLE
+            status = "undecided" if any(s == "undecided" for _, s in opt.probes) else "infeasible"
+            dump_json(SolveResult(status).to_json(), args.out)
+            return EXIT_CODES[status]
         result = SolveResult.verified(instance, opt.solution, "optimize")
         data = {**result.to_json(), "rho_star": opt.rho_star}
         if args.trace:
@@ -110,14 +114,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         # Report the dilation relative to the original radii.
         data["dilation"] = result.solution.dilation * args.rho
     dump_json(data, args.out)
-    return EXIT_SOLUTION if result.status == "solution" else EXIT_INFEASIBLE
+    return EXIT_CODES[result.status]
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     instance = instance_from_json(load_json(args.instance))
     record = solution_from_json(load_json(args.solution))
-    if record.status == "infeasible":
-        print("infeasible claim: nothing to verify")
+    if record.status != "solution":
+        print(f"{record.status} claim: nothing to verify")
         return EXIT_SOLUTION
     ok, count = verify_solution(instance, record.solution, record.solution.dilation)
     if not ok:

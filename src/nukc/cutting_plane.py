@@ -39,6 +39,7 @@ _OPTIONS.log_to_console = False
 _OPTIONS.primal_feasibility_tolerance = 1e-10
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
+BallRows = tuple[tuple[np.ndarray, np.ndarray], ...]  # see ball_rows
 
 
 class OracleContractError(RuntimeError):
@@ -88,15 +89,13 @@ def _check(status, what: str) -> None:
 class CoverageModel:
     """One driver run's HiGHS model of ``instance``'s coverage LP.
 
-    ``reach`` holds, for r1 and then r2, each center u's ball B(u, r) from
-    ``MetricSpace.covers`` in sparse row form: ``(start, points)`` with u's
-    points, ascending, at ``points[start[u] : start[u + 1]]``.  Every row,
-    column and query is built from it in time linear in its length.
+    Every row, column and query is built from ``reach``, ``ball_rows(instance)``,
+    in time linear in its length.
     """
 
     instance: NUkCInstance
     lp: _highs._Highs
-    reach: tuple[tuple[np.ndarray, np.ndarray], ...]
+    reach: BallRows
 
 
 def _add_rows(lp, upper, count, index, value, what: str) -> None:
@@ -108,13 +107,19 @@ def _add_rows(lp, upper, count, index, value, what: str) -> None:
     ), what)
 
 
-def _reach(covers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``covers[u, v]`` in sparse row form (see ``CoverageModel``)."""
-    return (np.concatenate([[0], np.cumsum(np.count_nonzero(covers, axis=1))]),
-            np.nonzero(covers)[1].astype(np.int32))
+def ball_rows(inst: NUkCInstance) -> BallRows:
+    """Each B(u, r1), then each B(u, r2), read through ``MetricSpace.covers``.
+
+    Per radius ``(start, points)``, u's points ascending at ``points[start[u] : start[u + 1]]``;
+    no row is empty, as each ball holds its center.
+    """
+    n = inst.n
+    flats = [np.flatnonzero(inst.metric.covers(None, r)) for r in (inst.r1, inst.r2)]  # u * n + v
+    return tuple((np.searchsorted(flat, np.arange(0, n * n + 1, n)), flat % n) for flat in flats)
 
 
-def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None) -> CoverageModel:
+def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None,
+                   reach: BallRows | None = None) -> CoverageModel:
     """The driver's start: the coverage LP in excess form, columns x1 | x2 | e.
 
     x1, x2 in [0, 1] (x1 = 0 off ``y`` when given), e >= 0.  Row v's activity
@@ -122,10 +127,10 @@ def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None) -> Covera
     sum x1 <= k1, sum x2 <= k2.  Maximising sum |B(u, r1)| x1_u + |B(u, r2)|
     x2_u - sum e maximises the total coverage, the sum over v of min(1, the
     openings covering v), and each integral solution meets every row.  An
-    opening at u covers its ball B(u, r) as ``MetricSpace.covers`` reads it.
+    opening at u covers its ball B(u, r) in ``reach``, ``ball_rows(inst)`` unless given.
     """
     n = inst.n
-    reach = tuple(_reach(inst.metric.covers(None, r)) for r in (inst.r1, inst.r2))
+    reach = reach or ball_rows(inst)
     count = np.concatenate([np.diff(start) for start, _ in reach] + [np.ones(n, int)])
     upper = np.concatenate([np.ones(2 * n), np.full(n, _highs.kHighsInf)])
     if y is not None:

@@ -450,7 +450,7 @@ class SolveResult:
     (``case`` onward) stay empty for screen verdicts and parsed files.
     """
 
-    status: str  # "solution" | "infeasible"
+    status: str  # "solution" | "infeasible" | "undecided" (the iteration cap ran out)
     solution: NUkCSolution | None = None
     covered_count: int = 0
     # trivial|start|greedy|round|lp-empty|cap, or optimize (CLI); start: an
@@ -484,8 +484,8 @@ class SolveResult:
 
     def to_json(self) -> dict:
         """The solution-file record: status, plus centers and count for a SOLUTION."""
-        if self.status == "infeasible":
-            return {"status": "infeasible"}
+        if self.status in ("infeasible", "undecided"):
+            return {"status": self.status}
         if self.status != "solution" or self.solution is None:
             raise ValueError(f"cannot encode status {self.status!r} without a solution")
         sol = self.solution

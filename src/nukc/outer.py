@@ -39,8 +39,7 @@ from .wellsep import (
 from .cutting_plane import coverage_lp, run_round_or_cut  # noqa: F401
 from .presolve import greedy_cover  # noqa: F401
 
-# Dilations achieved by the two rounding cases.
-CASE1_DILATION = 10.0
+# Dilation of a Case II solution; Case I's 10 comes from the (8, 2) reduction.
 CASE2_DILATION = 8.0
 
 
@@ -230,7 +229,8 @@ def solve_feasibility(
 
     INFEASIBLE asserts there is no dilation-1 solution; SOLUTION makes no claim
     about dilation 1 (a solution may be found even when dilation 1 is
-    impossible, which is the approximation contract).
+    impossible, which is the approximation contract).  UNDECIDED (method
+    ``cap``) means the iteration cap ran out first.
     """
     cfg = config or SolverConfig()
     trivial = _trivial_solution(instance)
@@ -258,6 +258,8 @@ def optimize(
     Candidate scales are the distance/radius quotients (plus 0 and 1); below
     the returned scale the solver proved infeasibility, so rho_star lower
     bounds the true optimum and the solution's dilation is at most 10 times it.
+    An ``undecided`` probe (the cap ran out) is searched above like an
+    infeasible one, so the bound holds only when no probe is undecided.
     The solution is reported in original-radius units.
     """
     cfg = config or SolverConfig()

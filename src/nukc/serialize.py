@@ -107,8 +107,8 @@ def solution_from_json(data: dict[str, Any]) -> SolveResult:
     if not isinstance(data, dict) or "status" not in data:
         raise ValueError("solution JSON must be an object with a 'status'")
     status = data["status"]
-    if status == "infeasible":
-        return SolveResult("infeasible")
+    if status in ("infeasible", "undecided"):
+        return SolveResult(status)
     if status != "solution":
         raise ValueError(f"unknown status {status!r}")
     _require(data, SOLUTION_KEYS, "solution")

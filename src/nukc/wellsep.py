@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cutting_plane import ORACLE_EPS, Rounded, Separating, coverage_model, run_round_or_cut
+from .cutting_plane import ORACLE_EPS, Rounded, Separating, ball_rows, coverage_model, run_round_or_cut
 # Unused here, as in the whole package: perfbench/tracing.py patches it here.
 from .cutting_plane import coverage_lp  # noqa: F401
 from .firefighter import solve_2ff
@@ -44,8 +44,8 @@ class SolverConfig:
     shortcuts: bool = True
 
     def __post_init__(self):
-        # A cap below 1 ends the driver before its first oracle call, and the
-        # empty run would read as INFEASIBLE.
+        # A cap below 1 ends the driver before its first oracle call, so the
+        # run could never decide anything.
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
@@ -63,10 +63,11 @@ def decide(
     answer is verified like any other and returned with method ``start``; a
     ``Separating`` one is dropped, so its cut never reaches the LP.  Then,
     with shortcuts on, the greedy; then the driver over ``oracle`` from the
-    coverage LP, with large centers confined to ``y`` in both.  INFEASIBLE
-    comes only from the driver.  perfbench/tracing.py patches greedy_cover
-    and run_round_or_cut in this module, so they are called through its
-    globals.
+    coverage LP, with large centers confined to ``y`` in both.  Both read
+    the same ``ball_rows``, built once.  INFEASIBLE comes only from the
+    driver, and an exhausted iteration cap is UNDECIDED (method ``cap``).
+    perfbench/tracing.py patches greedy_cover and run_round_or_cut in this
+    module, so they are called through its globals.
     """
     if inst.m > inst.n or (inst.k1 == 0 and inst.k2 == 0):
         return SolveResult("infeasible", method="trivial")
@@ -74,18 +75,19 @@ def decide(
         verdict = oracle(start)
         if isinstance(verdict, Rounded):
             return SolveResult.verified(inst, verdict.payload[0], "start")
+    reach = ball_rows(inst)
     if config.shortcuts:
-        sol = greedy_cover(inst, restrict_y=y)
+        sol = greedy_cover(inst, restrict_y=y, reach=reach)
         if sol is not None:
             return SolveResult.verified(inst, sol, "greedy")
 
-    res = run_round_or_cut(coverage_model(inst, y), oracle, config.max_iters)
+    res = run_round_or_cut(coverage_model(inst, y, reach), oracle, config.max_iters)
     if res.status == "rounded":
         solution, info = res.payload
         return SolveResult.verified(inst, solution, "round", case=info.get("case", ""), cuts=res.cuts)
-    return SolveResult(
-        "infeasible", method="lp-empty" if res.status == "infeasible" else "cap", cuts=res.cuts
-    )
+    if res.status == "infeasible":
+        return SolveResult("infeasible", method="lp-empty", cuts=res.cuts)
+    return SolveResult("undecided", method="cap", cuts=res.cuts)
 
 
 def set_cut(

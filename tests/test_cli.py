@@ -78,6 +78,23 @@ class TestSolve:
         assert code == 2
         assert json.loads(out) == {"status": "infeasible"}
 
+    def test_exhausted_cap_is_undecided(self, tmp_path, capsys):
+        # The coverage LP falls short of m, so one mass cut empties it; a cap
+        # of 1 stops the run before that re-solve, which proves nothing.
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({
+            "points": [[x] for x in (0.0, 0.6, 0.9, 20.0, 20.2, 40.0, 40.15)],
+            "r1": 1.0, "r2": 0.25, "k1": 1, "k2": 1, "m": 7,
+        }))
+        capped = tmp_path / "capped.json"
+        code, _, _ = run(capsys, "solve", str(path), "--no-shortcuts", "--max-iters", "1",
+                         "-o", str(capped))
+        assert (code, load_json(capped)) == (3, {"status": "undecided"})
+        code, out, _ = run(capsys, "check", str(path), str(capped))
+        assert (code, out) == (0, "undecided claim: nothing to verify\n")
+        code, out, _ = run(capsys, "solve", str(path), "--no-shortcuts")
+        assert (code, json.loads(out)) == (2, {"status": "infeasible"})
+
     def test_rho_reports_original_units(self, tmp_path, capsys):
         path = gen_planted(tmp_path, capsys)
         code, out, _ = run(capsys, "solve", str(path), "--rho", "2.0")

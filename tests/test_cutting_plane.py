@@ -388,4 +388,4 @@ def test_solver_names_the_infeasible_stop():
     empty = solve_feasibility(inst, SolverConfig(shortcuts=False))
     capped = solve_feasibility(inst, SolverConfig(shortcuts=False, max_iters=1))
     assert (empty.status, empty.method, empty.iterations) == ("infeasible", "lp-empty", 1)
-    assert (capped.status, capped.method, capped.iterations) == ("infeasible", "cap", 1)
+    assert (capped.status, capped.method, capped.iterations) == ("undecided", "cap", 1)

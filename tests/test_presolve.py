@@ -14,13 +14,13 @@ from nukc import (
     verify_solution,
 )
 from nukc import cutting_plane
-from nukc.cutting_plane import LPSolveError, coverage_lp, coverage_model, run_round_or_cut
+from nukc.cutting_plane import LPSolveError, ball_rows, coverage_lp, coverage_model, run_round_or_cut
 
 from conftest import near_symmetric_instance, random_instance
 
 
 def loop_greedy_cover(instance, restrict_y=None):
-    """The per-candidate loop greedy_cover replaced; the reference for its picks.
+    """Marginal-gain greedy as a per-candidate loop; the reference for greedy_cover's picks.
 
     Ties go to class 2, then to the lowest position in the class.
     """
@@ -50,34 +50,6 @@ def loop_greedy_cover(instance, restrict_y=None):
         chosen.append((cls, i))
         covered |= pools[cls][1][i]
         budget[cls] -= 1
-
-    def coverage_of(selection):
-        out = np.zeros(instance.n, dtype=bool)
-        for cls, i in selection:
-            out |= pools[cls][1][i]
-        return out
-
-    for _ in range(8):
-        count = int(covered.sum())
-        if count >= instance.m:
-            break
-        improved = False
-        for pos in range(len(chosen)):
-            cls, _ = chosen[pos]
-            base = coverage_of(chosen[:pos] + chosen[pos + 1 :])
-            base_count = int(base.sum())
-            for i, mask in enumerate(pools[cls][1]):
-                gain = base_count + int(np.count_nonzero(mask & ~base))
-                if gain > count:
-                    chosen[pos] = (cls, i)
-                    covered = base | mask
-                    count = gain
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
-            break
 
     if int(covered.sum()) < instance.m:
         return None
@@ -133,11 +105,11 @@ def duplicated_instance(rng, n=12):
 
 
 def trap_instance(rng):
-    """Points on a line where only the swap polish reaches m.
+    """Points on a line where the greedy falls one point short of m.
 
     The greedy's first ball, at 1.05, holds both clusters but their outer
-    points 0 and 2.1, so two large balls fall one point short of m until the
-    straddling ball is swapped for one of several right-cluster balls.
+    points 0 and 2.1, so its two large balls cover one point fewer than a
+    ball on each cluster does.
     """
     left = [0.0, *rng.uniform(0.06, 0.1, size=int(rng.integers(2, 5)))]
     right = [2.1, *rng.uniform(2.0, 2.04, size=int(rng.integers(2, 5)))]
@@ -202,6 +174,23 @@ class TestGreedy:
             res = solve_feasibility(inst, SolverConfig())
             assert (res.status, res.method, res.solution.dilation) == ("solution", "greedy", 1.0), seed
             assert verify_solution(inst, res.solution, 1.0)[0], seed
+
+    def test_rows_read_each_ball_from_its_center(self):
+        # Each radius is an entry of the matrix, so a ball edge falls between
+        # d[u, v] and d[v, u]: a row read from column u differs from row u.
+        rng = np.random.default_rng(23)
+        asymmetric = hits = 0
+        for _ in range(100):
+            inst = near_symmetric_instance(rng)
+            d = inst.metric.dist
+            for (start, points), r in zip(ball_rows(inst), (inst.r1, inst.r2)):
+                for u in range(inst.n):
+                    assert points[start[u] : start[u + 1]].tolist() == np.flatnonzero(d[u] <= r).tolist()
+                asymmetric += not np.array_equal(d <= r, (d <= r).T)
+            got = greedy_cover(inst)
+            assert got == loop_greedy_cover(inst), inst
+            hits += got is not None
+        assert asymmetric > 20 and hits > 20
 
     def test_picks_match_loop_reference(self):
         rng = np.random.default_rng(8)

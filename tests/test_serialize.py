@@ -135,6 +135,11 @@ class TestSolutionRoundTrip:
         assert doc == {"status": "infeasible"}
         assert solution_from_json(doc).status == "infeasible"
 
+    def test_undecided(self):
+        doc = SolveResult(status="undecided", method="cap").to_json()
+        assert doc == {"status": "undecided"}
+        assert solution_from_json(doc).status == "undecided"
+
     def test_unknown_status_rejected(self):
         with pytest.raises(ValueError, match="unknown status"):
             solution_from_json({"status": "maybe"})

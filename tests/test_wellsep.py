@@ -20,7 +20,7 @@ from nukc import (
 )
 from nukc.cutting_plane import ORACLE_EPS
 from nukc.model import CoverageVector, Cut
-from nukc import wellsep
+from nukc import cutting_plane, outer, presolve, wellsep
 from nukc.wellsep import WELLSEP_DILATION, box_violation_cut
 
 from conftest import random_wellsep
@@ -179,7 +179,7 @@ class TestSolver:
         # cut, and the cap ends the run before the re-solve.
         ws = wellsep_line([0.0, 10.0, 20.0], y=[0], m=3, k2=1)
         res = solve_wellsep(ws, SolverConfig(shortcuts=False, max_iters=1))
-        assert (res.method, res.iterations) == ("cap", 1)
+        assert (res.status, res.method, res.iterations) == ("undecided", "cap", 1)
 
     def test_finds_planted_wellsep_solution(self):
         ws = wellsep_line([0.0, 0.5, 10.0], y=[0], m=3, k2=1)
@@ -305,3 +305,45 @@ class TestDecide:
                          [cut.kind for cut in r.cuts]) for r in runs]
         # The start's cut would show up in the trail and the count.
         assert fingerprints[0] == fingerprints[1]
+
+
+def test_ball_rows_built_once_per_decide(monkeypatch):
+    # The greedy and the driver share one build; a rounded start query needs
+    # none.  Inner runs open a decide of their own inside the outer one.
+    real_rows, real_decide = cutting_plane.ball_rows, wellsep.decide
+    open_builds: list[int] = []  # rows built, per decide still running
+    done: list[tuple[bool, str, int]] = []  # (shortcuts, method, rows built), per finished decide
+
+    def rows(inst):
+        open_builds[-1] += 1
+        return real_rows(inst)
+
+    def decide(inst, oracle, config, *args):
+        open_builds.append(0)
+        try:
+            res = real_decide(inst, oracle, config, *args)
+        finally:
+            built = open_builds.pop()
+        done.append((config.shortcuts, res.method, built))
+        return res
+
+    for mod in (cutting_plane, presolve, wellsep):
+        monkeypatch.setattr(mod, "ball_rows", rows)
+    for mod in (outer, wellsep):
+        monkeypatch.setattr(mod, "decide", decide)
+    # The greedy's first ball, at 1.05, straddles the two clusters and falls
+    # one point short; the driver rounds through Case II from a start query.
+    straddle = NUkCInstance(MetricSpace.from_points([[x] for x in (0, .08, .09, 1.05, 2, 2.02, 2.1)]),
+                            1.0, 0.01, 2, 0, 7)
+    rng = np.random.default_rng(31)
+    corpus = [straddle] + [uniform_instance(s, 12, 0.3, 0.1, 2, 2, int(rng.integers(6, 13)))
+                           for s in range(40)]
+    for inst in corpus:
+        for config in (SolverConfig(), SolverConfig(shortcuts=False)):
+            solve_feasibility(inst, config)
+    for _, method, built in done:
+        assert built == (0 if method in ("start", "trivial") else 1), method
+    seen = {(shortcuts, method) for shortcuts, method, _ in done}
+    want = {(True, "start"), (True, "greedy"), (True, "round"), (True, "lp-empty"),
+            (False, "start"), (False, "round"), (False, "lp-empty")}
+    assert want <= seen, seen
