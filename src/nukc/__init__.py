@@ -9,6 +9,8 @@ generators support testing and experiments.
 
 The cutting-plane driver that queries the oracles is not part of the public
 surface: it lives in ``nukc.cutting_plane`` and may change without notice.
+Only its exact check of an INFEASIBLE certificate, ``certificate_bound``, is
+exported.
 ``nukc.ellipsoid`` keeps only the ellipsoid geometry, which no solver uses.
 """
 
@@ -21,7 +23,7 @@ from .bruteforce import (
     validate_cut_on_hull,
 )
 from .clustering import HSResult, hs_partition
-from .cutting_plane import OracleContractError, Rounded, Separating
+from .cutting_plane import OracleContractError, Rounded, Separating, certificate_bound
 from .firefighter import (
     TwoFFInstance,
     TwoFFSolution,
@@ -96,6 +98,7 @@ __all__ = [
     "WellSepNUkCInstance",
     "brute_2ff",
     "brute_force_nukc",
+    "certificate_bound",
     "covered_leaves",
     "covered_points",
     "enumerate_candidates",

@@ -5,8 +5,11 @@ x1 | x2 | e, n + 2 rows) and hands each optimum's coverage, split into
 cov1 | cov2, to a separation oracle.  The oracle rounds it into a finished
 payload or returns one violated ``Cut``, which is recorded and added as a row;
 dual simplex re-solves from the last basis.  Oracle cuts come from finite
-families and each is new, so runs are short.  This module makes every HiGHS
-call in the package, through scipy's private ``_highspy`` bindings.
+families and each is new, so runs are short.  A run given the target m stops
+as soon as HiGHS proves the LP cannot reach it, and the LP's duals then give
+an exact certificate (``lp_certificate``, ``certificate_bound``).  This
+module makes every HiGHS call in the package, through scipy's private
+``_highspy`` bindings.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
-from .model import Cut, NUkCInstance
+from .model import Cut, NUkCInstance, as_indices
 
 # A cut returned by an oracle must be violated at the queried point by more
 # than this; anything closer counts as satisfied and is an oracle bug.
@@ -40,6 +43,19 @@ _OPTIONS.primal_feasibility_tolerance = 1e-10
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 BallRows = tuple[tuple[np.ndarray, np.ndarray], ...]  # see ball_rows
+
+# A run with a target stops once HiGHS proves the total coverage at most
+# target - TARGET_SLACK: below the oracles' mass threshold (target - ORACLE_EPS),
+# so the run ends as the oracle's mass cut would have ended it.
+TARGET_SLACK = 1e-6
+
+# Certificate entries are multiples of this.  Every partial sum of the bound
+# is then a multiple of it below n, which float64 holds exactly for any
+# n < 2**33, so the computed bound is the exact one.
+CERTIFICATE_GRID = 2.0**-20
+
+# Cleared HiGHS objects for the next models (see release).
+_FREE: list[_highs._Highs] = []
 
 
 class OracleContractError(RuntimeError):
@@ -80,6 +96,11 @@ def default_max_iters(dim: int) -> int:
     return math.ceil(2.0 * dim * (dim + 1) * math.log(dim * 1e4))
 
 
+def mass_cut(n: int, m: int) -> Cut:
+    """-(total coverage) <= -m: the oracles' cut for a query whose total is below m."""
+    return Cut(a1=-np.ones(n), a2=-np.ones(n), b=-float(m), kind="mass")
+
+
 def _check(status, what: str) -> None:
     if status == _highs.HighsStatus.kError:
         raise LPSolveError(f"HiGHS failed to {what}")
@@ -90,12 +111,14 @@ class CoverageModel:
     """One driver run's HiGHS model of ``instance``'s coverage LP.
 
     Every row, column and query is built from ``reach``, ``ball_rows(instance)``,
-    in time linear in its length.
+    in time linear in its length.  ``target``, when set, is the coverage a
+    run needs (the instance's m): the run stops once the LP cannot reach it.
     """
 
     instance: NUkCInstance
     lp: _highs._Highs
     reach: BallRows
+    target: int | None = None
 
 
 def _add_rows(lp, upper, count, index, value, what: str) -> None:
@@ -119,7 +142,7 @@ def ball_rows(inst: NUkCInstance) -> BallRows:
 
 
 def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None,
-                   reach: BallRows | None = None) -> CoverageModel:
+                   reach: BallRows | None = None, target: int | None = None) -> CoverageModel:
     """The driver's start: the coverage LP in excess form, columns x1 | x2 | e.
 
     x1, x2 in [0, 1] (x1 = 0 off ``y`` when given), e >= 0.  Row v's activity
@@ -128,6 +151,7 @@ def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None,
     x2_u - sum e maximises the total coverage, the sum over v of min(1, the
     openings covering v), and each integral solution meets every row.  An
     opening at u covers its ball B(u, r) in ``reach``, ``ball_rows(inst)`` unless given.
+    The HiGHS object comes from ``release``'s free list when it holds one.
     """
     n = inst.n
     reach = reach or ball_rows(inst)
@@ -135,7 +159,7 @@ def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None,
     upper = np.concatenate([np.ones(2 * n), np.full(n, _highs.kHighsInf)])
     if y is not None:
         upper[:n] = np.isin(np.arange(n), y)
-    lp = _highs._Highs()
+    lp = _FREE.pop() if _FREE else _highs._Highs()
     _check(lp.passOptions(_OPTIONS), "take the driver options")
     _check(lp.passModel(
         3 * n, n, int(count.sum()), _COLWISE, _MINIMIZE, 0.0,
@@ -145,7 +169,63 @@ def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None,
         np.repeat([1.0, -1.0], [count.sum() - n, n]), np.zeros(3 * n, dtype=np.int32),  # continuous
     ), "load the coverage LP")
     _add_rows(lp, [inst.k1, inst.k2], [n, n], np.arange(2 * n), np.ones(2 * n), "add the budget rows")
-    return CoverageModel(inst, lp, reach)
+    return CoverageModel(inst, lp, reach, target)
+
+
+def release(model: CoverageModel) -> None:
+    """Clear ``model``'s HiGHS object and keep it for the next ``coverage_model``.
+
+    Building a HiGHS object costs more than clearing one.  Call it once the
+    model's solution has been read; the model must not be used after.
+    """
+    _check(model.lp.clearModel(), "clear the model")
+    _FREE.append(model.lp)
+
+
+def lp_certificate(model: CoverageModel, y: Sequence[int] | None = None) -> np.ndarray | None:
+    """A dyadic beta from the last solve's duals that proves the LP below its target, or None.
+
+    Only a model with a target and no cut row qualifies.  With y_v the dual
+    of point row v, beta_v = 1 + y_v is the reduced cost of e_v: the price of
+    c_v <= (the openings reaching v).  It is clipped to [0, 1], floored to
+    CERTIFICATE_GRID and returned when ``certificate_bound`` (with ``y``, the
+    model's Y) is below the target.  Float duals need no trust: the bound
+    holds for any beta in [0, 1].
+    """
+    inst, lp = model.instance, model.lp
+    n = inst.n
+    if model.target is None or lp.getNumRow() != n + 2:
+        return None
+    solution = lp.getSolution()
+    if not solution.dual_valid:
+        return None
+    beta = np.floor(np.clip(1.0 + np.array(solution.row_dual[:n]), 0.0, 1.0) / CERTIFICATE_GRID)
+    beta *= CERTIFICATE_GRID
+    return beta if certificate_bound(inst, beta, y, model.reach) < model.target else None
+
+
+def certificate_bound(inst: NUkCInstance, beta: np.ndarray, y: Sequence[int] | None = None,
+                      reach: BallRows | None = None) -> float:
+    """Exact upper bound, from ``beta``, on the points any solution covers at dilation 1.
+
+    For beta_v in [0, 1] and a >= 0, min(1, a) <= (1 - beta_v) + beta_v * a.
+    So the coverage LP's optimum, and every solution with large centers in
+    ``y`` (all points when None), covers at most sum(1 - beta) plus the k1
+    largest beta(B(u, r1)) over u in ``y`` plus the k2 largest beta(B(u, r2)).
+    A bound below m proves the instance infeasible.  ``beta`` must hold
+    multiples of CERTIFICATE_GRID in [0, 1], so that every float sum here is
+    exact.  Reads ``reach``, ``ball_rows(inst)`` unless given, in O(its length).
+    """
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (inst.n,) or not np.all((beta >= 0) & (beta <= 1)) or np.any(beta % CERTIFICATE_GRID):
+        raise ValueError(f"a certificate is {inst.n} multiples of 2**-20 in [0, 1]")
+    (start1, points1), (start2, points2) = reach or ball_rows(inst)
+    large = np.add.reduceat(beta[points1], start1[:-1])
+    if y is not None:
+        large = large[as_indices(y, "Y entry")]
+    small = np.add.reduceat(beta[points2], start2[:-1])
+    top = [np.sort(w)[::-1][:k].sum() for w, k in ((large, inst.k1), (small, inst.k2))]
+    return float((1.0 - beta).sum() + top[0] + top[1])
 
 
 def _split(model: CoverageModel) -> None:
@@ -183,13 +263,20 @@ def run_round_or_cut(
     cuts.  A cut not violated at the query by more than CUT_CONTRACT_EPS
     raises OracleContractError.  A violated -t * (total coverage) <= b, t > 0,
     empties the LP, whose optimum maximises the total: it is recorded, not
-    added, and the run stops.  Status ``infeasible`` (the LP plus the cuts is
-    empty) and ``exhausted`` (the cap ran out) are not floating-point proofs.
+    added, and the run stops.  With ``model.target`` set, dual simplex stops
+    as soon as its bound proves the total below the target by TARGET_SLACK;
+    the run records the ``mass`` cut the oracle would have returned at the
+    optimum, and stops as that cut stops it.  Status ``infeasible`` (the LP
+    plus the cuts is empty) and ``exhausted`` (the cap ran out) are not
+    floating-point proofs; ``lp_certificate`` makes the first one when no
+    cut was added.
     """
     lp, n = model.lp, model.instance.n
     (start1, points1), _ = model.reach
     if max_iters is None:
         max_iters = default_max_iters(2 * n)
+    bound = _highs.kHighsInf if model.target is None else TARGET_SLACK - model.target
+    _check(lp.setOptionValue("objective_bound", bound), "set the objective bound")
     cuts: list[Cut] = []
     split = empty = False
     for _ in range(max_iters):
@@ -199,6 +286,10 @@ def run_round_or_cut(
         status = lp.getModelStatus()
         if status == _highs.HighsModelStatus.kInfeasible:
             return RoundOrCutResult("infeasible", cuts=cuts)
+        if status == _highs.HighsModelStatus.kObjectiveBound:  # as a mass cut at the optimum
+            cuts.append(mass_cut(n, model.target))
+            empty = True
+            continue
         if status != _highs.HighsModelStatus.kOptimal:
             raise LPSolveError(f"HiGHS ended with {lp.modelStatusToString(status)!r}")
         solution = lp.getSolution()
@@ -252,4 +343,6 @@ def coverage_lp(
     model = coverage_model(instance, restrict_y)
     run_round_or_cut(model, Rounded)  # the oracle rounds the first optimum
     x = np.array(model.lp.getSolution().col_value)
-    return -float(model.lp.getInfo().objective_function_value), x[:n], x[n : 2 * n]
+    optimum = -float(model.lp.getInfo().objective_function_value)
+    release(model)
+    return optimum, x[:n], x[n : 2 * n]

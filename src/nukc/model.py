@@ -459,6 +459,9 @@ class SolveResult:
     case: str = ""  # which outer rounding case produced the solution, if any
     cuts: list[Cut] = field(default_factory=list)
     inner_runs: list = field(default_factory=list)
+    # lp-empty with no cut added to the LP: a dyadic beta whose
+    # cutting_plane.certificate_bound (at this instance, with its Y) is below m.
+    certificate: np.ndarray | None = None
 
     @property
     def iterations(self) -> int:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cutting_plane import ORACLE_EPS, Rounded, Separating
+from .cutting_plane import ORACLE_EPS, Rounded, Separating, certificate_bound, mass_cut
 from .firefighter import solve_2ff
 from .model import (
     CoverageVector,
@@ -30,7 +30,7 @@ from .model import (
 )
 from .reduction import lift_ff_solution, reduce_to_firefighter
 from .wellsep import (
-    SolverConfig, box_violation_cut, decide, mass_cut, set_cut, solve_wellsep,
+    SolverConfig, box_violation_cut, decide, set_cut, solve_wellsep,
 )
 
 # Not called here: perfbench/tracing.py patches these names in this module,
@@ -260,7 +260,10 @@ def optimize(
     bounds the true optimum and the solution's dilation is at most 10 times it.
     An ``undecided`` probe (the cap ran out) is searched above like an
     infeasible one, so the bound holds only when no probe is undecided.
-    The solution is reported in original-radius units.
+    A probe that the latest certificate (``SolveResult.certificate``) still
+    refutes at its scale is recorded infeasible without a solve: its LP is
+    below m, so its solve would end ``lp-empty`` too.  The solution is
+    reported in original-radius units.
     """
     cfg = config or SolverConfig()
     if instance.m <= 0:
@@ -282,11 +285,19 @@ def optimize(
 
     probes: list[tuple[float, str]] = [(0.0, "infeasible")]
     results: dict[float, SolveResult] = {}
+    certificate: np.ndarray | None = None  # of the highest probe refuted with one
 
     def feasible(rho: float) -> bool:
-        res = solve_feasibility(instance.scaled(rho), cfg)
+        nonlocal certificate
+        scaled = instance.scaled(rho)
+        if certificate is not None and certificate_bound(scaled, certificate) < scaled.m:
+            probes.append((rho, "infeasible"))  # as its solve would end: lp-empty
+            return False
+        res = solve_feasibility(scaled, cfg)
         results[rho] = res
         probes.append((rho, res.status))
+        if res.certificate is not None:
+            certificate = res.certificate
         return res.status == "solution"
 
     lo, hi = 0, len(candidates) - 1
@@ -310,20 +321,31 @@ def optimize(
 
 
 def _zero_scale_solution(instance: NUkCInstance) -> NUkCSolution | None:
-    """Feasibility at scale 0: cover m points with k1 + k2 duplicate classes."""
-    classes: list[list[int]] = []
-    assigned = np.zeros(instance.n, dtype=bool)
-    for v in range(instance.n):
-        if assigned[v]:
-            continue
-        members = np.flatnonzero(instance.metric.covers(v, 0.0))
-        assigned[members] = True
-        classes.append([int(u) for u in members])
-    classes.sort(key=lambda c: (-len(c), c[0]))
-    picks = classes[: instance.k1 + instance.k2]
-    if sum(len(c) for c in picks) < instance.m:
+    """Feasibility at scale 0: cover m points with k1 + k2 duplicate classes.
+
+    Points are read in index order, and each one no earlier class holds
+    opens the class of the points at distance 0 from it (its row of the
+    scale-0 mask).  The k1 + k2 largest classes, ties to the lower first
+    member, are opened at their first members.
+    """
+    n = instance.n
+    zero = instance.metric.covers(None, 0.0)
+    earlier = np.triu(zero, 1)  # earlier[u, v]: u < v and v is in u's class
+    # Each round settles at least the lowest undecided point: a point that
+    # no earlier opener or undecided point reaches opens a class, and one an
+    # earlier opener reaches does not.  When distance 0 is an equivalence,
+    # as on exact metrics, one round settles every point.
+    opens = np.zeros(n, dtype=bool)
+    undecided = np.ones(n, dtype=bool)
+    while undecided.any():
+        opens |= undecided & ~earlier[opens | undecided].any(axis=0)
+        undecided &= ~opens & ~earlier[opens].any(axis=0)
+    classes = zero[opens]
+    size, first = classes.sum(axis=1), classes.argmax(axis=1)
+    picks = np.lexsort((first, -size))[: instance.k1 + instance.k2]  # stable: opener order
+    if size[picks].sum() < instance.m:
         return None
-    reps = [c[0] for c in picks]
+    reps = first[picks].tolist()
     return NUkCSolution(
         centers1=tuple(reps[: instance.k1]),
         centers2=tuple(reps[instance.k1 :]),

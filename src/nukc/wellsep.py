@@ -14,7 +14,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cutting_plane import ORACLE_EPS, Rounded, Separating, ball_rows, coverage_model, run_round_or_cut
+from .cutting_plane import (
+    ORACLE_EPS, Rounded, Separating, ball_rows, coverage_model, lp_certificate, mass_cut, release,
+    run_round_or_cut,
+)
 # Unused here, as in the whole package: perfbench/tracing.py patches it here.
 from .cutting_plane import coverage_lp  # noqa: F401
 from .firefighter import solve_2ff
@@ -66,6 +69,8 @@ def decide(
     coverage LP, with large centers confined to ``y`` in both.  Both read
     the same ``ball_rows``, built once.  INFEASIBLE comes only from the
     driver, and an exhausted iteration cap is UNDECIDED (method ``cap``).
+    The driver's model carries m as its target; when the LP alone refutes
+    m, the verdict carries the LP's ``lp_certificate``, checked on the rows.
     perfbench/tracing.py patches greedy_cover and run_round_or_cut in this
     module, so they are called through its globals.
     """
@@ -81,12 +86,15 @@ def decide(
         if sol is not None:
             return SolveResult.verified(inst, sol, "greedy")
 
-    res = run_round_or_cut(coverage_model(inst, y, reach), oracle, config.max_iters)
+    model = coverage_model(inst, y, reach, target=inst.m)
+    res = run_round_or_cut(model, oracle, config.max_iters)
+    certificate = lp_certificate(model, y) if res.status == "infeasible" else None
+    release(model)
     if res.status == "rounded":
         solution, info = res.payload
         return SolveResult.verified(inst, solution, "round", case=info.get("case", ""), cuts=res.cuts)
     if res.status == "infeasible":
-        return SolveResult("infeasible", method="lp-empty", cuts=res.cuts)
+        return SolveResult("infeasible", method="lp-empty", cuts=res.cuts, certificate=certificate)
     return SolveResult("undecided", method="cap", cuts=res.cuts)
 
 
@@ -119,10 +127,6 @@ def box_violation_cut(cov: CoverageVector, eps: float = ORACLE_EPS) -> Cut | Non
     a1[v] = 1.0
     a2[v] = 1.0
     return Cut(a1=a1, a2=a2, b=1.0, kind="box-total", meta={"point": int(v)})
-
-
-def mass_cut(n: int, m: int) -> Cut:
-    return Cut(a1=-np.ones(n), a2=-np.ones(n), b=-float(m), kind="mass")
 
 
 def wellsep_separation_oracle(

@@ -4,21 +4,27 @@ solvers it drives with the greedy screen off."""
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import nukc.cutting_plane as cutting_plane
 from nukc import (
     MetricSpace,
     NUkCInstance,
     SolverConfig,
+    brute_force_nukc,
     hull_coverage_vectors,
     planted_instance,
     planted_kcenter_instance,
     solve_feasibility,
+    solve_wellsep,
+    uniform_instance,
     verify_solution,
 )
 from nukc.cutting_plane import (
+    CERTIFICATE_GRID,
     CUT_CONTRACT_EPS,
     LPSolveError,
     OracleContractError,
@@ -26,14 +32,16 @@ from nukc.cutting_plane import (
     Separating,
     _highs,
     _split,
+    certificate_bound,
     coverage_lp,
     coverage_model,
     default_max_iters,
+    release,
     run_round_or_cut,
 )
 from nukc.model import Cut
 
-from conftest import near_symmetric_instance, random_instance
+from conftest import near_symmetric_instance, random_instance, random_wellsep
 from test_presolve import linprog_coverage_lp
 
 # One point, one ball of each size: the coverage LP projects onto the box
@@ -389,3 +397,98 @@ def test_solver_names_the_infeasible_stop():
     capped = solve_feasibility(inst, SolverConfig(shortcuts=False, max_iters=1))
     assert (empty.status, empty.method, empty.iterations) == ("infeasible", "lp-empty", 1)
     assert (capped.status, capped.method, capped.iterations) == ("undecided", "cap", 1)
+
+
+# Its coverage LP stays below m = 18, and dual simplex proves it before the optimum.
+BOUND_STOP = uniform_instance(2, 20, 0.3, 0.1, 2, 2, 18)
+
+
+def never_queried(x):
+    raise AssertionError("the objective bound stops the run before any query")
+
+
+def test_target_stops_at_the_bound_as_a_mass_cut_would():
+    # The run records the mass cut the oracle would have returned at the
+    # optimum, and a cap of 1 ends it as exhausted, as that cut would.
+    for cap, status in ((None, "infeasible"), (1, "exhausted")):
+        model = coverage_model(BOUND_STOP, target=BOUND_STOP.m)
+        res = run_round_or_cut(model, never_queried, cap)
+        assert model.lp.getModelStatus() == _highs.HighsModelStatus.kObjectiveBound
+        assert (res.status, res.iterations) == (status, 1)
+        [cut] = res.cuts
+        assert (cut.kind, cut.b) == ("mass", -18.0)
+        assert np.all(cut.a1 == -1.0) and np.all(cut.a2 == -1.0)
+
+
+def test_reused_highs_object_matches_a_fresh_one(monkeypatch):
+    # A released object, after a run with a target, solves a model without
+    # one to the same optimum, bit for bit, as a new object: the objective
+    # bound does not leak into the next run.
+    monkeypatch.setattr(cutting_plane, "_FREE", [])
+    model = coverage_model(BOUND_STOP, target=BOUND_STOP.m)
+    assert run_round_or_cut(model, never_queried).status == "infeasible"
+    used = model.lp
+    release(model)
+    assert (used.getNumRow(), used.getNumCol()) == (0, 0)  # the free list holds no model
+    runs = []
+    for _ in range(2):  # the released object, then a new one
+        model = coverage_model(BOUND_STOP)
+        queries = []
+        res = run_round_or_cut(model, lambda x: queries.append(x) or Rounded(None))
+        solution = model.lp.getSolution()
+        runs.append((model.lp, res.status, queries[0], np.array(solution.col_value),
+                     np.array(solution.row_dual), model.lp.getInfo().objective_function_value))
+    assert runs[0][0] is used and runs[1][0] is not used
+    assert used.getOptionValue("objective_bound")[1] == math.inf
+    assert runs[0][1] == runs[1][1] == "rounded"
+    for a, b in zip(runs[0][2:], runs[1][2:]):
+        assert np.array_equal(a, b)
+    assert -runs[0][-1] < BOUND_STOP.m  # the run went past the bound a target would set
+    coverage_lp(BOUND_STOP)
+    assert len(cutting_plane._FREE) == 1
+
+
+def fraction_bound(inst, beta, y=None):
+    """certificate_bound in exact rationals, with balls read from dense rows."""
+    d, n = inst.metric.dist, inst.n
+    b = [Fraction(float(v)) for v in beta]
+
+    def weights(r, centers):
+        return sorted((sum((b[v] for v in range(n) if d[u, v] <= r), Fraction(0)) for u in centers),
+                      reverse=True)
+
+    large = weights(inst.r1, range(n) if y is None else y)[: inst.k1]
+    small = weights(inst.r2, range(n))[: inst.k2]
+    return sum((1 - v for v in b), Fraction(0)) + sum(large, Fraction(0)) + sum(small, Fraction(0))
+
+
+class TestCertificate:
+    def test_certified_verdicts_agree_with_brute_force(self):
+        # Every certificate a verdict carries is below m in exact rationals,
+        # and brute force finds no solution; any dyadic beta bounds the
+        # brute-force optimum from above.
+        rng = np.random.default_rng(17)
+        certified = 0
+        for t in range(160):
+            ws = random_wellsep(rng, max_n=12) if t % 2 else None
+            inst, y = (ws.base, ws.y) if ws else (random_instance(rng, max_n=12), None)
+            best = brute_force_nukc(inst, restrict_y=y).best_covered
+            beta = rng.integers(0, 2**20 + 1, size=inst.n) * CERTIFICATE_GRID
+            assert certificate_bound(inst, beta, y) == fraction_bound(inst, beta, y) >= best
+            for config in (SolverConfig(), SolverConfig(shortcuts=False)):
+                res = solve_wellsep(ws, config) if ws else solve_feasibility(inst, config)
+                if res.certificate is None:
+                    continue
+                assert (res.status, res.method, [cut.kind for cut in res.cuts]) == (
+                    "infeasible", "lp-empty", ["mass"])
+                bound = certificate_bound(inst, res.certificate, y)
+                assert bound == fraction_bound(inst, res.certificate, y) < inst.m
+                assert best < inst.m
+                certified += 1
+        assert certified > 40
+
+    @pytest.mark.parametrize("beta", [[0.5, 0.3], [0.5, 1.5], [0.5, -0.25], [0.5, np.nan], [0.5]])
+    def test_bound_rejects_beta_off_the_grid(self, beta):
+        inst = NUkCInstance(MetricSpace.from_points([[0.0], [1.0]]), 1.0, 0.5, 1, 1, 2)
+        with pytest.raises(ValueError, match="multiples of 2"):
+            certificate_bound(inst, np.array(beta))

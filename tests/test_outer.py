@@ -434,6 +434,78 @@ class TestOptimize:
         assert checked > 40
 
 
+    def test_probes_a_certificate_refutes_end_lp_empty(self, monkeypatch):
+        # optimize skips a probe that its latest certificate refutes: solved
+        # after all, each such probe ends lp-empty, as the skip assumes.
+        real = outer_module.solve_feasibility
+        solved: list[float] = []
+
+        def solve(inst, config=None):
+            solved.append(inst.r1)
+            return real(inst, config)
+
+        monkeypatch.setattr(outer_module, "solve_feasibility", solve)
+        skipped = 0
+        for seed in range(6):
+            for inst in (uniform_instance(seed, 30, 0.2, 0.08, 2, 2), graph_instance(seed, 30, 2, 2)):
+                solved.clear()
+                out = optimize(inst)
+                for rho, status in out.probes[1:]:  # after scale 0, which is never solved
+                    if rho * inst.r1 not in solved:
+                        res = real(inst.scaled(rho))
+                        assert (status, res.status, res.method) == ("infeasible", "infeasible", "lp-empty")
+                        skipped += 1
+        assert skipped > 10
+
+    def test_zero_scale_classes_match_the_loop(self):
+        rng = np.random.default_rng(5)
+        found = 0
+        for t in range(200):
+            n = int(rng.integers(1, 14))
+            sites = rng.uniform(0.0, 4.0, size=(int(rng.integers(1, n + 1)), 2))
+            metric = MetricSpace.from_points(sites[rng.integers(0, len(sites), size=n)])
+            if t % 3 == 0:  # distance 0 read one way only, within the symmetry tolerance
+                d = np.array(metric.dist)
+                far = np.argwhere(d > 0)
+                if far.size:
+                    u, v = far[int(rng.integers(len(far)))]
+                    d[u, v], d[v, u] = 0.0, 5e-10
+                    metric = MetricSpace._trusted(d)
+            k1, k2 = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+            inst = NUkCInstance(metric, 1.0, 0.5, k1, k2, int(rng.integers(1, n + 1)))
+            want = loop_zero_scale_solution(inst)
+            assert outer_module._zero_scale_solution(inst) == want, inst.metric.dist
+            found += want is not None
+        assert 40 < found < 160
+
+    def test_zero_scale_classes_without_transitivity(self):
+        # d(0, 1) = d(1, 2) = 0 < d(0, 2): 0 opens {0, 1}, and 2, which no
+        # opener reaches, opens {1, 2}, whose first member is 1.
+        d = np.array([[0, 0, 1e-10, 3], [0, 0, 0, 3], [1e-10, 0, 0, 3], [3, 3, 3, 0]])
+        for k1, k2, m, want in ((1, 0, 2, ((0,), ())), (1, 1, 3, ((0,), (1,)))):
+            inst = NUkCInstance(MetricSpace.from_matrix(d), 1.0, 0.5, k1, k2, m)
+            assert loop_zero_scale_solution(inst) == NUkCSolution(*want, 0.0)
+            assert outer_module._zero_scale_solution(inst) == NUkCSolution(*want, 0.0)
+
+
+def loop_zero_scale_solution(instance):
+    """The reference loop: point by point, each unassigned point opens its class."""
+    classes = []
+    assigned = np.zeros(instance.n, dtype=bool)
+    for v in range(instance.n):
+        if assigned[v]:
+            continue
+        members = np.flatnonzero(instance.metric.dist[v] <= 0.0)
+        assigned[members] = True
+        classes.append([int(u) for u in members])
+    classes.sort(key=lambda c: (-len(c), c[0]))
+    picks = classes[: instance.k1 + instance.k2]
+    if sum(len(c) for c in picks) < instance.m:
+        return None
+    reps = [c[0] for c in picks]
+    return NUkCSolution(tuple(reps[: instance.k1]), tuple(reps[instance.k1 :]), 0.0)
+
+
 class TestResultJson:
     def test_solution_schema(self):
         inst, _ = planted_instance(seed=3)

@@ -4,6 +4,7 @@ import pytest
 from nukc import (
     MetricSpace,
     NUkCInstance,
+    NUkCSolution,
     Rounded,
     Separating,
     SolverConfig,
@@ -18,7 +19,7 @@ from nukc import (
     verify_solution,
     wellsep_separation_oracle,
 )
-from nukc.cutting_plane import ORACLE_EPS
+from nukc.cutting_plane import ORACLE_EPS, certificate_bound
 from nukc.model import CoverageVector, Cut
 from nukc import cutting_plane, outer, presolve, wellsep
 from nukc.wellsep import WELLSEP_DILATION, box_violation_cut
@@ -273,6 +274,9 @@ class TestDecide:
             ok, _ = verify_solution(base, res.solution, res.solution.dilation)
             assert ok
             assert y is None or set(res.solution.centers1) <= set(y)
+            assert res.certificate is None
+        else:
+            assert certificate_bound(base, res.certificate, y) < base.m
 
     def test_start_that_rounds_skips_the_greedy_and_the_lp(self, monkeypatch):
         def refuse(*args):
@@ -347,3 +351,38 @@ def test_ball_rows_built_once_per_decide(monkeypatch):
     want = {(True, "start"), (True, "greedy"), (True, "round"), (True, "lp-empty"),
             (False, "start"), (False, "round"), (False, "lp-empty")}
     assert want <= seen, seen
+
+
+def test_nested_runs_take_their_own_highs_object(monkeypatch):
+    # An inner run builds its model while the outer one is live, so it must
+    # not get the outer HiGHS object from the free list.  Both objects go
+    # back once their runs are done.
+    real_model, real_release = wellsep.coverage_model, wellsep.release
+    live: list = []
+    depths: list[int] = []
+
+    def coverage_model(*args, **kwargs):
+        model = real_model(*args, **kwargs)
+        assert all(model.lp is not lp for lp in live)
+        depths.append(len(live))
+        live.append(model.lp)
+        return model
+
+    def release(model):
+        live.remove(model.lp)
+        real_release(model)
+
+    monkeypatch.setattr(wellsep, "coverage_model", coverage_model)
+    monkeypatch.setattr(wellsep, "release", release)
+    inner = wellsep_line([0.0, 10.0, 20.0], y=[0], m=3, k2=1)
+    verdicts = []
+
+    def oracle(x):
+        verdicts.append(solve_wellsep(inner, SolverConfig(shortcuts=False)).method)
+        return Rounded((NUkCSolution((0,), (), 1.0), {}))
+
+    one_point = NUkCInstance(MetricSpace(np.zeros((1, 1))), 1.0, 0.5, 1, 1, 1)
+    for _ in range(2):
+        res = wellsep.decide(one_point, oracle, SolverConfig(shortcuts=False))
+        assert (res.status, res.method) == ("solution", "round")
+    assert verdicts == ["lp-empty"] * 2 and depths == [0, 1] * 2 and not live
