@@ -22,7 +22,6 @@ from .model import (
     NUkCInstance,
     NUkCSolution,
     SizeGuardError,
-    eval_cut,
 )
 
 MAX_COMBOS = 2_000_000
@@ -177,12 +176,9 @@ def validate_cut_on_hull(
     """Whether the cut holds at every m-covering integral solution.
 
     Vacuously true on infeasible instances (the hull is empty, so any cut is
-    allowed there).
+    allowed there).  One cut's ``HullChecker``.
     """
-    for _, cov in hull_coverage_vectors(instance, restrict_y, max_combos):
-        if eval_cut(cut, cov) < -tol:
-            return False
-    return True
+    return HullChecker(instance, restrict_y, max_combos).validate(cut, tol)
 
 
 class HullChecker:
@@ -195,13 +191,8 @@ class HullChecker:
         max_combos: int = MAX_COMBOS,
     ):
         vertices = hull_coverage_vectors(instance, restrict_y, max_combos)
-        self.count = len(vertices)
-        if vertices:
-            self.matrix = np.stack([cov.to_vector() for _, cov in vertices])
-        else:
-            self.matrix = np.zeros((0, 2 * instance.n))
+        self.matrix = np.reshape([cov.to_vector() for _, cov in vertices], (len(vertices), 2 * instance.n))
 
     def validate(self, cut: Cut, tol: float = 1e-9) -> bool:
-        if not self.count:
-            return True
+        """Whether the cut holds at every hull vertex; vacuously true without any."""
         return bool((self.matrix @ cut.as_vector() <= cut.b + tol).all())

@@ -1,15 +1,15 @@
 """Cutting-plane driver for round-or-cut searches (Kelley's method).
 
 The driver starts from the instance's coverage LP in excess form (columns
-x1 | x2 | e, n + 2 rows) and hands each optimum's coverage, split into
-cov1 | cov2, to a separation oracle.  The oracle rounds it into a finished
-payload or returns one violated ``Cut``, which is recorded and added as a row;
-dual simplex re-solves from the last basis.  Oracle cuts come from finite
-families and each is new, so runs are short.  A run given the target m stops
-as soon as HiGHS proves the LP cannot reach it, and the LP's duals then give
-an exact certificate (``lp_certificate``, ``certificate_bound``).  This
-module makes every HiGHS call in the package, through scipy's private
-``_highspy`` bindings.
+x1 | x2 | e, n + 2 rows, read from ``NUkCInstance.balls``) and hands each
+optimum's coverage, split into cov1 | cov2, to a separation oracle.  The
+oracle rounds it into a finished payload or returns one violated ``Cut``,
+which is recorded and added as a row; dual simplex re-solves from the last
+basis.  Oracle cuts come from finite families and each is new, so runs are
+short.  A run given the target m stops as soon as HiGHS proves the LP
+cannot reach it, and the LP's duals then give an exact certificate
+(``lp_certificate``, ``certificate_bound``).  This module makes every HiGHS
+call in the package, through scipy's private ``_highspy`` bindings.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ _OPTIONS.log_to_console = False
 _OPTIONS.primal_feasibility_tolerance = 1e-10
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
-BallRows = tuple[tuple[np.ndarray, np.ndarray], ...]  # see ball_rows
 
 # A run with a target stops once HiGHS proves the total coverage at most
 # target - TARGET_SLACK: below the oracles' mass threshold (target - ORACLE_EPS),
@@ -64,6 +63,10 @@ class OracleContractError(RuntimeError):
 
 class LPSolveError(RuntimeError):
     """HiGHS failed, or ended a solve with neither an optimum nor infeasibility."""
+
+
+class OracleExhausted(Exception):
+    """A capped search inside the oracle ran out, so it neither rounds nor cuts: the run ends exhausted."""
 
 
 @dataclass(frozen=True)
@@ -110,14 +113,13 @@ def _check(status, what: str) -> None:
 class CoverageModel:
     """One driver run's HiGHS model of ``instance``'s coverage LP.
 
-    Every row, column and query is built from ``reach``, ``ball_rows(instance)``,
-    in time linear in its length.  ``target``, when set, is the coverage a
-    run needs (the instance's m): the run stops once the LP cannot reach it.
+    Every row, column and query is built from ``instance.balls``, in time
+    linear in its length.  ``target``, when set, is the coverage a run needs
+    (the instance's m): the run stops once the LP cannot reach it.
     """
 
     instance: NUkCInstance
     lp: _highs._Highs
-    reach: BallRows
     target: int | None = None
 
 
@@ -130,19 +132,8 @@ def _add_rows(lp, upper, count, index, value, what: str) -> None:
     ), what)
 
 
-def ball_rows(inst: NUkCInstance) -> BallRows:
-    """Each B(u, r1), then each B(u, r2), read through ``MetricSpace.covers``.
-
-    Per radius ``(start, points)``, u's points ascending at ``points[start[u] : start[u + 1]]``;
-    no row is empty, as each ball holds its center.
-    """
-    n = inst.n
-    flats = [np.flatnonzero(inst.metric.covers(None, r)) for r in (inst.r1, inst.r2)]  # u * n + v
-    return tuple((np.searchsorted(flat, np.arange(0, n * n + 1, n)), flat % n) for flat in flats)
-
-
 def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None,
-                   reach: BallRows | None = None, target: int | None = None) -> CoverageModel:
+                   target: int | None = None) -> CoverageModel:
     """The driver's start: the coverage LP in excess form, columns x1 | x2 | e.
 
     x1, x2 in [0, 1] (x1 = 0 off ``y`` when given), e >= 0.  Row v's activity
@@ -150,12 +141,12 @@ def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None,
     sum x1 <= k1, sum x2 <= k2.  Maximising sum |B(u, r1)| x1_u + |B(u, r2)|
     x2_u - sum e maximises the total coverage, the sum over v of min(1, the
     openings covering v), and each integral solution meets every row.  An
-    opening at u covers its ball B(u, r) in ``reach``, ``ball_rows(inst)`` unless given.
-    The HiGHS object comes from ``release``'s free list when it holds one.
+    opening at u covers its ball B(u, r) in ``inst.balls``.  The HiGHS
+    object comes from ``release``'s free list when it holds one.
     """
     n = inst.n
-    reach = reach or ball_rows(inst)
-    count = np.concatenate([np.diff(start) for start, _ in reach] + [np.ones(n, int)])
+    balls = inst.balls
+    count = np.concatenate([np.diff(start) for start, _ in balls] + [np.ones(n, int)])
     upper = np.concatenate([np.ones(2 * n), np.full(n, _highs.kHighsInf)])
     if y is not None:
         upper[:n] = np.isin(np.arange(n), y)
@@ -165,11 +156,11 @@ def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None,
         3 * n, n, int(count.sum()), _COLWISE, _MINIMIZE, 0.0,
         np.concatenate([-count[: 2 * n], np.ones(n)]), np.zeros(3 * n), upper, np.zeros(n), np.ones(n),
         np.concatenate([[0], np.cumsum(count)]).astype(np.int32),
-        np.concatenate([reach[0][1], reach[1][1], np.arange(n)]).astype(np.int32),
+        np.concatenate([balls[0][1], balls[1][1], np.arange(n)]).astype(np.int32),
         np.repeat([1.0, -1.0], [count.sum() - n, n]), np.zeros(3 * n, dtype=np.int32),  # continuous
     ), "load the coverage LP")
     _add_rows(lp, [inst.k1, inst.k2], [n, n], np.arange(2 * n), np.ones(2 * n), "add the budget rows")
-    return CoverageModel(inst, lp, reach, target)
+    return CoverageModel(inst, lp, target)
 
 
 def release(model: CoverageModel) -> None:
@@ -201,11 +192,10 @@ def lp_certificate(model: CoverageModel, y: Sequence[int] | None = None) -> np.n
         return None
     beta = np.floor(np.clip(1.0 + np.array(solution.row_dual[:n]), 0.0, 1.0) / CERTIFICATE_GRID)
     beta *= CERTIFICATE_GRID
-    return beta if certificate_bound(inst, beta, y, model.reach) < model.target else None
+    return beta if certificate_bound(inst, beta, y) < model.target else None
 
 
-def certificate_bound(inst: NUkCInstance, beta: np.ndarray, y: Sequence[int] | None = None,
-                      reach: BallRows | None = None) -> float:
+def certificate_bound(inst: NUkCInstance, beta: np.ndarray, y: Sequence[int] | None = None) -> float:
     """Exact upper bound, from ``beta``, on the points any solution covers at dilation 1.
 
     For beta_v in [0, 1] and a >= 0, min(1, a) <= (1 - beta_v) + beta_v * a.
@@ -214,12 +204,12 @@ def certificate_bound(inst: NUkCInstance, beta: np.ndarray, y: Sequence[int] | N
     largest beta(B(u, r1)) over u in ``y`` plus the k2 largest beta(B(u, r2)).
     A bound below m proves the instance infeasible.  ``beta`` must hold
     multiples of CERTIFICATE_GRID in [0, 1], so that every float sum here is
-    exact.  Reads ``reach``, ``ball_rows(inst)`` unless given, in O(its length).
+    exact.  Reads ``inst.balls`` in O(their length).
     """
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (inst.n,) or not np.all((beta >= 0) & (beta <= 1)) or np.any(beta % CERTIFICATE_GRID):
         raise ValueError(f"a certificate is {inst.n} multiples of 2**-20 in [0, 1]")
-    (start1, points1), (start2, points2) = reach or ball_rows(inst)
+    (start1, points1), (start2, points2) = inst.balls
     large = np.add.reduceat(beta[points1], start1[:-1])
     if y is not None:
         large = large[as_indices(y, "Y entry")]
@@ -234,7 +224,7 @@ def _split(model: CoverageModel) -> None:
     with -cov1_v - cov2_v added, so that c = cov1 + cov2."""
     lp, n = model.lp, model.instance.n
     first = lp.getNumRow()
-    for block, (start, v) in enumerate(model.reach):
+    for block, (start, v) in enumerate(model.instance.balls):
         by_point = np.argsort(v, kind="stable")  # centers ascending within each point
         u = np.repeat(np.arange(n), np.diff(start))[by_point]
         _add_rows(lp, np.zeros(n), np.bincount(v, minlength=n), block * n + u, -np.ones(v.size),
@@ -269,10 +259,11 @@ def run_round_or_cut(
     optimum, and stops as that cut stops it.  Status ``infeasible`` (the LP
     plus the cuts is empty) and ``exhausted`` (the cap ran out) are not
     floating-point proofs; ``lp_certificate`` makes the first one when no
-    cut was added.
+    cut was added.  An oracle that raises OracleExhausted also ends the run
+    ``exhausted``.
     """
-    lp, n = model.lp, model.instance.n
-    (start1, points1), _ = model.reach
+    lp, n, balls = model.lp, model.instance.n, model.instance.balls
+    (start1, points1), _ = balls
     if max_iters is None:
         max_iters = default_max_iters(2 * n)
     bound = _highs.kHighsInf if model.target is None else TARGET_SLACK - model.target
@@ -302,7 +293,10 @@ def run_round_or_cut(
                 reach1[points1[start1[u] : start1[u + 1]]] += x1[u]
             cov1 = np.minimum(c, reach1)
             x = np.concatenate([cov1, c - cov1])
-        verdict = oracle(x.copy())
+        try:
+            verdict = oracle(x.copy())
+        except OracleExhausted:
+            return RoundOrCutResult("exhausted", cuts=cuts)
         if isinstance(verdict, Rounded):
             return RoundOrCutResult("rounded", verdict.payload, cuts)
         if not isinstance(verdict, Separating):
@@ -322,7 +316,7 @@ def run_round_or_cut(
             _split(model)
             split = True
         if not split:  # a1 . c with c = reach - e; no ball is empty, as each holds its center
-            a = np.concatenate([np.add.reduceat(cut.a1[v], start[:-1]) for start, v in model.reach]
+            a = np.concatenate([np.add.reduceat(cut.a1[v], start[:-1]) for start, v in balls]
                                + [-cut.a1])
         nz = np.flatnonzero(a)
         _add_rows(lp, [cut.b], [nz.size], nz + 3 * n * split, a[nz], f"add cut {cut.kind!r}")

@@ -9,6 +9,7 @@ first block for the large radius and the second block for the small one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -243,6 +244,18 @@ class NUkCInstance:
     @property
     def n(self) -> int:
         return self.metric.n
+
+    @cached_property
+    def balls(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each B(u, r1), then each B(u, r2), as CSR rows read through ``MetricSpace.covers``.
+
+        Per radius ``(start, points)``, u's points ascending at ``points[start[u] : start[u + 1]]``;
+        no row is empty, as each ball holds its center.  Built on first use
+        and kept: the instance is immutable, so the table cannot go stale.
+        """
+        n = self.n
+        flats = [np.flatnonzero(self.metric.covers(None, r)) for r in (self.r1, self.r2)]  # u * n + v
+        return tuple((np.searchsorted(flat, np.arange(n + 1) * n), flat % n) for flat in flats)
 
     def scaled(self, rho: float) -> NUkCInstance:
         """The same instance with both radii multiplied by ``rho`` (> 0)."""

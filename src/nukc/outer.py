@@ -6,7 +6,8 @@ m (round at dilation 10).  Otherwise nearly every large ball of a true
 solution sits on a root, so the instance family obtained by pinning large
 centers to the roots (well separated by construction) is solved recursively:
 any inner solution lifts to dilation 8, and a clean sweep of infeasibilities
-justifies cutting the root mass down to k1 - 2.
+justifies cutting the root mass down to k1 - 2 (an inner run out of its cap
+refutes nothing: the outer run then ends undecided).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cutting_plane import ORACLE_EPS, Rounded, Separating, certificate_bound, mass_cut
+from .cutting_plane import ORACLE_EPS, OracleExhausted, Rounded, Separating, certificate_bound, mass_cut
 from .firefighter import solve_2ff
 from .model import (
     CoverageVector,
@@ -27,6 +28,7 @@ from .model import (
     SolveResult,
     TheoryViolationError,
     WellSepNUkCInstance,
+    verify_solution,
 )
 from .reduction import lift_ff_solution, reduce_to_firefighter
 from .wellsep import (
@@ -151,7 +153,9 @@ class OuterOracle:
 
     Stateful: it keeps every Case-II inner run.  No driver run enumerates a
     root set twice: its ``candidates`` cut becomes an LP row, so a later query
-    with the same roots has root mass <= k1 - 2 and goes to Case I.
+    with the same roots has root mass <= k1 - 2 and goes to Case I.  That cut
+    needs every candidate refuted; when one of them ended ``undecided`` instead,
+    the oracle raises OracleExhausted, which ends the driver run ``exhausted``.
     """
 
     def __init__(self, instance: NUkCInstance, config: SolverConfig):
@@ -197,6 +201,7 @@ class OuterOracle:
         # from the same start, which already failed; points are read only
         # once the loop gets past the first candidate.
         tried: set[tuple[int, ...]] = set()
+        undecided = False
         for cand in enumerate_candidates(inst, roots):
             if cand.q is not None:
                 if cand.points in tried:
@@ -207,6 +212,9 @@ class OuterOracle:
             if res.status == "solution":
                 lifted = lift_candidate_solution(cand, res.solution, inst)
                 return Rounded((lifted, {"case": "II", "q": cand.q}))
+            undecided |= res.status == "undecided"
+        if undecided:
+            raise OracleExhausted(f"a Case II inner run for roots {list(roots)} ran out of its cap")
         return Separating(set_cut(n, 1, roots, 1.0, float(inst.k1 - 2), "candidates",
                                   roots=list(roots)))
 
@@ -230,7 +238,8 @@ def solve_feasibility(
     INFEASIBLE asserts there is no dilation-1 solution; SOLUTION makes no claim
     about dilation 1 (a solution may be found even when dilation 1 is
     impossible, which is the approximation contract).  UNDECIDED (method
-    ``cap``) means the iteration cap ran out first.
+    ``cap``) means an iteration cap ran out first: the driver's, or an inner
+    run's that left a Case II candidate unrefuted.
     """
     cfg = config or SolverConfig()
     trivial = _trivial_solution(instance)
@@ -258,8 +267,9 @@ def optimize(
     Candidate scales are the distance/radius quotients (plus 0 and 1); below
     the returned scale the solver proved infeasibility, so rho_star lower
     bounds the true optimum and the solution's dilation is at most 10 times it.
-    An ``undecided`` probe (the cap ran out) is searched above like an
-    infeasible one, so the bound holds only when no probe is undecided.
+    An ``undecided`` probe (a cap ran out, or scale 0 could not be settled,
+    see ``_zero_scale_probe``) is searched above like an infeasible one, so
+    the bound holds only when no probe is undecided.
     A probe that the latest certificate (``SolveResult.certificate``) still
     refutes at its scale is recorded infeasible without a solve: its LP is
     below m, so its solve would end ``lp-empty`` too.  The solution is
@@ -271,7 +281,7 @@ def optimize(
     if instance.m > instance.n or (instance.k1 == 0 and instance.k2 == 0):
         return OptimizeResult(math.inf, None, [])
 
-    zero_sol = _zero_scale_solution(instance)
+    zero_status, zero_sol = _zero_scale_probe(instance)
     if zero_sol is not None:
         return OptimizeResult(0.0, zero_sol, [(0.0, "solution")])
 
@@ -283,8 +293,8 @@ def optimize(
     scales = np.unique(np.concatenate(quotients))  # sorted, deduped by float equality
     candidates = scales[scales > 0].tolist()
 
-    probes: list[tuple[float, str]] = [(0.0, "infeasible")]
-    results: dict[float, SolveResult] = {}
+    probes: list[tuple[float, str]] = [(0.0, zero_status)]
+    solutions: dict[float, NUkCSolution] = {}  # not results: their inner runs keep the probe's balls
     certificate: np.ndarray | None = None  # of the highest probe refuted with one
 
     def feasible(rho: float) -> bool:
@@ -294,7 +304,7 @@ def optimize(
             probes.append((rho, "infeasible"))  # as its solve would end: lp-empty
             return False
         res = solve_feasibility(scaled, cfg)
-        results[rho] = res
+        solutions[rho] = res.solution
         probes.append((rho, res.status))
         if res.certificate is not None:
             certificate = res.certificate
@@ -310,23 +320,23 @@ def optimize(
         else:
             lo = mid + 1
     rho_star = candidates[lo]
-    found = results[rho_star].solution
-    solution = NUkCSolution(
-        centers1=found.centers1,
-        centers2=found.centers2,
-        dilation=found.dilation * rho_star,
-    )
+    found = solutions[rho_star]
+    solution = NUkCSolution(found.centers1, found.centers2, found.dilation * rho_star)
     probes.sort()
     return OptimizeResult(rho_star, solution, probes)
 
 
-def _zero_scale_solution(instance: NUkCInstance) -> NUkCSolution | None:
-    """Feasibility at scale 0: cover m points with k1 + k2 duplicate classes.
+def _zero_scale_probe(instance: NUkCInstance) -> tuple[str, NUkCSolution | None]:
+    """Scale 0, where each center covers its row of the ``covers(None, 0.0)`` mask.
 
     Points are read in index order, and each one no earlier class holds
-    opens the class of the points at distance 0 from it (its row of the
-    scale-0 mask).  The k1 + k2 largest classes, ties to the lower first
-    member, are opened at their first members.
+    opens the class of its row.  The k1 + k2 largest classes, ties to the
+    lower first member, are opened at their first members: ("solution",
+    those centers) when ``verify_solution`` counts m points at dilation 0.
+    When distance 0 is an equivalence, as on exact metrics, the classes are
+    the balls and partition the points, so a miss is ("infeasible", None).
+    Within METRIC_EPS distance 0 need be neither symmetric nor transitive,
+    and a miss is only ("undecided", None): other centers may cover m.
     """
     n = instance.n
     zero = instance.metric.covers(None, 0.0)
@@ -340,14 +350,12 @@ def _zero_scale_solution(instance: NUkCInstance) -> NUkCSolution | None:
     while undecided.any():
         opens |= undecided & ~earlier[opens | undecided].any(axis=0)
         undecided &= ~opens & ~earlier[opens].any(axis=0)
-    classes = zero[opens]
+    classes = zero[opens]  # every point lies in one at least
     size, first = classes.sum(axis=1), classes.argmax(axis=1)
     picks = np.lexsort((first, -size))[: instance.k1 + instance.k2]  # stable: opener order
-    if size[picks].sum() < instance.m:
-        return None
     reps = first[picks].tolist()
-    return NUkCSolution(
-        centers1=tuple(reps[: instance.k1]),
-        centers2=tuple(reps[instance.k1 :]),
-        dilation=0.0,
-    )
+    solution = NUkCSolution(tuple(reps[: instance.k1]), tuple(reps[instance.k1 :]), 0.0)
+    if verify_solution(instance, solution, 0.0)[0]:
+        return "solution", solution
+    equivalence = size.sum() == n and np.array_equal(classes[classes.argmax(axis=0)], zero)
+    return ("infeasible" if equivalence else "undecided"), None

@@ -15,8 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cutting_plane import (
-    ORACLE_EPS, Rounded, Separating, ball_rows, coverage_model, lp_certificate, mass_cut, release,
-    run_round_or_cut,
+    ORACLE_EPS, Rounded, Separating, coverage_model, lp_certificate, mass_cut, release, run_round_or_cut,
 )
 # Unused here, as in the whole package: perfbench/tracing.py patches it here.
 from .cutting_plane import coverage_lp  # noqa: F401
@@ -67,10 +66,11 @@ def decide(
     ``Separating`` one is dropped, so its cut never reaches the LP.  Then,
     with shortcuts on, the greedy; then the driver over ``oracle`` from the
     coverage LP, with large centers confined to ``y`` in both.  Both read
-    the same ``ball_rows``, built once.  INFEASIBLE comes only from the
-    driver, and an exhausted iteration cap is UNDECIDED (method ``cap``).
-    The driver's model carries m as its target; when the LP alone refutes
-    m, the verdict carries the LP's ``lp_certificate``, checked on the rows.
+    ``inst.balls``, built on the first read.  INFEASIBLE comes only from the
+    driver, and an exhausted iteration cap is UNDECIDED (method ``cap``), as
+    is a run whose oracle raised OracleExhausted.  The driver's model
+    carries m as its target; when the LP alone refutes m, the verdict
+    carries the LP's ``lp_certificate``, checked on the same balls.
     perfbench/tracing.py patches greedy_cover and run_round_or_cut in this
     module, so they are called through its globals.
     """
@@ -80,13 +80,12 @@ def decide(
         verdict = oracle(start)
         if isinstance(verdict, Rounded):
             return SolveResult.verified(inst, verdict.payload[0], "start")
-    reach = ball_rows(inst)
     if config.shortcuts:
-        sol = greedy_cover(inst, restrict_y=y, reach=reach)
+        sol = greedy_cover(inst, restrict_y=y)
         if sol is not None:
             return SolveResult.verified(inst, sol, "greedy")
 
-    model = coverage_model(inst, y, reach, target=inst.m)
+    model = coverage_model(inst, y, target=inst.m)
     res = run_round_or_cut(model, oracle, config.max_iters)
     certificate = lp_certificate(model, y) if res.status == "infeasible" else None
     release(model)

@@ -6,6 +6,8 @@ so every test run sees the same corpus.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from nukc import (
@@ -17,6 +19,24 @@ from nukc import (
     graph_instance,
     hs_partition,
 )
+
+
+def count_ball_tables(monkeypatch) -> list[NUkCInstance]:
+    """Patch ``NUkCInstance.balls`` to append its instance to the returned list at each build.
+
+    The list keeps every built instance alive, so their ids stay distinct.
+    """
+    built: list[NUkCInstance] = []
+    real = NUkCInstance.balls.func
+
+    def balls(inst):
+        built.append(inst)
+        return real(inst)
+
+    prop = functools.cached_property(balls)
+    prop.__set_name__(NUkCInstance, "balls")
+    monkeypatch.setattr(NUkCInstance, "balls", prop)
+    return built
 
 
 def random_metric(rng: np.random.Generator, n: int) -> MetricSpace:

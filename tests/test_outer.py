@@ -2,6 +2,7 @@
 cut validity, and the dilation optimizer."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nukc import (
     NUkCSolution,
     OuterOracle,
     Rounded,
+    SolveResult,
     SolverConfig,
     brute_force_nukc,
     covered_points,
@@ -31,10 +33,11 @@ from nukc import (
     wellsep_separation_oracle,
 )
 import nukc.outer as outer_module
+from nukc.cutting_plane import OracleExhausted
 from nukc.model import coverage_of_solution
 from nukc.outer import Candidate, enumerate_candidates
 
-from conftest import near_symmetric_instance, random_instance, random_metric
+from conftest import count_ball_tables, near_symmetric_instance, random_instance, random_metric
 
 
 def euclidean(points, r1, r2, k1, k2, m):
@@ -284,6 +287,44 @@ class TestCandidates:
         assert skipped.instance == runs[7].instance
         assert solve_wellsep(skipped.instance, start=skipped.start(cov)).status == "infeasible"
 
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(shortcuts=False)],
+                             ids=["default", "shortcut-free"])
+    def test_unrefuted_candidate_leaves_the_run_undecided(self, monkeypatch, config):
+        # A candidates cut needs every candidate refuted.  An inner run that
+        # ran out of its cap refutes nothing, so the outer run ends undecided,
+        # keeping the cuts it had and adding no candidates cut.
+        inst = graph_instance(1462587161, 60, 2, 2).scaled(0.7677618360608947)
+        real = solve_feasibility(inst, config)
+        assert (real.status, real.method, real.case) == ("solution", "round", "II")
+        monkeypatch.setattr(outer_module, "solve_wellsep",
+                            lambda ws, config=None, start=None: SolveResult("undecided", method="cap"))
+        res = solve_feasibility(inst, config)
+        assert (res.status, res.method) == ("undecided", "cap")
+        kinds = [cut.kind for cut in res.cuts]
+        assert "candidates" not in kinds and kinds == [cut.kind for cut in real.cuts][: len(kinds)]
+        assert res.inner_runs and {r.status for _, r in res.inner_runs} == {"undecided"}
+
+    def test_one_capped_candidate_blocks_the_candidates_cut(self, monkeypatch):
+        # The m = 12 query of test_candidates_sharing_a_ball_solve_once: every
+        # candidate is refuted and the root set is cut.  With the last inner
+        # run capped instead, the others refuted as before, the oracle raises.
+        xs = [-102, -101.5, -101, -100.5, -100, 5, 15, 10, 10, 10.5, 11, 11.5, 12]
+        inst = euclidean(np.array(xs)[:, None], 1.0, 0.01, 2, 0, 12)
+        x = np.concatenate([[1, 1, 1, 1, 1, 1, 0] + [1.0] * 6, np.zeros(inst.n)])
+        last = enumerate_candidates(inst, OuterOracle(inst, SolverConfig())(x).cut.meta["roots"])[-1]
+
+        def capped_last(ws, config=None, start=None):
+            if ws.base.metric == last.instance.base.metric:
+                return SolveResult("undecided", method="cap")
+            return solve_wellsep(ws, config, start=start)
+
+        monkeypatch.setattr(outer_module, "solve_wellsep", capped_last)
+        oracle = OuterOracle(inst, SolverConfig())
+        with pytest.raises(OracleExhausted):
+            oracle(x)
+        statuses = [res.status for _, res in oracle.inner_runs]
+        assert statuses[-1] == "undecided" and set(statuses[:-1]) == {"infeasible"}
+
     def test_enumeration_builds_no_sub_instance(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("sub-metric built")
@@ -457,35 +498,99 @@ class TestOptimize:
                         skipped += 1
         assert skipped > 10
 
+    def test_each_probe_scale_builds_one_ball_table(self, monkeypatch):
+        # The certificate check and the probe's solve read the table cached
+        # on the probe's scaled instance.
+        built = count_ball_tables(monkeypatch)
+        checked, solved = [], []
+        real_bound, real_solve = outer_module.certificate_bound, outer_module.solve_feasibility
+
+        def bound(inst, beta):
+            checked.append(inst)
+            return real_bound(inst, beta)
+
+        def solve(inst, config=None):
+            solved.append(inst)
+            return real_solve(inst, config)
+
+        monkeypatch.setattr(outer_module, "certificate_bound", bound)
+        monkeypatch.setattr(outer_module, "solve_feasibility", solve)
+        for seed in range(3):
+            for inst in (uniform_instance(seed, 30, 0.2, 0.08, 2, 2), graph_instance(seed, 30, 2, 2)):
+                optimize(inst)
+        builds = Counter(map(id, built))
+        probes = {id(p): p for p in checked + solved}
+        assert all(builds[key] == 1 for key in probes)
+        shared = {id(p) for p in checked} & {id(p) for p in solved}
+        skipped = {id(p) for p in checked} - {id(p) for p in solved}
+        assert len(shared) > 20 and len(skipped) > 5
+
     def test_zero_scale_classes_match_the_loop(self):
         rng = np.random.default_rng(5)
-        found = 0
+        found = undecided = 0
         for t in range(200):
-            n = int(rng.integers(1, 14))
-            sites = rng.uniform(0.0, 4.0, size=(int(rng.integers(1, n + 1)), 2))
-            metric = MetricSpace.from_points(sites[rng.integers(0, len(sites), size=n)])
-            if t % 3 == 0:  # distance 0 read one way only, within the symmetry tolerance
-                d = np.array(metric.dist)
-                far = np.argwhere(d > 0)
-                if far.size:
-                    u, v = far[int(rng.integers(len(far)))]
-                    d[u, v], d[v, u] = 0.0, 5e-10
-                    metric = MetricSpace._trusted(d)
-            k1, k2 = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-            inst = NUkCInstance(metric, 1.0, 0.5, k1, k2, int(rng.integers(1, n + 1)))
+            inst = duplicated_instance(rng, one_way=t % 3 == 0)
             want = loop_zero_scale_solution(inst)
-            assert outer_module._zero_scale_solution(inst) == want, inst.metric.dist
+            if want is not None and not verify_solution(inst, want, 0.0)[0]:
+                want = None  # the loop adds up the sizes of overlapping classes
+            status, got = outer_module._zero_scale_probe(inst)
+            assert got == want, inst.metric.dist
+            assert status == "solution" if want is not None else status in ("infeasible", "undecided")
+            # Exact zeros are an equivalence, so a miss there is a proof.
+            assert t % 3 == 0 or status != "undecided", inst.metric.dist
             found += want is not None
-        assert 40 < found < 160
+            undecided += status == "undecided"
+        assert 40 < found < 160 and undecided > 5
+
+    def test_zero_scale_probe_agrees_with_brute_force(self):
+        rng = np.random.default_rng(17)
+        tally = Counter()
+        for t in range(150):
+            inst = duplicated_instance(rng, one_way=t % 3 == 0)
+            status, got = outer_module._zero_scale_probe(inst)
+            feasible = brute_force_nukc(inst, rho=0.0).feasible
+            if status == "solution":
+                assert verify_solution(inst, got, 0.0)[0] and feasible
+            elif status == "infeasible":
+                assert not feasible, inst.metric.dist
+            else:  # only a one-way zero leaves scale 0 open
+                assert status == "undecided" and t % 3 == 0, inst.metric.dist
+            tally[status] += 1
+        assert tally["solution"] > 60 and tally["infeasible"] > 20 and tally["undecided"] > 5, tally
 
     def test_zero_scale_classes_without_transitivity(self):
         # d(0, 1) = d(1, 2) = 0 < d(0, 2): 0 opens {0, 1}, and 2, which no
         # opener reaches, opens {1, 2}, whose first member is 1.
-        d = np.array([[0, 0, 1e-10, 3], [0, 0, 0, 3], [1e-10, 0, 0, 3], [3, 3, 3, 0]])
+        metric = MetricSpace.from_matrix([[0, 0, 1e-10, 3], [0, 0, 0, 3], [1e-10, 0, 0, 3], [3, 3, 3, 0]])
         for k1, k2, m, want in ((1, 0, 2, ((0,), ())), (1, 1, 3, ((0,), (1,)))):
-            inst = NUkCInstance(MetricSpace.from_matrix(d), 1.0, 0.5, k1, k2, m)
+            inst = NUkCInstance(metric, 1.0, 0.5, k1, k2, m)
             assert loop_zero_scale_solution(inst) == NUkCSolution(*want, 0.0)
-            assert outer_module._zero_scale_solution(inst) == NUkCSolution(*want, 0.0)
+            assert outer_module._zero_scale_probe(inst) == ("solution", NUkCSolution(*want, 0.0))
+        # Opened at 0 and 1, the two classes cover 3 points, not the 4 their
+        # sizes add up to; centers 1 and 3 would cover all 4.
+        inst = NUkCInstance(metric, 1.0, 0.5, 0, 2, 4)
+        assert verify_solution(inst, loop_zero_scale_solution(inst), 0.0) == (False, 3)
+        assert verify_solution(inst, NUkCSolution((), (1, 3), 0.0), 0.0) == (True, 4)
+        assert outer_module._zero_scale_probe(inst) == ("undecided", None)
+        out = optimize(inst)
+        assert out.probes[0] == (0.0, "undecided") and out.rho_star > 0
+        assert verify_solution(inst, out.solution, out.solution.dilation)[0]
+
+
+def duplicated_instance(rng, one_way=False):
+    """A small metric on repeated sites; ``one_way`` reads one distance 0 one way only."""
+    n = int(rng.integers(1, 14))
+    sites = rng.uniform(0.0, 4.0, size=(int(rng.integers(1, n + 1)), 2))
+    metric = MetricSpace.from_points(sites[rng.integers(0, len(sites), size=n)])
+    if one_way:  # within the symmetry tolerance
+        d = np.array(metric.dist)
+        far = np.argwhere(d > 0)
+        if far.size:
+            u, v = far[int(rng.integers(len(far)))]
+            d[u, v], d[v, u] = 0.0, 5e-10
+            metric = MetricSpace._trusted(d)
+    k1, k2 = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+    return NUkCInstance(metric, 1.0, 0.5, k1, k2, int(rng.integers(1, n + 1)))
 
 
 def loop_zero_scale_solution(instance):

@@ -14,7 +14,7 @@ from nukc import (
     verify_solution,
 )
 from nukc import cutting_plane
-from nukc.cutting_plane import LPSolveError, ball_rows, coverage_lp, coverage_model, run_round_or_cut
+from nukc.cutting_plane import LPSolveError, coverage_lp, coverage_model, run_round_or_cut
 
 from conftest import near_symmetric_instance, random_instance
 
@@ -156,6 +156,17 @@ class TestGreedy:
                 assert len(sol.centers2) <= inst.k2
         assert hits > 0  # the corpus is not all-infeasible
 
+    def test_zero_and_excess_targets(self):
+        # The loop answers both edges itself: m = 0 with the empty cover,
+        # m > n with None, also on an empty metric and with no budget.
+        empty = MetricSpace.from_matrix(np.zeros((0, 0)))
+        for metric in (MetricSpace.from_points([[0.0], [0.5], [3.0]]), empty):
+            for k1, k2 in ((0, 0), (1, 0), (3, 3)):
+                for y in (None, []):
+                    zero = NUkCInstance(metric, 1.0, 0.1, k1, k2, 0)
+                    assert greedy_cover(zero, y) == NUkCSolution.empty()
+                    assert greedy_cover(NUkCInstance(metric, 1.0, 0.1, k1, k2, metric.n + 1), y) is None
+
     def test_ties_spend_the_small_ball(self):
         # The r2 cluster 10..10.1 comes first, and an r1 ball there ties with
         # the r2 ball (3 points each) and with the r1 ball on the wide cluster
@@ -183,7 +194,7 @@ class TestGreedy:
         for _ in range(100):
             inst = near_symmetric_instance(rng)
             d = inst.metric.dist
-            for (start, points), r in zip(ball_rows(inst), (inst.r1, inst.r2)):
+            for (start, points), r in zip(inst.balls, (inst.r1, inst.r2)):
                 for u in range(inst.n):
                     assert points[start[u] : start[u + 1]].tolist() == np.flatnonzero(d[u] <= r).tolist()
                 asymmetric += not np.array_equal(d <= r, (d <= r).T)

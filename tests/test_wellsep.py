@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,10 @@ from nukc import (
 )
 from nukc.cutting_plane import ORACLE_EPS, certificate_bound
 from nukc.model import CoverageVector, Cut
-from nukc import cutting_plane, outer, presolve, wellsep
+from nukc import outer, wellsep
 from nukc.wellsep import WELLSEP_DILATION, box_violation_cut
 
-from conftest import random_wellsep
+from conftest import count_ball_tables, random_wellsep
 
 
 def wellsep_line(xs, y, **kw) -> WellSepNUkCInstance:
@@ -311,28 +313,19 @@ class TestDecide:
         assert fingerprints[0] == fingerprints[1]
 
 
-def test_ball_rows_built_once_per_decide(monkeypatch):
-    # The greedy and the driver share one build; a rounded start query needs
-    # none.  Inner runs open a decide of their own inside the outer one.
-    real_rows, real_decide = cutting_plane.ball_rows, wellsep.decide
-    open_builds: list[int] = []  # rows built, per decide still running
-    done: list[tuple[bool, str, int]] = []  # (shortcuts, method, rows built), per finished decide
-
-    def rows(inst):
-        open_builds[-1] += 1
-        return real_rows(inst)
+def test_ball_table_built_once_per_instance(monkeypatch):
+    # The greedy, the driver and the certificate check all read the table
+    # cached on the instance: solved four times, an instance builds it once.
+    # A rounded start query reads none, so that inner instance builds none.
+    built = count_ball_tables(monkeypatch)
+    real_decide = wellsep.decide
+    done: list[tuple[NUkCInstance, bool, str]] = []  # (instance, shortcuts, method), per finished decide
 
     def decide(inst, oracle, config, *args):
-        open_builds.append(0)
-        try:
-            res = real_decide(inst, oracle, config, *args)
-        finally:
-            built = open_builds.pop()
-        done.append((config.shortcuts, res.method, built))
+        res = real_decide(inst, oracle, config, *args)
+        done.append((inst, config.shortcuts, res.method))
         return res
 
-    for mod in (cutting_plane, presolve, wellsep):
-        monkeypatch.setattr(mod, "ball_rows", rows)
     for mod in (outer, wellsep):
         monkeypatch.setattr(mod, "decide", decide)
     # The greedy's first ball, at 1.05, straddles the two clusters and falls
@@ -343,11 +336,13 @@ def test_ball_rows_built_once_per_decide(monkeypatch):
     corpus = [straddle] + [uniform_instance(s, 12, 0.3, 0.1, 2, 2, int(rng.integers(6, 13)))
                            for s in range(40)]
     for inst in corpus:
-        for config in (SolverConfig(), SolverConfig(shortcuts=False)):
+        for config in (SolverConfig(), SolverConfig(shortcuts=False)) * 2:
             solve_feasibility(inst, config)
-    for _, method, built in done:
-        assert built == (0 if method in ("start", "trivial") else 1), method
-    seen = {(shortcuts, method) for shortcuts, method, _ in done}
+    builds = Counter(map(id, built))
+    assert set(builds.values()) == {1}
+    for inst, _, method in done:
+        assert builds[id(inst)] == (0 if method in ("start", "trivial") else 1), method
+    seen = {(shortcuts, method) for _, shortcuts, method in done}
     want = {(True, "start"), (True, "greedy"), (True, "round"), (True, "lp-empty"),
             (False, "start"), (False, "round"), (False, "lp-empty")}
     assert want <= seen, seen
