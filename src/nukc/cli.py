@@ -1,9 +1,9 @@
 """Command line front end: gen, solve, check.
 
 Exit codes follow the verdict: 0 for a solution (or a successful gen/check
-run, or --help), 2 for infeasible (or a failed check), 3 for undecided (the
-iteration cap ran out), 1 for usage and input errors.  Timing belongs to the
-benchmark harness in ``perfbench/``.
+run, or --help), 2 for infeasible (or a failed check), 3 for undecided (a
+cap ran out, or an LP refutation had no certificate), 1 for usage and input
+errors.  Timing belongs to the benchmark harness in ``perfbench/``.
 """
 
 from __future__ import annotations

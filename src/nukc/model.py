@@ -463,10 +463,10 @@ class SolveResult:
     (``case`` onward) stay empty for screen verdicts and parsed files.
     """
 
-    status: str  # "solution" | "infeasible" | "undecided" (the iteration cap ran out)
+    status: str  # "solution" | "infeasible" | "undecided" (a cap ran out, or an LP refutation went uncertified)
     solution: NUkCSolution | None = None
     covered_count: int = 0
-    # trivial|start|greedy|round|lp-empty|cap, or optimize (CLI); start: an
+    # trivial|start|greedy|round|lp-empty|cap|uncertified, or optimize (CLI); start: an
     # inner run rounded the outer query it was handed, before any LP.
     method: str = ""
     case: str = ""  # which outer rounding case produced the solution, if any

@@ -19,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cutting_plane import ORACLE_EPS, OracleExhausted, Rounded, Separating, certificate_bound, mass_cut
+from .cutting_plane import (
+    ORACLE_EPS, TARGET_SLACK, OracleExhausted, Rounded, Separating, certificate_bound, coverage_lp, mass_cut,
+)
 from .firefighter import solve_2ff
 from .model import (
     CoverageVector,
@@ -30,16 +32,15 @@ from .model import (
     WellSepNUkCInstance,
     verify_solution,
 )
+from .presolve import greedy_cover
 from .reduction import lift_ff_solution, reduce_to_firefighter
 from .wellsep import (
     SolverConfig, box_violation_cut, decide, set_cut, solve_wellsep,
 )
 
-# Not called here: perfbench/tracing.py patches these names in this module,
-# until the solver records its own per-layer counts.  coverage_lp, one solve
-# of the driver's model, has no caller in the package at all.
-from .cutting_plane import coverage_lp, run_round_or_cut  # noqa: F401
-from .presolve import greedy_cover  # noqa: F401
+# Not called here: perfbench/tracing.py patches this name in this module,
+# until the solver records its own per-layer counts.
+from .cutting_plane import run_round_or_cut  # noqa: F401
 
 # Dilation of a Case II solution; Case I's 10 comes from the (8, 2) reduction.
 CASE2_DILATION = 8.0
@@ -254,6 +255,17 @@ def solve_feasibility(
 
 @dataclass
 class OptimizeResult:
+    """``optimize``'s answer: the scale, its solution and the probe trail.
+
+    ``solution`` is in original-radius units, at dilation at most
+    10 * ``rho_star``; None (with ``rho_star`` inf) when no scale was solved.
+    ``probes`` holds one (scale, status) per scale probed, sorted by scale.
+    A status is ``infeasible`` (refuted: a certificate, or the full solve),
+    ``undecided`` (a cap, an uncertified LP refutation, or scale 0 left
+    open), ``lp-feasible`` (the coverage LP reaches m there, so the search
+    went below it; nothing was solved) or ``solution``.
+    """
+
     rho_star: float
     solution: NUkCSolution | None
     probes: list[tuple[float, str]] = field(default_factory=list)
@@ -264,16 +276,27 @@ def optimize(
 ) -> OptimizeResult:
     """Smallest candidate scale the solver cannot refute, plus its solution.
 
-    Candidate scales are the distance/radius quotients (plus 0 and 1); below
-    the returned scale the solver proved infeasibility, so rho_star lower
-    bounds the true optimum and the solution's dilation is at most 10 times it.
-    An ``undecided`` probe (a cap ran out, or scale 0 could not be settled,
-    see ``_zero_scale_probe``) is searched above like an infeasible one, so
-    the bound holds only when no probe is undecided.
-    A probe that the latest certificate (``SolveResult.certificate``) still
-    refutes at its scale is recorded infeasible without a solve: its LP is
-    below m, so its solve would end ``lp-empty`` too.  The solution is
-    reported in original-radius units.
+    Candidate scales are the distance/radius quotients (plus 0 and 1).  The
+    coverage LP's optimum only grows with the scale, so the search bisects
+    them on whether the LP refutes a scale, asked in this order: the
+    certificate of the highest refuted probe; the openings (LP optimum or
+    greedy cover) of the lowest unrefuted probe, if they still cover
+    m - TARGET_SLACK; the greedy screen, with shortcuts on; one
+    ``coverage_lp`` solve with the target stop, started from the basis of
+    the highest probe whose LP refuted it, never from a scale above.  The
+    openings start as one ball around point 0, which at the top scale
+    covers every point (up to rounding where its radius is the largest
+    distance itself), so the top builds no table and solves nothing.
+    ``solve_feasibility`` then runs once, on the scale the search settled
+    on; if it returns no SOLUTION (a rounding gap or a cap), the same
+    bisection goes on above that scale with the full solve as its test.
+
+    Every probe below the returned scale was refuted, by a certificate or by
+    the full solve, so rho_star lower bounds the true optimum unless a probe
+    is ``undecided`` (a cap ran out, an LP refutation had no certificate, or
+    scale 0 was left open, see ``_zero_scale_probe``): such a probe is
+    searched above like an infeasible one.  The solution is reported in
+    original-radius units, at dilation at most 10 * rho_star.
     """
     cfg = config or SolverConfig()
     if instance.m <= 0:
@@ -285,45 +308,89 @@ def optimize(
     if zero_sol is not None:
         return OptimizeResult(0.0, zero_sol, [(0.0, "solution")])
 
+    n, m = instance.n, instance.m
     d = instance.metric.dist
-    upper = d[np.triu_indices(instance.n, k=1)]
+    upper = d[np.triu_indices(n, k=1)]
     quotients = [np.array([0.0, 1.0]), upper / instance.r1]
     if instance.r2 > 0:
         quotients.append(upper / instance.r2)
     scales = np.unique(np.concatenate(quotients))  # sorted, deduped by float equality
     candidates = scales[scales > 0].tolist()
 
-    probes: list[tuple[float, str]] = [(0.0, zero_status)]
-    solutions: dict[float, NUkCSolution] = {}  # not results: their inner runs keep the probe's balls
+    status: dict[float, str] = {0.0: zero_status}
     certificate: np.ndarray | None = None  # of the highest probe refuted with one
+    basis = None  # HiGHS's, from the highest probe whose LP refuted it
+    # Openings x1, x2 of the lowest unrefuted probe, and its scaled instance,
+    # whose ball table the final solve reads.
+    witness = np.zeros((2, n))
+    witness[0 if instance.k1 else 1, 0] = 1.0
+    lowest: dict[float, NUkCInstance] = {}
+    found: dict[float, NUkCSolution] = {}
 
-    def feasible(rho: float) -> bool:
-        nonlocal certificate
+    def refuted(rho: float) -> bool:
+        """Whether the coverage LP refutes scale ``rho``; it only steers the search."""
+        nonlocal certificate, basis, witness, lowest
         scaled = instance.scaled(rho)
-        if certificate is not None and certificate_bound(scaled, certificate) < scaled.m:
-            probes.append((rho, "infeasible"))  # as its solve would end: lp-empty
-            return False
-        res = solve_feasibility(scaled, cfg)
-        solutions[rho] = res.solution
-        probes.append((rho, res.status))
-        if res.certificate is not None:
-            certificate = res.certificate
-        return res.status == "solution"
+        if certificate is not None and certificate_bound(scaled, certificate) < m:
+            status[rho] = "infeasible"  # its LP is below m
+            return True
+        if _coverage(scaled, witness) < m - TARGET_SLACK:
+            cover = greedy_cover(scaled) if cfg.shortcuts else None
+            if cover is None:
+                lp = coverage_lp(scaled, target=m, basis=basis)
+                if lp.value < m - TARGET_SLACK:
+                    basis = lp.basis
+                    certificate = certificate if lp.certificate is None else lp.certificate
+                    status[rho] = "undecided" if lp.certificate is None else "infeasible"
+                    return True
+                witness = np.array([lp.x1, lp.x2])
+            else:
+                witness = np.zeros((2, n))
+                witness[0, list(cover.centers1)] = witness[1, list(cover.centers2)] = 1.0
+        status[rho] = "lp-feasible"
+        lowest = {rho: scaled}
+        return False
 
-    lo, hi = 0, len(candidates) - 1
-    if not feasible(candidates[hi]):
-        return OptimizeResult(math.inf, None, probes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
+    def unsolved(rho: float) -> bool:
+        """The full solve as the test: whether it returns no SOLUTION at ``rho``."""
+        res = solve_feasibility(lowest.get(rho) or instance.scaled(rho), cfg)
+        status[rho] = res.status
+        if res.status == "solution":
+            found[rho] = res.solution
+        return res.status != "solution"
+
+    top = len(candidates) - 1
+    if refuted(candidates[top]):
+        return OptimizeResult(math.inf, None, sorted(status.items()))
+    lo, hi, test = 0, top, refuted
+    while True:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if test(candidates[mid]):
+                lo = mid + 1
+            else:
+                hi = mid
+        if candidates[lo] in found or not unsolved(candidates[lo]):
+            break
+        if lo == top:
+            return OptimizeResult(math.inf, None, sorted(status.items()))
+        lo, hi, test = lo + 1, top, unsolved
     rho_star = candidates[lo]
-    found = solutions[rho_star]
-    solution = NUkCSolution(found.centers1, found.centers2, found.dilation * rho_star)
-    probes.sort()
-    return OptimizeResult(rho_star, solution, probes)
+    sol = found[rho_star]
+    return OptimizeResult(rho_star, NUkCSolution(sol.centers1, sol.centers2, sol.dilation * rho_star),
+                          sorted(status.items()))
+
+
+def _coverage(instance: NUkCInstance, x: np.ndarray) -> float:
+    """The coverage of openings ``x`` (rows x1, x2) on ``instance``: sum over v of min(1, reach).
+
+    Reads only the balls of the open centers, in O(their number * n).
+    """
+    reach = np.zeros(instance.n)
+    for row, r in zip(x, (instance.r1, instance.r2)):
+        open_ = np.flatnonzero(row)
+        reach += row[open_] @ instance.metric.covers(open_, r)
+    return float(np.minimum(reach, 1.0).sum())
 
 
 def _zero_scale_probe(instance: NUkCInstance) -> tuple[str, NUkCSolution | None]:
@@ -336,7 +403,10 @@ def _zero_scale_probe(instance: NUkCInstance) -> tuple[str, NUkCSolution | None]
     When distance 0 is an equivalence, as on exact metrics, the classes are
     the balls and partition the points, so a miss is ("infeasible", None).
     Within METRIC_EPS distance 0 need be neither symmetric nor transitive,
-    and a miss is only ("undecided", None): other centers may cover m.
+    and classes may overlap: then up to k1 + k2 rows of the mask, each the
+    one covering the most points not yet covered (ties to the lowest), are
+    tried too, and a miss of both is only ("undecided", None), as other
+    centers may cover m.
     """
     n = instance.n
     zero = instance.metric.covers(None, 0.0)
@@ -353,9 +423,20 @@ def _zero_scale_probe(instance: NUkCInstance) -> tuple[str, NUkCSolution | None]
     classes = zero[opens]  # every point lies in one at least
     size, first = classes.sum(axis=1), classes.argmax(axis=1)
     picks = np.lexsort((first, -size))[: instance.k1 + instance.k2]  # stable: opener order
-    reps = first[picks].tolist()
-    solution = NUkCSolution(tuple(reps[: instance.k1]), tuple(reps[instance.k1 :]), 0.0)
-    if verify_solution(instance, solution, 0.0)[0]:
-        return "solution", solution
+    tries = [first[picks].tolist()]
     equivalence = size.sum() == n and np.array_equal(classes[classes.argmax(axis=0)], zero)
+    if not equivalence:  # classes may overlap: pick rows of the mask by marginal gain too
+        reps, uncovered = [], np.ones(n, dtype=bool)
+        for _ in range(min(instance.k1 + instance.k2, n)):
+            gain = np.count_nonzero(zero[:, uncovered], axis=1)
+            u = int(gain.argmax())
+            if gain[u] == 0:
+                break
+            reps.append(u)
+            uncovered &= ~zero[u]
+        tries.append(reps)
+    for reps in tries:
+        solution = NUkCSolution(tuple(reps[: instance.k1]), tuple(reps[instance.k1 :]), 0.0)
+        if verify_solution(instance, solution, 0.0)[0]:
+            return "solution", solution
     return ("infeasible" if equivalence else "undecided"), None

@@ -17,7 +17,7 @@ import numpy as np
 from .cutting_plane import (
     ORACLE_EPS, Rounded, Separating, coverage_model, lp_certificate, mass_cut, release, run_round_or_cut,
 )
-# Unused here, as in the whole package: perfbench/tracing.py patches it here.
+# Not called here (outer.optimize calls it): perfbench/tracing.py patches it here too.
 from .cutting_plane import coverage_lp  # noqa: F401
 from .firefighter import solve_2ff
 from .model import (
@@ -70,7 +70,8 @@ def decide(
     driver, and an exhausted iteration cap is UNDECIDED (method ``cap``), as
     is a run whose oracle raised OracleExhausted.  The driver's model
     carries m as its target; when the LP alone refutes m, the verdict
-    carries the LP's ``lp_certificate``, checked on the same balls.
+    carries the LP's ``lp_certificate``, checked on the same balls, and
+    without one it is UNDECIDED (method ``uncertified``).
     perfbench/tracing.py patches greedy_cover and run_round_or_cut in this
     module, so they are called through its globals.
     """
@@ -87,11 +88,14 @@ def decide(
 
     model = coverage_model(inst, y, target=inst.m)
     res = run_round_or_cut(model, oracle, config.max_iters)
+    lp_only = model.lp.getNumRow() == inst.n + 2  # no cut became a row
     certificate = lp_certificate(model, y) if res.status == "infeasible" else None
     release(model)
     if res.status == "rounded":
         solution, info = res.payload
         return SolveResult.verified(inst, solution, "round", case=info.get("case", ""), cuts=res.cuts)
+    if res.status == "infeasible" and lp_only and certificate is None:
+        return SolveResult("undecided", method="uncertified", cuts=res.cuts)
     if res.status == "infeasible":
         return SolveResult("infeasible", method="lp-empty", cuts=res.cuts, certificate=certificate)
     return SolveResult("undecided", method="cap", cuts=res.cuts)

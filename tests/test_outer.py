@@ -17,12 +17,14 @@ from nukc import (
     SolveResult,
     SolverConfig,
     brute_force_nukc,
+    certificate_bound,
     covered_points,
     graph_instance,
     greedy_cover,
     hs_partition,
     optimize,
     planted_instance,
+    planted_kcenter_instance,
     solve_feasibility,
     solve_wellsep,
     uniform_instance,
@@ -33,7 +35,8 @@ from nukc import (
     wellsep_separation_oracle,
 )
 import nukc.outer as outer_module
-from nukc.cutting_plane import OracleExhausted
+from nukc import cutting_plane
+from nukc.cutting_plane import OracleExhausted, coverage_lp
 from nukc.model import coverage_of_solution
 from nukc.outer import Candidate, enumerate_candidates
 
@@ -459,88 +462,192 @@ class TestOptimize:
                              ids=["default", "shortcut-free"])
     def test_every_infeasible_probe_is_brute_force_infeasible(self, config):
         # A false INFEASIBLE probe only raises rho_star, and the solution
-        # still checks at 10 * rho_star, so it is caught only here.
+        # still checks at 10 * rho_star, so it is caught only here.  The
+        # search went below every lp-feasible probe, whose LP reaches m, and
+        # solved only rho_star.
         rng = np.random.default_rng(91)
-        checked = 0
+        tally = Counter()
         for _ in range(100):
             inst = random_instance(rng, max_n=7)
             d = inst.metric.dist
             # Below the smallest positive distance a ball holds only copies
             # of its center, as at scale 0.
             tiny = 0.5 * float(d[d > 0].min(initial=1.0)) / inst.r1
-            for rho, status in optimize(inst, config).probes:
+            out = optimize(inst, config)
+            for rho, status in out.probes:
                 if status == "infeasible":
                     assert not brute_force_nukc(inst.scaled(rho or tiny)).feasible, (inst, rho)
-                    checked += 1
-        assert checked > 40
+                elif status == "lp-feasible":
+                    assert rho > out.rho_star and coverage_lp(inst.scaled(rho))[0] >= inst.m - 1e-6, (inst, rho)
+                else:
+                    assert (rho, status) == (out.rho_star, "solution"), (inst, rho, status)
+                tally[status] += 1
+        assert tally["infeasible"] > 40 and tally["lp-feasible"] > 40, tally
 
-
-    def test_probes_a_certificate_refutes_end_lp_empty(self, monkeypatch):
-        # optimize skips a probe that its latest certificate refutes: solved
-        # after all, each such probe ends lp-empty, as the skip assumes.
-        real = outer_module.solve_feasibility
-        solved: list[float] = []
-
-        def solve(inst, config=None):
-            solved.append(inst.r1)
-            return real(inst, config)
-
-        monkeypatch.setattr(outer_module, "solve_feasibility", solve)
-        skipped = 0
+    def test_probes_a_certificate_refutes_end_lp_empty(self):
+        # Only rho_star is solved.  Every other probe steered the search: an
+        # infeasible one, solved cold after all, ends lp-empty with a
+        # certificate, and an lp-feasible one has a coverage LP of m or more.
+        tally = Counter()
         for seed in range(6):
             for inst in (uniform_instance(seed, 30, 0.2, 0.08, 2, 2), graph_instance(seed, 30, 2, 2)):
-                solved.clear()
-                out = optimize(inst)
-                for rho, status in out.probes[1:]:  # after scale 0, which is never solved
-                    if rho * inst.r1 not in solved:
-                        res = real(inst.scaled(rho))
-                        assert (status, res.status, res.method) == ("infeasible", "infeasible", "lp-empty")
-                        skipped += 1
-        assert skipped > 10
+                for config in (SolverConfig(), SolverConfig(shortcuts=False)):
+                    out = optimize(inst, config)
+                    for rho, status in out.probes[1:]:  # after scale 0, which is decided apart
+                        scaled = inst.scaled(rho)
+                        if status == "infeasible":
+                            res = solve_feasibility(scaled, config)
+                            assert (res.status, res.method) == ("infeasible", "lp-empty"), (seed, rho)
+                            assert certificate_bound(scaled, res.certificate) < inst.m
+                        elif status == "lp-feasible":
+                            assert coverage_lp(scaled)[0] >= inst.m - 1e-6, (seed, rho)
+                        else:
+                            assert (rho, status) == (out.rho_star, "solution"), (seed, rho, status)
+                        tally[status] += 1
+        assert tally["infeasible"] > 60 and tally["lp-feasible"] > 100, tally
 
     def test_each_probe_scale_builds_one_ball_table(self, monkeypatch):
-        # The certificate check and the probe's solve read the table cached
-        # on the probe's scaled instance.
+        # The certificate check, the greedy, the LP and the final solve read
+        # the table cached on the probe's scaled instance.  Openings carried
+        # down from a scale above read only their own rows, so the top scale,
+        # where one ball covers every point, builds none, and the final solve
+        # builds the table of its scale only when no probe did.
         built = count_ball_tables(monkeypatch)
-        checked, solved = [], []
-        real_bound, real_solve = outer_module.certificate_bound, outer_module.solve_feasibility
+        seen: dict[str, list] = {"bound": [], "greedy": [], "lp": [], "solve": []}
 
-        def bound(inst, beta):
-            checked.append(inst)
-            return real_bound(inst, beta)
+        def record(name, fn):
+            def recorded(inst, *args, **kwargs):
+                seen[name].append(inst)
+                return fn(inst, *args, **kwargs)
+            return recorded
 
-        def solve(inst, config=None):
-            solved.append(inst)
-            return real_solve(inst, config)
-
-        monkeypatch.setattr(outer_module, "certificate_bound", bound)
-        monkeypatch.setattr(outer_module, "solve_feasibility", solve)
-        for seed in range(3):
+        for name, attr in (("bound", "certificate_bound"), ("greedy", "greedy_cover"),
+                           ("lp", "coverage_lp"), ("solve", "solve_feasibility")):
+            monkeypatch.setattr(outer_module, attr, record(name, getattr(outer_module, attr)))
+        shared = 0
+        for seed in range(6, 10):
             for inst in (uniform_instance(seed, 30, 0.2, 0.08, 2, 2), graph_instance(seed, 30, 2, 2)):
-                optimize(inst)
-        builds = Counter(map(id, built))
-        probes = {id(p): p for p in checked + solved}
-        assert all(builds[key] == 1 for key in probes)
-        shared = {id(p) for p in checked} & {id(p) for p in solved}
-        skipped = {id(p) for p in checked} - {id(p) for p in solved}
-        assert len(shared) > 20 and len(skipped) > 5
+                for config in (SolverConfig(), SolverConfig(shortcuts=False)):
+                    built.clear()
+                    for probes in seen.values():
+                        probes.clear()
+                    out = optimize(inst, config)
+                    probed = {id(p): p for probes in seen.values() for p in probes}
+                    tables = Counter(p.r1 for p in built if id(p) in probed)
+                    assert set(tables.values()) == {1}, tables
+                    assert inst.r1 * max(out.probes)[0] not in tables
+                    (final,) = seen["solve"]
+                    assert final.r1 == inst.r1 * out.rho_star
+                    tested = [p for p in seen["greedy"] + seen["lp"] if p.r1 == final.r1]
+                    assert all(p is final for p in tested)
+                    shared += bool(tested)
+        assert shared > 3
+
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(shortcuts=False)],
+                             ids=["default", "shortcut-free"])
+    def test_same_answers_as_a_bisection_over_full_solves(self, config):
+        # The reference judges every probe with solve_feasibility, as the
+        # search did before it steered on the coverage LP.
+        tally = Counter()
+        for seed in range(8):
+            for inst in (uniform_instance(seed, 12 + 4 * seed, 0.25, 0.1, 2, 2),
+                         graph_instance(seed, 10 + 3 * seed, 2, 2),
+                         planted_instance(seed, clusters=3, points_per_cluster=1 + seed // 2, outliers=2)[0],
+                         planted_kcenter_instance(seed, clusters=2, points_per_cluster=4, outliers=2)[0]):
+                assert inst.n <= 40
+                out = optimize(inst, config)
+                want = bisection_reference(inst, config)
+                assert (out.rho_star, out.solution) == want, (seed, inst.n)
+                tally[dict(out.probes).get(out.rho_star)] += 1
+        assert tally == {"solution": 32}
+
+    @pytest.mark.parametrize("refusal", ["undecided", "infeasible"])
+    def test_a_refused_threshold_searches_above_with_full_solves(self, monkeypatch, refusal):
+        # The LP does not refute the threshold scale, but its solve does: the
+        # bisection goes on above it, judged by the full solve, and lands on
+        # the next scale, which the LP steering had left unsolved.
+        inst = uniform_instance(3, 30, 0.2, 0.08, 2, 2)
+        plain = optimize(inst)
+        real = outer_module.solve_feasibility
+        calls: list[float] = []
+
+        def solve(scaled, config=None):
+            calls.append(scaled.r1 / inst.r1)
+            if len(calls) == 1:
+                return SolveResult(refusal, method="cap" if refusal == "undecided" else "lp-empty")
+            return real(scaled, config)
+
+        monkeypatch.setattr(outer_module, "solve_feasibility", solve)
+        out = optimize(inst)
+        status = dict(out.probes)
+        above = [rho for rho in candidate_scales(inst) if rho > plain.rho_star]
+        assert calls[0] == pytest.approx(plain.rho_star) and status[plain.rho_star] == refusal
+        assert out.rho_star == above[0] and status[out.rho_star] == "solution"
+        assert len(calls) > 2  # a bisection, not a step to the next scale
+        assert verify_solution(inst, out.solution, 10.0 * out.rho_star)[0]
+        # Refused everywhere, the search ends at the top with no solution.
+        monkeypatch.setattr(outer_module, "solve_feasibility",
+                            lambda scaled, config=None: SolveResult(refusal, method="cap"))
+        out = optimize(inst)
+        assert (out.rho_star, out.solution) == (math.inf, None)
+        assert dict(out.probes)[candidate_scales(inst)[-1]] == refusal
+
+    def test_probe_lps_start_from_a_lower_scale(self, monkeypatch):
+        # A basis from a larger scale costs far more dual simplex iterations,
+        # so a probe LP starts cold or from a refuted probe below it.
+        real = outer_module.coverage_lp
+        source: dict[int, float] = {}
+        starts = Counter()
+
+        def lp(inst, *args, basis=None, **kwargs):
+            if basis is not None:
+                assert source[id(basis)] < inst.r1
+            starts[basis is not None] += 1
+            out = real(inst, *args, basis=basis, **kwargs)
+            source[id(out.basis)] = inst.r1
+            return out
+
+        monkeypatch.setattr(outer_module, "coverage_lp", lp)
+        for seed in range(6):
+            for inst in (uniform_instance(seed, 30, 0.2, 0.08, 2, 2), graph_instance(seed, 30, 2, 2)):
+                for config in (SolverConfig(), SolverConfig(shortcuts=False)):
+                    optimize(inst, config)
+        assert starts[True] > 50 and starts[False] > 10, starts
+
+    def test_uncertified_probe_lps_are_undecided(self, monkeypatch):
+        # An LP refutation the certificate check does not confirm steers the
+        # search like an infeasible probe but is recorded undecided.
+        inst = uniform_instance(1, 30, 0.2, 0.08, 2, 2)
+        plain = optimize(inst)
+        monkeypatch.setattr(cutting_plane, "lp_certificate", lambda model, y=None: None)
+        out = optimize(inst)
+        assert (out.rho_star, out.solution) == (plain.rho_star, plain.solution)
+        below = [status for rho, status in out.probes if 0 < rho < out.rho_star]
+        assert below and set(below) == {"undecided"}
+        assert "infeasible" in dict(plain.probes[1:]).values()
 
     def test_zero_scale_classes_match_the_loop(self):
         rng = np.random.default_rng(5)
-        found = undecided = 0
+        found = picked = undecided = 0
         for t in range(200):
             inst = duplicated_instance(rng, one_way=t % 3 == 0)
             want = loop_zero_scale_solution(inst)
             if want is not None and not verify_solution(inst, want, 0.0)[0]:
                 want = None  # the loop adds up the sizes of overlapping classes
             status, got = outer_module._zero_scale_probe(inst)
+            if want is None and got is not None:
+                # Only overlapping classes, from a one-way zero, go on to the
+                # marginal-gain pick, and it answers only when verified.
+                assert t % 3 == 0 and status == "solution" and verify_solution(inst, got, 0.0)[0]
+                picked += 1
+                continue
             assert got == want, inst.metric.dist
             assert status == "solution" if want is not None else status in ("infeasible", "undecided")
             # Exact zeros are an equivalence, so a miss there is a proof.
             assert t % 3 == 0 or status != "undecided", inst.metric.dist
             found += want is not None
             undecided += status == "undecided"
-        assert 40 < found < 160 and undecided > 5
+        assert 40 < found < 160 and picked > 0 and undecided > 5, (found, picked, undecided)
 
     def test_zero_scale_probe_agrees_with_brute_force(self):
         rng = np.random.default_rng(17)
@@ -567,14 +674,54 @@ class TestOptimize:
             assert loop_zero_scale_solution(inst) == NUkCSolution(*want, 0.0)
             assert outer_module._zero_scale_probe(inst) == ("solution", NUkCSolution(*want, 0.0))
         # Opened at 0 and 1, the two classes cover 3 points, not the 4 their
-        # sizes add up to; centers 1 and 3 would cover all 4.
+        # sizes add up to; the marginal-gain pick opens 1 (3 points), then 3.
         inst = NUkCInstance(metric, 1.0, 0.5, 0, 2, 4)
         assert verify_solution(inst, loop_zero_scale_solution(inst), 0.0) == (False, 3)
-        assert verify_solution(inst, NUkCSolution((), (1, 3), 0.0), 0.0) == (True, 4)
+        want = NUkCSolution((), (1, 3), 0.0)
+        assert verify_solution(inst, want, 0.0) == (True, 4)
+        assert outer_module._zero_scale_probe(inst) == ("solution", want)
+        out = optimize(inst)
+        assert (out.rho_star, out.solution, out.probes) == (0.0, want, [(0.0, "solution")])
+        # One center covers 3 points at most: the pick misses too, so scale 0 stays open.
+        inst = NUkCInstance(metric, 1.0, 0.5, 0, 1, 4)
         assert outer_module._zero_scale_probe(inst) == ("undecided", None)
         out = optimize(inst)
         assert out.probes[0] == (0.0, "undecided") and out.rho_star > 0
         assert verify_solution(inst, out.solution, out.solution.dilation)[0]
+
+
+def candidate_scales(instance):
+    """The scales optimize searches above 0: the distance/radius quotients and 1, ascending."""
+    upper = instance.metric.dist[np.triu_indices(instance.n, k=1)]
+    quotients = [[1.0], upper / instance.r1] + ([upper / instance.r2] if instance.r2 > 0 else [])
+    scales = np.unique(np.concatenate(quotients))
+    return scales[scales > 0].tolist()
+
+
+def bisection_reference(instance, config):
+    """(rho_star, solution) of a bisection that solves every probe with solve_feasibility."""
+    status, solution = outer_module._zero_scale_probe(instance)
+    if solution is not None:
+        return 0.0, solution
+    candidates = candidate_scales(instance)
+    found = {}
+
+    def feasible(rho):
+        res = solve_feasibility(instance.scaled(rho), config)
+        found[rho] = res.solution
+        return res.status == "solution"
+
+    lo, hi = 0, len(candidates) - 1
+    if not feasible(candidates[hi]):
+        return math.inf, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    sol = found[candidates[lo]]
+    return candidates[lo], NUkCSolution(sol.centers1, sol.centers2, sol.dilation * candidates[lo])
 
 
 def duplicated_instance(rng, one_way=False):

@@ -280,6 +280,24 @@ class TestDecide:
         else:
             assert certificate_bound(base, res.certificate, y) < base.m
 
+    @pytest.mark.parametrize("build", [
+        lambda: uniform_instance(13, 10, 0.3, 0.1, 2, 2, 8),
+        lambda: wellsep_line([0.0, 10.0, 10.5, 20.0], y=[0], m=3),
+    ], ids=["outer", "wellsep"])
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(shortcuts=False)],
+                             ids=["default", "shortcut-free"])
+    def test_lp_refutation_without_certificate_is_undecided(self, monkeypatch, build, config):
+        # The coverage LP alone refutes these; a refutation whose certificate
+        # does not check proves nothing, so the verdict is UNDECIDED.
+        inst = build()
+        solve = solve_wellsep if isinstance(inst, WellSepNUkCInstance) else solve_feasibility
+        res = solve(inst, config)
+        assert (res.status, res.method) == ("infeasible", "lp-empty") and res.certificate is not None
+        monkeypatch.setattr(wellsep, "lp_certificate", lambda model, y=None: None)
+        res = solve(inst, config)
+        assert (res.status, res.method, res.certificate) == ("undecided", "uncertified", None)
+        assert [cut.kind for cut in res.cuts] == ["mass"]
+
     def test_start_that_rounds_skips_the_greedy_and_the_lp(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("greedy or LP reached")
