@@ -11,7 +11,7 @@ The cutting-plane driver that queries the oracles is not part of the public
 surface: it lives in ``nukc.cutting_plane`` and may change without notice.
 Only its exact check of an INFEASIBLE certificate, ``certificate_bound``, is
 exported.
-``nukc.ellipsoid`` keeps only the ellipsoid geometry, which no solver uses.
+``nukc.ellipsoid`` keeps only the names the benchmark tracer imports; no solver uses it.
 """
 
 from .bruteforce import (

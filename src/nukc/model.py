@@ -58,6 +58,12 @@ def as_indices(values: Iterable, what: str) -> list[int]:
     return out
 
 
+def require_integer(value, what: str) -> None:
+    """Raise ValueError naming ``what`` unless ``value`` is a Python or NumPy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 # Rows (and as many columns) per block of the symmetry check.
 _SYMMETRY_BLOCK = 64
 
@@ -236,6 +242,8 @@ class NUkCInstance:
     def __post_init__(self):
         if not (self.r1 > self.r2 >= 0):
             raise ValueError(f"need r1 > r2 >= 0, got r1={self.r1}, r2={self.r2}")
+        for name in ("k1", "k2", "m"):  # a float budget never runs out in the greedy
+            require_integer(getattr(self, name), name)
         if self.k1 < 0 or self.k2 < 0:
             raise ValueError("budgets must be nonnegative")
         if self.m < 0:

@@ -198,7 +198,7 @@ class OuterOracle:
             solution = lift_ff_solution(tree, selection)
             return Rounded((solution, {"case": "I", "value": selection.value}))
 
-        # A q whose B(q, r1) equals an earlier one's poses the same instance
+        # A q whose B(q, r1) equals one tried before poses the same instance
         # from the same start, which already failed; points are read only
         # once the loop gets past the first candidate.
         tried: set[tuple[int, ...]] = set()
@@ -260,9 +260,9 @@ class OptimizeResult:
     ``solution`` is in original-radius units, at dilation at most
     10 * ``rho_star``; None (with ``rho_star`` inf) when no scale was solved.
     ``probes`` holds one (scale, status) per scale probed, sorted by scale.
-    A status is ``infeasible`` (refuted: a certificate, or the full solve),
-    ``undecided`` (a cap, an uncertified LP refutation, or scale 0 left
-    open), ``lp-feasible`` (the coverage LP reaches m there, so the search
+    A status is ``infeasible`` (refuted: an exact bound, or the full solve),
+    ``undecided`` (a cap, or an LP refutation without a certificate),
+    ``lp-feasible`` (the coverage LP reaches m there, so the search
     went below it; nothing was solved) or ``solution``.
     """
 
@@ -276,7 +276,8 @@ def optimize(
 ) -> OptimizeResult:
     """Smallest candidate scale the solver cannot refute, plus its solution.
 
-    Candidate scales are the distance/radius quotients (plus 0 and 1).  The
+    Candidate scales are the distance/radius quotients (plus 0 and 1).
+    Scale 0 is decided first, by ``_zero_scale_probe``.  Above it, the
     coverage LP's optimum only grows with the scale, so the search bisects
     them on whether the LP refutes a scale, asked in this order: the
     certificate of the highest refuted probe; the openings (LP optimum or
@@ -291,12 +292,12 @@ def optimize(
     on; if it returns no SOLUTION (a rounding gap or a cap), the same
     bisection goes on above that scale with the full solve as its test.
 
-    Every probe below the returned scale was refuted, by a certificate or by
-    the full solve, so rho_star lower bounds the true optimum unless a probe
-    is ``undecided`` (a cap ran out, an LP refutation had no certificate, or
-    scale 0 was left open, see ``_zero_scale_probe``): such a probe is
-    searched above like an infeasible one.  The solution is reported in
-    original-radius units, at dilation at most 10 * rho_star.
+    Every probe below the returned scale was refuted, by an exact bound or
+    by the full solve, so rho_star lower bounds the true optimum unless a
+    probe is ``undecided`` (a cap ran out, or an LP refutation, scale 0's
+    too, had no certificate): such a probe is searched above like an
+    infeasible one.  The solution is reported in original-radius units, at
+    dilation at most 10 * rho_star.
     """
     cfg = config or SolverConfig()
     if instance.m <= 0:
@@ -310,7 +311,7 @@ def optimize(
 
     n, m = instance.n, instance.m
     d = instance.metric.dist
-    upper = d[np.triu_indices(n, k=1)]
+    upper = d[np.arange(n)[:, None] < np.arange(n)]  # row-major, i < j
     quotients = [np.array([0.0, 1.0]), upper / instance.r1]
     if instance.r2 > 0:
         quotients.append(upper / instance.r2)
@@ -394,49 +395,32 @@ def _coverage(instance: NUkCInstance, x: np.ndarray) -> float:
 
 
 def _zero_scale_probe(instance: NUkCInstance) -> tuple[str, NUkCSolution | None]:
-    """Scale 0, where each center covers its row of the ``covers(None, 0.0)`` mask.
+    """Scale 0, decided on ``low``: radii half the smallest positive distance (or 1) and 0.
 
-    Points are read in index order, and each one no earlier class holds
-    opens the class of its row.  The k1 + k2 largest classes, ties to the
-    lower first member, are opened at their first members: ("solution",
-    those centers) when ``verify_solution`` counts m points at dilation 0.
-    When distance 0 is an equivalence, as on exact metrics, the classes are
-    the balls and partition the points, so a miss is ("infeasible", None).
-    Within METRIC_EPS distance 0 need be neither symmetric nor transitive,
-    and classes may overlap: then up to k1 + k2 rows of the mask, each the
-    one covering the most points not yet covered (ties to the lowest), are
-    tried too, and a miss of both is only ("undecided", None), as other
-    centers may cover m.
+    Every positive distance, either way, exceeds both of ``low``'s radii, so
+    its balls are the rows of ``covers(None, 0.0)``.  The whole-ball bound
+    ``certificate_bound(low, 1)`` below m is ("infeasible", None); it is
+    exact where no two points are at distance 0.  Then ``greedy_cover(low)``
+    gives ("solution", its centers at dilation 0) when they verify at 0.
+    Last, the coverage LP: below m with a certificate is ("infeasible",
+    None), anything else ("undecided", None), as is a least positive
+    distance no float radius lies below.
     """
-    n = instance.n
-    zero = instance.metric.covers(None, 0.0)
-    earlier = np.triu(zero, 1)  # earlier[u, v]: u < v and v is in u's class
-    # Each round settles at least the lowest undecided point: a point that
-    # no earlier opener or undecided point reaches opens a class, and one an
-    # earlier opener reaches does not.  When distance 0 is an equivalence,
-    # as on exact metrics, one round settles every point.
-    opens = np.zeros(n, dtype=bool)
-    undecided = np.ones(n, dtype=bool)
-    while undecided.any():
-        opens |= undecided & ~earlier[opens | undecided].any(axis=0)
-        undecided &= ~opens & ~earlier[opens].any(axis=0)
-    classes = zero[opens]  # every point lies in one at least
-    size, first = classes.sum(axis=1), classes.argmax(axis=1)
-    picks = np.lexsort((first, -size))[: instance.k1 + instance.k2]  # stable: opener order
-    tries = [first[picks].tolist()]
-    equivalence = size.sum() == n and np.array_equal(classes[classes.argmax(axis=0)], zero)
-    if not equivalence:  # classes may overlap: pick rows of the mask by marginal gain too
-        reps, uncovered = [], np.ones(n, dtype=bool)
-        for _ in range(min(instance.k1 + instance.k2, n)):
-            gain = np.count_nonzero(zero[:, uncovered], axis=1)
-            u = int(gain.argmax())
-            if gain[u] == 0:
-                break
-            reps.append(u)
-            uncovered &= ~zero[u]
-        tries.append(reps)
-    for reps in tries:
-        solution = NUkCSolution(tuple(reps[: instance.k1]), tuple(reps[instance.k1 :]), 0.0)
+    n, m, metric = instance.n, instance.m, instance.metric
+    delta = float(np.min(metric.dist, initial=np.inf, where=~metric.covers(None, 0.0)))
+    # Not instance.scaled(delta / (2 * r1)): that scale underflows to 0 where delta / r1 < 1e-323.
+    r1 = min(delta / 2.0, 1.0)
+    if r1 == 0.0:  # delta is the least subnormal float, and no radius lies below it
+        return "undecided", None
+    low = NUkCInstance(metric, r1, 0.0, instance.k1, instance.k2, m)
+    if certificate_bound(low, np.ones(n)) < m:
+        return "infeasible", None
+    cover = greedy_cover(low)
+    if cover is not None:
+        solution = NUkCSolution(cover.centers1, cover.centers2, 0.0)
         if verify_solution(instance, solution, 0.0)[0]:
             return "solution", solution
-    return ("infeasible" if equivalence else "undecided"), None
+    lp = coverage_lp(low, target=m)
+    if lp.value < m - TARGET_SLACK and lp.certificate is not None:
+        return "infeasible", None
+    return "undecided", None

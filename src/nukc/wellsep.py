@@ -27,6 +27,7 @@ from .model import (
     NUkCSolution,
     SolveResult,
     WellSepNUkCInstance,
+    require_integer,
 )
 from .presolve import greedy_cover
 from .reduction import lift_ff_solution, reduce_to_firefighter
@@ -46,9 +47,12 @@ class SolverConfig:
     shortcuts: bool = True
 
     def __post_init__(self):
+        if self.max_iters is None:
+            return
+        require_integer(self.max_iters, "max_iters")  # a float cap breaks the driver's range()
         # A cap below 1 ends the driver before its first oracle call, so the
         # run could never decide anything.
-        if self.max_iters is not None and self.max_iters < 1:
+        if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 

@@ -7,6 +7,8 @@ a session fixture and cross-checked three ways: approximation soundness,
 infeasibility soundness, and hull validity of every cut either oracle emitted.
 Criteria 1, 2, 4 and 9 also hold with the greedy screen off, where every
 verdict but the trivial ones comes from the cutting-plane driver.
+Criterion 8, the ellipsoid update's determinant ratio, was retired with the
+ellipsoid geometry, which no solver used.
 """
 
 import math
@@ -38,7 +40,6 @@ from nukc import (
     verify_solution,
     wellsep_separation_oracle,
 )
-from nukc.ellipsoid import EllipsoidState, ellipsoid_update
 from nukc.outer import Candidate
 from nukc.serialize import load_json
 
@@ -356,41 +357,6 @@ def test_criterion_7_partition_invariants():
     print(
         f"\ncriterion 7 (partition invariants a-d): PASS - {calls} randomized "
         f"calls, 0 violations"
-    )
-
-
-def det_ratio_expected(d: int) -> float:
-    if d == 1:
-        return 0.25  # limit of the closed form; the 1-D update halves the interval
-    return (d * d / (d * d - 1.0)) ** d * (d - 1.0) / (d + 1.0)
-
-
-def test_criterion_8_ellipsoid_numerics():
-    rng = np.random.default_rng(80808)
-    worst = 0.0
-    for d in (1, 2, 8, 20):
-        for _ in range(5):
-            basis = rng.normal(size=(d, d))
-            shape = basis @ basis.T + d * np.eye(d)
-            state = EllipsoidState(center=rng.normal(size=d), shape=shape, iteration=0)
-            a = rng.normal(size=d)
-            new = ellipsoid_update(state, a)
-            _, logdet_old = np.linalg.slogdet(state.shape)
-            _, logdet_new = np.linalg.slogdet(new.shape)
-            measured = math.exp(logdet_new - logdet_old)
-            expected = det_ratio_expected(d)
-            rel = abs(measured - expected) / expected
-            worst = max(worst, rel)
-            assert rel <= 1e-6, (d, measured, expected)
-    # 2-D worked example: unit ball cut along e0 keeping x0 <= 0.
-    state = EllipsoidState(center=np.zeros(2), shape=np.eye(2), iteration=0)
-    new = ellipsoid_update(state, np.array([1.0, 0.0]))
-    assert np.allclose(new.center, [-1.0 / 3.0, 0.0], atol=1e-12)
-    assert np.allclose(new.shape, np.diag([4.0 / 9.0, 4.0 / 3.0]), atol=1e-12)
-    print(
-        f"\ncriterion 8 (ellipsoid determinant ratio): PASS - d in (1,2,8,20) "
-        f"worst relative error {worst:.2e} <= 1e-6; 2-D worked example exact "
-        f"to 1e-12"
     )
 
 

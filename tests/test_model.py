@@ -211,6 +211,18 @@ class TestInstances:
         assert double.r2 == pytest.approx(1.0)
         assert double.m == inst.m
 
+    @pytest.mark.parametrize("field", ["k1", "k2", "m"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, np.True_, np.float64(1.0), "1", None])
+    def test_counts_must_be_integers(self, field, value):
+        # A float budget never reaches 0 in the greedy, which then opened 4
+        # large centers on k1 = 1.5 and failed its own verification.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            square_instance(**{field: value})
+
+    def test_numpy_integer_counts_pass(self):
+        inst = square_instance(k1=np.int64(1), k2=np.int32(1), m=np.uint8(3))
+        assert (inst.k1, inst.k2, inst.m) == (1, 1, 3)
+
     def test_wellsep_requires_strict_separation(self):
         # corners at distance 1 with 4*r1 = 1: equality must be rejected
         inst = square_instance(r1=0.25, r2=0.1)

@@ -627,27 +627,22 @@ class TestOptimize:
         assert "infeasible" in dict(plain.probes[1:]).values()
 
     def test_zero_scale_classes_match_the_loop(self):
+        # On exact zeros the classes partition the points, so the loop's
+        # k1 + k2 largest classes decide scale 0; the probe's picks may
+        # differ (the greedy stops at m and breaks ties its own way).
         rng = np.random.default_rng(5)
-        found = picked = undecided = 0
+        found = 0
         for t in range(200):
             inst = duplicated_instance(rng, one_way=t % 3 == 0)
-            want = loop_zero_scale_solution(inst)
-            if want is not None and not verify_solution(inst, want, 0.0)[0]:
-                want = None  # the loop adds up the sizes of overlapping classes
             status, got = outer_module._zero_scale_probe(inst)
-            if want is None and got is not None:
-                # Only overlapping classes, from a one-way zero, go on to the
-                # marginal-gain pick, and it answers only when verified.
-                assert t % 3 == 0 and status == "solution" and verify_solution(inst, got, 0.0)[0]
-                picked += 1
-                continue
-            assert got == want, inst.metric.dist
-            assert status == "solution" if want is not None else status in ("infeasible", "undecided")
-            # Exact zeros are an equivalence, so a miss there is a proof.
-            assert t % 3 == 0 or status != "undecided", inst.metric.dist
-            found += want is not None
-            undecided += status == "undecided"
-        assert 40 < found < 160 and picked > 0 and undecided > 5, (found, picked, undecided)
+            if got is not None:
+                assert status == "solution" and verify_solution(inst, got, 0.0)[0]
+            if t % 3:
+                want = loop_zero_scale_solution(inst)
+                solvable = want is not None and verify_solution(inst, want, 0.0)[0]
+                assert (got is not None) == solvable, inst.metric.dist
+                found += solvable
+        assert 40 < found < 160, found
 
     def test_zero_scale_probe_agrees_with_brute_force(self):
         rng = np.random.default_rng(17)
@@ -660,34 +655,55 @@ class TestOptimize:
                 assert verify_solution(inst, got, 0.0)[0] and feasible
             elif status == "infeasible":
                 assert not feasible, inst.metric.dist
-            else:  # only a one-way zero leaves scale 0 open
-                assert status == "undecided" and t % 3 == 0, inst.metric.dist
-            tally[status] += 1
-        assert tally["solution"] > 60 and tally["infeasible"] > 20 and tally["undecided"] > 5, tally
+            else:
+                assert status == "undecided", status
+            tally[status, t % 3 == 0] += 1
+        # Exact zeros are always decided; a one-way zero is refuted by an exact bound too.
+        assert tally["undecided", False] == 0 and tally["infeasible", True] > 0, tally
+        assert tally["solution", False] + tally["solution", True] > 60, tally
+        assert tally["infeasible", False] + tally["infeasible", True] > 20, tally
 
     def test_zero_scale_classes_without_transitivity(self):
-        # d(0, 1) = d(1, 2) = 0 < d(0, 2): 0 opens {0, 1}, and 2, which no
-        # opener reaches, opens {1, 2}, whose first member is 1.
+        # d(0, 1) = d(1, 2) = 0 < d(0, 2): the zero rows are {0, 1}, {0, 1, 2},
+        # {1, 2} and {3}, and the greedy opens row 1 first, a small ball when
+        # one is left.
         metric = MetricSpace.from_matrix([[0, 0, 1e-10, 3], [0, 0, 0, 3], [1e-10, 0, 0, 3], [3, 3, 3, 0]])
-        for k1, k2, m, want in ((1, 0, 2, ((0,), ())), (1, 1, 3, ((0,), (1,)))):
+        for k1, k2, m, want in ((1, 0, 2, ((1,), ())), (1, 1, 3, ((), (1,))), (0, 2, 4, ((), (1, 3)))):
             inst = NUkCInstance(metric, 1.0, 0.5, k1, k2, m)
-            assert loop_zero_scale_solution(inst) == NUkCSolution(*want, 0.0)
             assert outer_module._zero_scale_probe(inst) == ("solution", NUkCSolution(*want, 0.0))
-        # Opened at 0 and 1, the two classes cover 3 points, not the 4 their
-        # sizes add up to; the marginal-gain pick opens 1 (3 points), then 3.
+        # The classes opened at 0 and 1 cover 3 points, not the 4 their sizes add up to.
         inst = NUkCInstance(metric, 1.0, 0.5, 0, 2, 4)
         assert verify_solution(inst, loop_zero_scale_solution(inst), 0.0) == (False, 3)
-        want = NUkCSolution((), (1, 3), 0.0)
-        assert verify_solution(inst, want, 0.0) == (True, 4)
-        assert outer_module._zero_scale_probe(inst) == ("solution", want)
         out = optimize(inst)
-        assert (out.rho_star, out.solution, out.probes) == (0.0, want, [(0.0, "solution")])
-        # One center covers 3 points at most: the pick misses too, so scale 0 stays open.
+        assert (out.rho_star, out.solution, out.probes) == (0.0, NUkCSolution((), (1, 3), 0.0),
+                                                            [(0.0, "solution")])
+        # One ball covers 3 points at most, so the whole-ball bound refutes m = 4.
         inst = NUkCInstance(metric, 1.0, 0.5, 0, 1, 4)
-        assert outer_module._zero_scale_probe(inst) == ("undecided", None)
+        assert outer_module._zero_scale_probe(inst) == ("infeasible", None)
         out = optimize(inst)
-        assert out.probes[0] == (0.0, "undecided") and out.rho_star > 0
+        assert out.probes[0] == (0.0, "infeasible") and out.rho_star > 0
         assert verify_solution(inst, out.solution, out.solution.dilation)[0]
+
+    def test_zero_scale_with_a_distance_far_below_the_radius(self):
+        # delta / (2 * r1) underflows to 0 here, so scale 0 cannot be a scaled instance.
+        inst = NUkCInstance(MetricSpace.from_matrix([[0, 1e-300], [1e-300, 0]]), 1e30, 0.5, 1, 0, 2)
+        assert outer_module._zero_scale_probe(inst) == ("infeasible", None)
+        out = optimize(inst)
+        assert out.probes[0] == (0.0, "infeasible") and out.rho_star == 2e-300
+        # The least subnormal distance leaves no radius below it: scale 0 stays open.
+        inst = NUkCInstance(MetricSpace.from_matrix([[0, 5e-324], [5e-324, 0]]), 1.0, 0.5, 1, 0, 2)
+        out = optimize(inst)
+        assert out.probes[:2] == [(0.0, "undecided"), (5e-324, "solution")] and out.rho_star == 5e-324
+
+    def test_zero_scale_lp_refutation_needs_its_certificate(self, monkeypatch):
+        # Four copies of one site and three singletons: the whole-ball bound
+        # counts the class twice (8 >= 6) and the greedy covers 5, so only
+        # the coverage LP (value 5) refutes m = 6.
+        pts = [[0.0, 0.0]] * 4 + [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
+        inst = euclidean(pts, 1.0, 0.5, 1, 1, 6)
+        assert outer_module._zero_scale_probe(inst) == ("infeasible", None)
+        monkeypatch.setattr(cutting_plane, "lp_certificate", lambda model, y=None: None)
+        assert outer_module._zero_scale_probe(inst) == ("undecided", None)
 
 
 def candidate_scales(instance):

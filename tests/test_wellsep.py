@@ -177,6 +177,16 @@ class TestSolver:
         with pytest.raises(ValueError, match="max_iters"):
             SolverConfig(max_iters=cap)
 
+    @pytest.mark.parametrize("cap", [2.5, 2.0, True, "3"])
+    def test_iteration_cap_must_be_an_integer(self, cap):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=cap)
+
+    def test_numpy_integer_cap_runs(self):
+        ws = wellsep_line([0.0, 10.0, 20.0], y=[0], m=3, k2=1)
+        res = solve_wellsep(ws, SolverConfig(shortcuts=False, max_iters=np.int64(1)))
+        assert (res.status, res.method, res.iterations) == ("undecided", "cap", 1)
+
     def test_iteration_cap_of_1_runs_the_oracle(self):
         # The coverage LP falls short of m, so the first query draws a mass
         # cut, and the cap ends the run before the re-solve.
