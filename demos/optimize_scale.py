@@ -1,12 +1,14 @@
-"""Binary search for the smallest radius scale the solver cannot refute.
+"""Search for the smallest radius scale the solver cannot refute.
 
 Scaling both radii by rho trades coverage against tightness, and the
 interesting values of rho are the quotients distance/radius: between two
-consecutive quotients no ball gains or loses a point.  The optimizer bisects
-that finite grid on the coverage LP: a probe is `infeasible` when a
-certificate shows the LP below m there, and `lp-feasible` when openings
-(an LP optimum, or a greedy cover) reach m there.  Only the scale the search
-settles on is solved in full.  Every scale below the result was refuted
+consecutive quotients no ball gains or loses a point.  The optimizer first
+bisects that finite grid on cheap openings (a farthest-first traversal, or
+a greedy cover) for the lowest scale they cover, then steps down from it
+on the coverage LP: a probe is `infeasible` when a certificate shows the LP
+below m there, and `lp-feasible` when openings (an LP optimum, or a greedy
+cover) reach m there.  Only the scale the search settles on is solved in
+full, starting from its openings.  Every scale below the result was refuted
 outright, so the result lower bounds the true optimum and the returned
 solution is valid within a factor 10 of it.
 

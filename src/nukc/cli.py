@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--rho", type=float, default=1.0,
                        help="scale both radii before solving")
     solve.add_argument("--optimize", action="store_true",
-                       help="binary search the smallest irrefutable scale")
+                       help="search for the smallest irrefutable scale")
     solve.add_argument("--trace", action="store_true",
                        help="print solver progress to stderr")
     solve.add_argument("--no-shortcuts", action="store_true",

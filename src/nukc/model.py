@@ -68,11 +68,12 @@ def require_integer(value, what: str) -> None:
 _SYMMETRY_BLOCK = 64
 
 
-def _checked_matrix(dist) -> np.ndarray:
+def _checked_matrix(dist, symmetric: bool = False) -> np.ndarray:
     """``dist`` as a float array, after the O(n^2) metric checks.
 
-    Square, finite, nonnegative, zero diagonal, symmetric within METRIC_EPS;
-    the triangle inequality is left to :func:`_check_triangle`.
+    Square, finite, nonnegative, zero diagonal, symmetric within METRIC_EPS
+    (unchecked when ``symmetric`` says so by construction); the triangle
+    inequality is left to :func:`_check_triangle`.
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -83,6 +84,8 @@ def _checked_matrix(dist) -> np.ndarray:
         raise MetricError("distances must be nonnegative")
     if np.any(np.abs(np.diag(d)) > 0):
         raise MetricError("self-distances must be zero")
+    if symmetric:
+        return d
     # By row blocks: d - d.T at once reads d.T against the cache and
     # allocates n x n temporaries.
     for i in range(0, d.shape[0], _SYMMETRY_BLOCK):
@@ -150,13 +153,13 @@ class MetricSpace:
         object.__setattr__(self, "coords", coords)
 
     @classmethod
-    def _trusted(cls, dist, coords=None) -> MetricSpace:
-        """A metric whose triangle inequality holds by construction.
+    def _trusted(cls, dist, coords=None, symmetric: bool = False) -> MetricSpace:
+        """A metric whose triangle inequality (and symmetry, when ``symmetric``) holds by construction.
 
-        Keeps the O(n^2) checks, skips the O(n^3) triangle check, and keeps ``dist`` uncopied.
+        Keeps the other O(n^2) checks, skips the O(n^3) triangle check, and keeps ``dist`` uncopied.
         """
         out = object.__new__(cls)
-        out._set(_checked_matrix(dist), coords)
+        out._set(_checked_matrix(dist, symmetric), coords)
         return out
 
     @property
@@ -174,8 +177,8 @@ class MetricSpace:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise MetricError(f"points must be a 2-d array, got shape {pts.shape}")
-        # cdist computes (i, j) and (j, i) alike: exactly symmetric, zero diagonal.
-        return MetricSpace._trusted(cdist(pts, pts), coords=pts)
+        # cdist computes (i, j) and (j, i) alike: exactly symmetric, so that check is skipped too.
+        return MetricSpace._trusted(cdist(pts, pts), coords=pts, symmetric=True)
 
     @staticmethod
     def from_matrix(dist: Sequence[Sequence[float]]) -> MetricSpace:
@@ -262,8 +265,12 @@ class NUkCInstance:
         and kept: the instance is immutable, so the table cannot go stale.
         """
         n = self.n
-        flats = [np.flatnonzero(self.metric.covers(None, r)) for r in (self.r1, self.r2)]  # u * n + v
-        return tuple((np.searchsorted(flat, np.arange(n + 1) * n), flat % n) for flat in flats)
+        flat1 = np.flatnonzero(self.metric.covers(None, self.r1))  # u * n + v
+        # B(u, r2) lies within B(u, r1), so where fewer than 1 in 8 distances
+        # are within r1, gathering those beats a second pass over all n x n.
+        flat2 = (flat1[self.metric.dist.ravel()[flat1] <= self.r2] if 8 * flat1.size < n * n
+                 else np.flatnonzero(self.metric.covers(None, self.r2)))
+        return tuple((np.searchsorted(flat, np.arange(n + 1) * n), flat % n) for flat in (flat1, flat2))
 
     def scaled(self, rho: float) -> NUkCInstance:
         """The same instance with both radii multiplied by ``rho`` (> 0)."""

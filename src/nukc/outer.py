@@ -13,7 +13,7 @@ refutes nothing: the outer run then ends undecided).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -232,7 +232,8 @@ def _trivial_solution(instance: NUkCInstance) -> NUkCSolution | None:
 
 
 def solve_feasibility(
-    instance: NUkCInstance, config: SolverConfig | None = None
+    instance: NUkCInstance, config: SolverConfig | None = None,
+    start: np.ndarray | None = None, greedy: bool = True,
 ) -> SolveResult:
     """Return a verified solution at dilation <= 10 or declare infeasibility.
 
@@ -240,15 +241,21 @@ def solve_feasibility(
     about dilation 1 (a solution may be found even when dilation 1 is
     impossible, which is the approximation contract).  UNDECIDED (method
     ``cap``) means an iteration cap ran out first: the driver's, or an inner
-    run's that left a Case II candidate unrefuted.
+    run's that left a Case II candidate unrefuted.  ``start`` (cov1 | cov2)
+    is queried after the greedy screen (unless ``greedy`` is False), see ``decide``.
     """
     cfg = config or SolverConfig()
     trivial = _trivial_solution(instance)
     if trivial is not None:
         return SolveResult.verified(instance, trivial, "trivial")
 
+    if cfg.shortcuts and greedy and start is not None:  # decide asks the start before its screen
+        sol = greedy_cover(instance)
+        if sol is not None:
+            return SolveResult.verified(instance, sol, "greedy")
     oracle = OuterOracle(instance, cfg)
-    res = decide(instance, oracle, cfg)
+    screen = cfg if greedy and start is None else replace(cfg, shortcuts=False)  # decide's own greedy
+    res = decide(instance, oracle, screen, None, start)
     res.inner_runs = oracle.inner_runs
     return res
 
@@ -259,10 +266,10 @@ class OptimizeResult:
 
     ``solution`` is in original-radius units, at dilation at most
     10 * ``rho_star``; None (with ``rho_star`` inf) when no scale was solved.
-    ``probes`` holds one (scale, status) per scale probed, sorted by scale.
+    ``probes`` holds one (scale, status) per scale decided, sorted by scale.
     A status is ``infeasible`` (refuted: an exact bound, or the full solve),
     ``undecided`` (a cap, or an LP refutation without a certificate),
-    ``lp-feasible`` (the coverage LP reaches m there, so the search
+    ``lp-feasible`` (openings or the coverage LP reach m there, so the search
     went below it; nothing was solved) or ``solution``.
     """
 
@@ -271,33 +278,28 @@ class OptimizeResult:
     probes: list[tuple[float, str]] = field(default_factory=list)
 
 
+# optimize's LP phase steps down 1, 4, 16, ... scales.
+_STEP_GROWTH = 4
+
+
 def optimize(
     instance: NUkCInstance, config: SolverConfig | None = None
 ) -> OptimizeResult:
     """Smallest candidate scale the solver cannot refute, plus its solution.
 
-    Candidate scales are the distance/radius quotients (plus 0 and 1).
-    Scale 0 is decided first, by ``_zero_scale_probe``.  Above it, the
-    coverage LP's optimum only grows with the scale, so the search bisects
-    them on whether the LP refutes a scale, asked in this order: the
-    certificate of the highest refuted probe; the openings (LP optimum or
-    greedy cover) of the lowest unrefuted probe, if they still cover
-    m - TARGET_SLACK; the greedy screen, with shortcuts on; one
-    ``coverage_lp`` solve with the target stop, started from the basis of
-    the highest probe whose LP refuted it, never from a scale above.  The
-    openings start as one ball around point 0, which at the top scale
-    covers every point (up to rounding where its radius is the largest
-    distance itself), so the top builds no table and solves nothing.
-    ``solve_feasibility`` then runs once, on the scale the search settled
-    on; if it returns no SOLUTION (a rounding gap or a cap), the same
-    bisection goes on above that scale with the full solve as its test.
-
-    Every probe below the returned scale was refuted, by an exact bound or
-    by the full solve, so rho_star lower bounds the true optimum unless a
-    probe is ``undecided`` (a cap ran out, or an LP refutation, scale 0's
-    too, had no certificate): such a probe is searched above like an
-    infeasible one.  The solution is reported in original-radius units, at
-    dilation at most 10 * rho_star.
+    Candidate scales are the distance/radius quotients (plus 0 and 1); scale
+    0 is decided first, by ``_zero_scale_probe``.  Phase 1 bisects on cheap
+    openings (farthest-first, or the greedy's cover with shortcuts on) for
+    the lowest scale they cover.  Phase 2 steps down from it by 1, 4, 16, ...
+    scales to the first the coverage LP refutes, then bisects that step.
+    ``solve_feasibility`` then runs once, at the settled scale, from the
+    openings; if it refuses, a bisection above uses it as its test.  See
+    README.md.  Every probe below the returned scale was refuted, by an
+    exact bound or by the full solve, so rho_star lower bounds the true
+    optimum unless a probe is ``undecided`` (a cap ran out, or an LP
+    refutation, scale 0's too, had no certificate): such a probe is searched
+    above like an infeasible one.  The solution is reported in
+    original-radius units, at dilation at most 10 * rho_star.
     """
     cfg = config or SolverConfig()
     if instance.m <= 0:
@@ -321,23 +323,30 @@ def optimize(
     status: dict[float, str] = {0.0: zero_status}
     certificate: np.ndarray | None = None  # of the highest probe refuted with one
     basis = None  # HiGHS's, from the highest probe whose LP refuted it
-    # Openings x1, x2 of the lowest unrefuted probe, and its scaled instance,
-    # whose ball table the final solve reads.
-    witness = np.zeros((2, n))
-    witness[0 if instance.k1 else 1, 0] = 1.0
+    # Openings x1, x2 of the lowest probe they cover, and its scaled
+    # instance, whose ball table the final solve reads.
+    witness = _farthest_first(instance)
     lowest: dict[float, NUkCInstance] = {}
+    missed: dict[float, NUkCInstance | None] = {}  # phase 1's misses, where the greedy failed too
     found: dict[float, NUkCSolution] = {}
 
-    def refuted(rho: float) -> bool:
-        """Whether the coverage LP refutes scale ``rho``; it only steers the search."""
+    def fails(i: int, cheap: bool) -> bool:
+        """Whether scale i misses the openings and greedy (``cheap``), or the coverage LP refutes it."""
         nonlocal certificate, basis, witness, lowest
-        scaled = instance.scaled(rho)
-        if certificate is not None and certificate_bound(scaled, certificate) < m:
+        rho = candidates[i]
+        scaled = missed.get(rho) or instance.scaled(rho)
+        if not cheap and certificate is not None and certificate_bound(scaled, certificate) < m:
             status[rho] = "infeasible"  # its LP is below m
             return True
-        if _coverage(scaled, witness) < m - TARGET_SLACK:
-            cover = greedy_cover(scaled) if cfg.shortcuts else None
-            if cover is None:
+        if _start(scaled, witness).sum() < m - TARGET_SLACK:
+            if cheap:
+                cover = greedy_cover(scaled) if cfg.shortcuts else None
+                if cover is None:
+                    missed[rho] = scaled
+                    return True
+                witness = np.zeros((2, n))
+                witness[0, list(cover.centers1)] = witness[1, list(cover.centers2)] = 1.0
+            else:
                 lp = coverage_lp(scaled, target=m, basis=basis)
                 if lp.value < m - TARGET_SLACK:
                     basis = lp.basis
@@ -345,53 +354,73 @@ def optimize(
                     status[rho] = "undecided" if lp.certificate is None else "infeasible"
                     return True
                 witness = np.array([lp.x1, lp.x2])
-            else:
-                witness = np.zeros((2, n))
-                witness[0, list(cover.centers1)] = witness[1, list(cover.centers2)] = 1.0
         status[rho] = "lp-feasible"
         lowest = {rho: scaled}
         return False
 
-    def unsolved(rho: float) -> bool:
-        """The full solve as the test: whether it returns no SOLUTION at ``rho``."""
-        res = solve_feasibility(lowest.get(rho) or instance.scaled(rho), cfg)
+    def unsolved(i: int) -> bool:
+        """The full solve as the test: whether it returns no SOLUTION at scale i."""
+        rho = candidates[i]
+        res = _solve_from(lowest.get(rho) or instance.scaled(rho), cfg, witness, rho not in missed)
         status[rho] = res.status
         if res.status == "solution":
             found[rho] = res.solution
         return res.status != "solution"
 
     top = len(candidates) - 1
-    if refuted(candidates[top]):
+    hi = top + 1 if fails(top, cheap=True) else _search(0, top, lambda i: fails(i, cheap=True))
+    lo = _search(0, hi, lambda i: fails(i, cheap=False), step=1)
+    missed = dict.fromkeys(missed)  # their tables are not read again
+    while lo <= top and candidates[lo] not in found and unsolved(lo):
+        lo = _search(lo + 1, top + 1, unsolved)
+    if lo > top:
         return OptimizeResult(math.inf, None, sorted(status.items()))
-    lo, hi, test = 0, top, refuted
-    while True:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if test(candidates[mid]):
-                lo = mid + 1
-            else:
-                hi = mid
-        if candidates[lo] in found or not unsolved(candidates[lo]):
-            break
-        if lo == top:
-            return OptimizeResult(math.inf, None, sorted(status.items()))
-        lo, hi, test = lo + 1, top, unsolved
     rho_star = candidates[lo]
     sol = found[rho_star]
     return OptimizeResult(rho_star, NUkCSolution(sol.centers1, sol.centers2, sol.dilation * rho_star),
                           sorted(status.items()))
 
 
-def _coverage(instance: NUkCInstance, x: np.ndarray) -> float:
-    """The coverage of openings ``x`` (rows x1, x2) on ``instance``: sum over v of min(1, reach).
+def _search(lo: int, hi: int, fails, step: int = 0) -> int:
+    """The least index in [lo, hi] found not to ``fails``, where ``hi`` passes: a bisection, after
+    steps down from ``hi`` by ``step``, step * _STEP_GROWTH, ... to the first failure when step > 0."""
+    while lo < hi:
+        mid = max(hi - step, lo) if step else (lo + hi) // 2
+        if fails(mid):
+            lo, step = mid + 1, 0
+        else:
+            hi, step = mid, step * _STEP_GROWTH
+    return hi
 
-    Reads only the balls of the open centers, in O(their number * n).
-    """
-    reach = np.zeros(instance.n)
+
+def _farthest_first(instance: NUkCInstance) -> np.ndarray:
+    """Openings (rows x1, x2) of a farthest-first traversal from point 0 (Gonzalez, 1985): k1 large
+    centers, then k2 small ones, in budget at every scale, until every point is at distance 0 from one."""
+    x = np.zeros((2, instance.n))
+    near = np.full(instance.n, np.inf)  # distance to the nearest center so far
+    for i in range(min(instance.k1 + instance.k2, instance.n)):
+        c = int(near.argmax())
+        if near[c] == 0:
+            break
+        x[int(i >= instance.k1), c] = 1.0
+        np.minimum(near, instance.metric.dist[c], out=near)
+    return x
+
+
+def _start(instance: NUkCInstance, x: np.ndarray) -> np.ndarray:
+    """The coverage of openings ``x`` (rows x1, x2) as the driver splits it, flat cov1 | cov2: a
+    point of the polytope where x is in budget.  Reads the open centers' balls, in O(their number * n)."""
+    reach = []
     for row, r in zip(x, (instance.r1, instance.r2)):
         open_ = np.flatnonzero(row)
-        reach += row[open_] @ instance.metric.covers(open_, r)
-    return float(np.minimum(reach, 1.0).sum())
+        reach.append(row[open_] @ instance.metric.covers(open_, r))
+    cov1 = np.minimum(reach[0], 1.0)
+    return np.concatenate([cov1, np.minimum(reach[1], 1.0 - cov1)])
+
+
+def _solve_from(instance: NUkCInstance, config: SolverConfig, x: np.ndarray, greedy: bool) -> SolveResult:
+    """``optimize``'s full solve: ``solve_feasibility`` started at the coverage of openings ``x``."""
+    return solve_feasibility(instance, config, start=_start(instance, x), greedy=greedy)
 
 
 def _zero_scale_probe(instance: NUkCInstance) -> tuple[str, NUkCSolution | None]:

@@ -13,6 +13,9 @@ import numpy as np
 
 from .model import NUkCInstance, NUkCSolution
 
+# One row's recount costs about as much as recounting this many entries at once.
+_RECOUNT_ENTRIES = 1024
+
 
 def greedy_cover(instance: NUkCInstance, restrict_y: Sequence[int] | None = None) -> NUkCSolution | None:
     """Try to cover m points at dilation 1 greedily; None when it falls short.
@@ -27,30 +30,45 @@ def greedy_cover(instance: NUkCInstance, restrict_y: Sequence[int] | None = None
     """
     n = instance.n
     (start1, points1), (start2, points2) = instance.balls
-    # Row i is B(i, r2) and row n + i is B(i, r1).  argmax takes the first
-    # maximum, so ties go to class 2 and then to the lowest center.
+    # Row i is B(i, r2) and row n + i is B(i, r1): ties go to class 2 and then
+    # to the lowest center, the first row of the largest gain.
     start = np.concatenate([start2[:-1], start1 + start2[-1]])
     points = np.concatenate([points2, points1])
     budget = [instance.k2, instance.k1]
+    # Minoux's lazy greedy: gains only fall, so a row's last count bounds its
+    # gain.  The first row of the largest bound is recounted and picked if it
+    # keeps it, until a pick's recounts would cost more than recounting all.
     closed = np.repeat([budget[0] == 0, budget[1] == 0], n)  # no budget, or a large ball off Y
     if restrict_y is not None:
         closed[n:] |= ~np.isin(np.arange(n), restrict_y)
+    bound = np.diff(start)  # the gains while nothing is covered; -1 where closed
+    bound[closed] = -1
+    exact, spent = True, 0
     chosen: list[int] = []
     uncovered = np.ones(n, dtype=bool)
     covered = 0
     while covered < min(instance.m, n):  # m > n: None once every point is covered
-        gains = np.add.reduceat(uncovered[points], start[:-1], dtype=np.intp)  # no row is empty
-        gains[closed] = -1
-        i = int(gains.argmax())
-        if gains[i] <= 0:
+        if not exact and spent + _RECOUNT_ENTRIES > points.size:
+            bound = np.add.reduceat(uncovered[points], start[:-1], dtype=np.intp)  # no row is empty
+            bound[closed], exact = -1, True
+        i = int(bound.argmax())
+        top = int(bound[i])
+        if top <= 0:
             break
+        if not exact:
+            bound[i] = np.count_nonzero(uncovered[points[start[i] : start[i + 1]]])
+            spent += _RECOUNT_ENTRIES + start[i + 1] - start[i]
+            if bound[i] < top:
+                continue
         chosen.append(i)
         uncovered[points[start[i] : start[i + 1]]] = False
-        covered += int(gains[i])
+        covered += top
+        exact, spent = False, 0
         cls = int(i >= n)
         budget[cls] -= 1
         if budget[cls] == 0:
             closed[cls * n : cls * n + n] = True
+            bound[closed] = -1
     if covered < instance.m:
         return None
     return NUkCSolution(centers1=tuple(i - n for i in chosen if i >= n),

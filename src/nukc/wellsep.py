@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cutting_plane import (
-    ORACLE_EPS, Rounded, Separating, coverage_model, lp_certificate, mass_cut, release, run_round_or_cut,
+    ORACLE_EPS, OracleExhausted, Rounded, Separating, coverage_model, lp_certificate, mass_cut, release,
+    run_round_or_cut,
 )
 # Not called here (outer.optimize calls it): perfbench/tracing.py patches it here too.
 from .cutting_plane import coverage_lp  # noqa: F401
@@ -67,8 +68,8 @@ def decide(
 
     First one query of ``oracle`` at ``start`` when given: a ``Rounded``
     answer is verified like any other and returned with method ``start``; a
-    ``Separating`` one is dropped, so its cut never reaches the LP.  Then,
-    with shortcuts on, the greedy; then the driver over ``oracle`` from the
+    ``Separating`` one, or OracleExhausted, is dropped: no cut reaches the LP.
+    Then, with shortcuts on, the greedy; then the driver over ``oracle`` from the
     coverage LP, with large centers confined to ``y`` in both.  Both read
     ``inst.balls``, built on the first read.  INFEASIBLE comes only from the
     driver, and an exhausted iteration cap is UNDECIDED (method ``cap``), as
@@ -82,9 +83,13 @@ def decide(
     if inst.m > inst.n or (inst.k1 == 0 and inst.k2 == 0):
         return SolveResult("infeasible", method="trivial")
     if start is not None:
-        verdict = oracle(start)
+        try:
+            verdict = oracle(start)
+        except OracleExhausted:
+            verdict = None
         if isinstance(verdict, Rounded):
-            return SolveResult.verified(inst, verdict.payload[0], "start")
+            solution, info = verdict.payload
+            return SolveResult.verified(inst, solution, "start", case=info.get("case", ""))
     if config.shortcuts:
         sol = greedy_cover(inst, restrict_y=y)
         if sol is not None:

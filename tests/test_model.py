@@ -18,6 +18,8 @@ from nukc import (
 )
 from nukc.model import coverage_of_solution
 
+from conftest import near_symmetric_instance, random_instance
+
 
 def square_instance(**overrides) -> NUkCInstance:
     """Unit square corners; side 1, diagonal sqrt(2)."""
@@ -96,6 +98,16 @@ class TestMetricSpace:
             expect = np.maximum(expect, expect.T)
             np.fill_diagonal(expect, 0.0)
             assert np.array_equal(MetricSpace.from_points(pts).dist, expect)
+
+    def test_from_points_is_exactly_symmetric(self):
+        # from_points skips the symmetry check: cdist computes (i, j) and
+        # (j, i) alike, so the matrix equals its transpose bit for bit.
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n, dim = int(rng.integers(2, 80)), int(rng.integers(1, 4))
+            pts = rng.uniform(-1e6, 1e6, size=(n, dim)) * 10.0 ** -rng.integers(0, 7)
+            d = MetricSpace.from_points(pts).dist
+            assert np.array_equal(d, d.T)
 
     @staticmethod
     def near_collinear(seed: int, scale: float) -> np.ndarray:
@@ -265,6 +277,27 @@ class TestCoverageAndCuts:
         assert metric.covers([2, 0], 1.5).tolist() == [[False, True, True], [True, True, False]]
         assert metric.covers(None, 0.0).tolist() == np.eye(3, dtype=bool).tolist()
         assert metric.covers((), 1.0).shape == (0, 3)
+
+
+    def test_ball_rows_are_the_covers_rows(self):
+        # Where the r1 table is sparse, the r2 rows are taken from its
+        # entries: still exactly the covers rows, on near-symmetric metrics
+        # and with r2 = 0 too.
+        rng = np.random.default_rng(4)
+        sparse = set()
+        for t in range(90):
+            if t % 3 == 2:
+                metric = MetricSpace.from_points(rng.uniform(0.0, 10.0, size=(40, 2)))
+                r1 = float(rng.uniform(0.5, 3.0))
+                inst = NUkCInstance(metric, r1, r1 * float(rng.choice([0.0, 0.5])), 1, 1, 1)
+            else:
+                inst = near_symmetric_instance(rng) if t % 3 else random_instance(rng, max_n=12)
+            sparse.add(8 * inst.balls[0][1].size < inst.n**2)
+            for (start, points), r in zip(inst.balls, (inst.r1, inst.r2)):
+                for u in range(inst.n):
+                    want = np.flatnonzero(inst.metric.covers(u, r))
+                    assert points[start[u] : start[u + 1]].tolist() == want.tolist()
+        assert sparse == {True, False}
 
 
 class TestSolutions:

@@ -35,6 +35,7 @@ from nukc import (
     wellsep_separation_oracle,
 )
 import nukc.outer as outer_module
+import nukc.wellsep as wellsep_module
 from nukc import cutting_plane
 from nukc.cutting_plane import OracleExhausted, coverage_lp
 from nukc.model import coverage_of_solution
@@ -306,6 +307,11 @@ class TestCandidates:
         kinds = [cut.kind for cut in res.cuts]
         assert "candidates" not in kinds and kinds == [cut.kind for cut in real.cuts][: len(kinds)]
         assert res.inner_runs and {r.status for _, r in res.inner_runs} == {"undecided"}
+        # A start query that meets the capped candidates is dropped, not raised.
+        lp = coverage_lp(inst)
+        started = solve_feasibility(inst, config, start=outer_module._start(inst, np.array([lp.x1, lp.x2])))
+        assert (started.status, started.method) == ("undecided", "cap")
+        assert len(started.inner_runs) > len(res.inner_runs)
 
     def test_one_capped_candidate_blocks_the_candidates_cut(self, monkeypatch):
         # The m = 12 query of test_candidates_sharing_a_ball_solve_once: every
@@ -547,7 +553,9 @@ class TestOptimize:
                              ids=["default", "shortcut-free"])
     def test_same_answers_as_a_bisection_over_full_solves(self, config):
         # The reference judges every probe with solve_feasibility, as the
-        # search did before it steered on the coverage LP.
+        # search did before it steered on the coverage LP.  The final solve
+        # starts from the search's openings, so it may round to other centers
+        # at the same dilation: those are recounted, not compared.
         tally = Counter()
         for seed in range(8):
             for inst in (uniform_instance(seed, 12 + 4 * seed, 0.25, 0.1, 2, 2),
@@ -556,8 +564,10 @@ class TestOptimize:
                          planted_kcenter_instance(seed, clusters=2, points_per_cluster=4, outliers=2)[0]):
                 assert inst.n <= 40
                 out = optimize(inst, config)
-                want = bisection_reference(inst, config)
-                assert (out.rho_star, out.solution) == want, (seed, inst.n)
+                rho, want = bisection_reference(inst, config)
+                assert out.rho_star == rho, (seed, inst.n)
+                assert out.solution.dilation == want.dilation, (seed, inst.n)
+                assert verify_solution(inst, out.solution, out.solution.dilation)[0], (seed, inst.n)
                 tally[dict(out.probes).get(out.rho_star)] += 1
         assert tally == {"solution": 32}
 
@@ -568,16 +578,16 @@ class TestOptimize:
         # the next scale, which the LP steering had left unsolved.
         inst = uniform_instance(3, 30, 0.2, 0.08, 2, 2)
         plain = optimize(inst)
-        real = outer_module.solve_feasibility
+        real = outer_module._solve_from
         calls: list[float] = []
 
-        def solve(scaled, config=None):
+        def solve(scaled, config, *args):
             calls.append(scaled.r1 / inst.r1)
             if len(calls) == 1:
                 return SolveResult(refusal, method="cap" if refusal == "undecided" else "lp-empty")
-            return real(scaled, config)
+            return real(scaled, config, *args)
 
-        monkeypatch.setattr(outer_module, "solve_feasibility", solve)
+        monkeypatch.setattr(outer_module, "_solve_from", solve)
         out = optimize(inst)
         status = dict(out.probes)
         above = [rho for rho in candidate_scales(inst) if rho > plain.rho_star]
@@ -586,11 +596,76 @@ class TestOptimize:
         assert len(calls) > 2  # a bisection, not a step to the next scale
         assert verify_solution(inst, out.solution, 10.0 * out.rho_star)[0]
         # Refused everywhere, the search ends at the top with no solution.
-        monkeypatch.setattr(outer_module, "solve_feasibility",
-                            lambda scaled, config=None: SolveResult(refusal, method="cap"))
+        monkeypatch.setattr(outer_module, "_solve_from",
+                            lambda scaled, config, *args: SolveResult(refusal, method="cap"))
         out = optimize(inst)
         assert (out.rho_star, out.solution) == (math.inf, None)
         assert dict(out.probes)[candidate_scales(inst)[-1]] == refusal
+
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(shortcuts=False)],
+                             ids=["default", "shortcut-free"])
+    def test_no_probe_lp_where_farthest_first_covers(self, monkeypatch, config):
+        # Phase 1 brackets rho* from above with the farthest-first openings
+        # (and the greedy), so every LP probe lies below the scales they cover.
+        real = outer_module.coverage_lp
+        probed: list[NUkCInstance] = []
+
+        def lp(inst, *args, **kwargs):
+            probed.append(inst)
+            return real(inst, *args, **kwargs)
+
+        monkeypatch.setattr(outer_module, "coverage_lp", lp)
+        lps = 0
+        for seed in range(10):
+            for inst in (uniform_instance(seed, 20 + 2 * seed, 0.2, 0.08, 2, 2),
+                         graph_instance(seed, 20 + 2 * seed, 2, 2)):
+                assert inst.n <= 40
+                probed.clear()
+                optimize(inst, config)
+                large, small = farthest_first_reference(inst)
+                for scaled in probed:
+                    d = scaled.metric.dist
+                    covered = (d[large] <= scaled.r1).any(axis=0) | (d[small] <= scaled.r2).any(axis=0)
+                    assert covered.sum() < inst.m, (seed, scaled.r1 / inst.r1)
+                lps += len(probed)
+        assert lps > 40, lps
+
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(shortcuts=False)],
+                             ids=["default", "shortcut-free"])
+    def test_final_solve_rounds_at_its_start_query(self, monkeypatch, config):
+        # The openings of the lowest LP-feasible probe round at once: the
+        # final solve at rho* solves no coverage LP and runs no driver.
+        inst = uniform_instance(1, 30, 0.2, 0.08, 2, 2)
+        running: list[bool] = []  # non-empty while the final solve runs
+        lps: list[bool] = []  # per coverage_lp call, whether the final solve made it
+        driver_scales: list[float] = []
+        results: list[SolveResult] = []
+        real_lp, real_model = outer_module.coverage_lp, wellsep_module.coverage_model
+        real_solve = outer_module.solve_feasibility
+
+        def lp(scaled, *args, **kwargs):
+            lps.append(bool(running))
+            return real_lp(scaled, *args, **kwargs)
+
+        def model(scaled, *args, **kwargs):
+            if scaled.n == inst.n:  # not an inner run on a q candidate
+                driver_scales.append(scaled.r1 / inst.r1)
+            return real_model(scaled, *args, **kwargs)
+
+        def solve(scaled, *args, **kwargs):
+            running.append(True)
+            results.append(real_solve(scaled, *args, **kwargs))
+            running.pop()
+            return results[-1]
+
+        monkeypatch.setattr(outer_module, "coverage_lp", lp)
+        monkeypatch.setattr(wellsep_module, "coverage_model", model)
+        monkeypatch.setattr(outer_module, "solve_feasibility", solve)
+        out = optimize(inst, config)
+        assert [(r.status, r.method, r.case) for r in results] == [("solution", "start", "II")]
+        assert lps and not any(lps)
+        assert out.rho_star not in driver_scales
+        assert verify_solution(inst, out.solution, out.solution.dilation)[0]
 
     def test_probe_lps_start_from_a_lower_scale(self, monkeypatch):
         # A basis from a larger scale costs far more dual simplex iterations,
@@ -712,6 +787,19 @@ def candidate_scales(instance):
     quotients = [[1.0], upper / instance.r1] + ([upper / instance.r2] if instance.r2 > 0 else [])
     scales = np.unique(np.concatenate(quotients))
     return scales[scales > 0].tolist()
+
+
+def farthest_first_reference(instance):
+    """Gonzalez's traversal from point 0, a loop: (its first k1 centers, the next k2)."""
+    d = instance.metric.dist
+    centers = [0]
+    while len(centers) < min(instance.k1 + instance.k2, instance.n):
+        near = [min(d[c][v] for c in centers) for v in range(instance.n)]
+        far = max(range(instance.n), key=lambda v: (near[v], -v))
+        if near[far] == 0:
+            break
+        centers.append(far)
+    return centers[: instance.k1], centers[instance.k1 :]
 
 
 def bisection_reference(instance, config):

@@ -13,7 +13,7 @@ from nukc import (
     solve_feasibility,
     verify_solution,
 )
-from nukc import cutting_plane
+from nukc import cutting_plane, presolve
 from nukc.cutting_plane import LPSolveError, coverage_lp, coverage_model, run_round_or_cut
 
 from conftest import near_symmetric_instance, random_instance
@@ -216,6 +216,30 @@ class TestGreedy:
                 assert got == want, (t, y)
                 hits += got is not None
         assert hits > 0
+
+
+    def test_lazy_picks_match_loop_reference(self):
+        # Tables past a few recounts' worth of entries take the lazy path:
+        # single-row recounts, and whole-table ones once those cost more.
+        rng = np.random.default_rng(21)
+        lazy = 0
+        for t in range(30):
+            n = int(rng.integers(60, 160))
+            if t % 2:  # a few sites, many copies: long runs of tied, stale rows
+                sites = rng.uniform(0.0, 10.0, size=(int(rng.integers(5, 30)), 2))
+                pts = sites[rng.integers(0, len(sites), size=n)]
+            else:
+                pts = rng.uniform(0.0, 10.0, size=(n, 2))
+            r1 = float(rng.uniform(0.5, 4.0))
+            k1, k2 = int(rng.integers(0, 8)), int(rng.integers(1, 8))
+            inst = NUkCInstance(MetricSpace.from_points(pts), r1, r1 * float(rng.uniform(0.0, 0.9)), k1, k2,
+                                int(rng.integers(n // 2, n + 1)))
+            for y in (None, tuple(range(0, n, 3))):
+                got = greedy_cover(inst, restrict_y=y)
+                assert got == loop_greedy_cover(inst, restrict_y=y), (t, y)
+            size = sum(points.size for _, points in inst.balls)
+            lazy += size > 2 * presolve._RECOUNT_ENTRIES and k1 + k2 >= 3
+        assert lazy > 15, lazy
 
 
 class TestCoverageBound:
