@@ -258,7 +258,7 @@ class NUkCInstance:
 
     @cached_property
     def balls(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Each B(u, r1), then each B(u, r2), as CSR rows read through ``MetricSpace.covers``.
+        """Each B(u, r1), then each B(u, r2), as CSR rows: ``MetricSpace.covers`` rows, read in one pass.
 
         Per radius ``(start, points)``, u's points ascending at ``points[start[u] : start[u + 1]]``;
         no row is empty, as each ball holds its center.  Built on first use
@@ -266,10 +266,7 @@ class NUkCInstance:
         """
         n = self.n
         flat1 = np.flatnonzero(self.metric.covers(None, self.r1))  # u * n + v
-        # B(u, r2) lies within B(u, r1), so where fewer than 1 in 8 distances
-        # are within r1, gathering those beats a second pass over all n x n.
-        flat2 = (flat1[self.metric.dist.ravel()[flat1] <= self.r2] if 8 * flat1.size < n * n
-                 else np.flatnonzero(self.metric.covers(None, self.r2)))
+        flat2 = flat1[self.metric.dist.ravel()[flat1] <= self.r2]  # B(u, r2) lies within B(u, r1)
         return tuple((np.searchsorted(flat, np.arange(n + 1) * n), flat % n) for flat in (flat1, flat2))
 
     def scaled(self, rho: float) -> NUkCInstance:

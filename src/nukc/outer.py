@@ -233,7 +233,7 @@ def _trivial_solution(instance: NUkCInstance) -> NUkCSolution | None:
 
 def solve_feasibility(
     instance: NUkCInstance, config: SolverConfig | None = None,
-    start: np.ndarray | None = None, greedy: bool = True,
+    start: np.ndarray | None = None,
 ) -> SolveResult:
     """Return a verified solution at dilation <= 10 or declare infeasibility.
 
@@ -242,19 +242,20 @@ def solve_feasibility(
     impossible, which is the approximation contract).  UNDECIDED (method
     ``cap``) means an iteration cap ran out first: the driver's, or an inner
     run's that left a Case II candidate unrefuted.  ``start`` (cov1 | cov2)
-    is queried after the greedy screen (unless ``greedy`` is False), see ``decide``.
+    is queried after the greedy screen, see ``decide``.
     """
     cfg = config or SolverConfig()
     trivial = _trivial_solution(instance)
     if trivial is not None:
         return SolveResult.verified(instance, trivial, "trivial")
 
-    if cfg.shortcuts and greedy and start is not None:  # decide asks the start before its screen
+    screen = cfg
+    if cfg.shortcuts and start is not None:  # decide would ask the start before its greedy
         sol = greedy_cover(instance)
         if sol is not None:
             return SolveResult.verified(instance, sol, "greedy")
+        screen = replace(cfg, shortcuts=False)
     oracle = OuterOracle(instance, cfg)
-    screen = cfg if greedy and start is None else replace(cfg, shortcuts=False)  # decide's own greedy
     res = decide(instance, oracle, screen, None, start)
     res.inner_runs = oracle.inner_runs
     return res
@@ -327,7 +328,7 @@ def optimize(
     # instance, whose ball table the final solve reads.
     witness = _farthest_first(instance)
     lowest: dict[float, NUkCInstance] = {}
-    missed: dict[float, NUkCInstance | None] = {}  # phase 1's misses, where the greedy failed too
+    missed: dict[float, NUkCInstance] = {}  # phase 1's misses, whose tables phase 2 may read
     found: dict[float, NUkCSolution] = {}
 
     def fails(i: int, cheap: bool) -> bool:
@@ -361,7 +362,7 @@ def optimize(
     def unsolved(i: int) -> bool:
         """The full solve as the test: whether it returns no SOLUTION at scale i."""
         rho = candidates[i]
-        res = _solve_from(lowest.get(rho) or instance.scaled(rho), cfg, witness, rho not in missed)
+        res = _solve_from(lowest.get(rho) or instance.scaled(rho), cfg, witness)
         status[rho] = res.status
         if res.status == "solution":
             found[rho] = res.solution
@@ -370,7 +371,7 @@ def optimize(
     top = len(candidates) - 1
     hi = top + 1 if fails(top, cheap=True) else _search(0, top, lambda i: fails(i, cheap=True))
     lo = _search(0, hi, lambda i: fails(i, cheap=False), step=1)
-    missed = dict.fromkeys(missed)  # their tables are not read again
+    missed.clear()  # their tables are not read again
     while lo <= top and candidates[lo] not in found and unsolved(lo):
         lo = _search(lo + 1, top + 1, unsolved)
     if lo > top:
@@ -418,9 +419,9 @@ def _start(instance: NUkCInstance, x: np.ndarray) -> np.ndarray:
     return np.concatenate([cov1, np.minimum(reach[1], 1.0 - cov1)])
 
 
-def _solve_from(instance: NUkCInstance, config: SolverConfig, x: np.ndarray, greedy: bool) -> SolveResult:
+def _solve_from(instance: NUkCInstance, config: SolverConfig, x: np.ndarray) -> SolveResult:
     """``optimize``'s full solve: ``solve_feasibility`` started at the coverage of openings ``x``."""
-    return solve_feasibility(instance, config, start=_start(instance, x), greedy=greedy)
+    return solve_feasibility(instance, config, start=_start(instance, x))
 
 
 def _zero_scale_probe(instance: NUkCInstance) -> tuple[str, NUkCSolution | None]:

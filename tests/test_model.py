@@ -280,11 +280,9 @@ class TestCoverageAndCuts:
 
 
     def test_ball_rows_are_the_covers_rows(self):
-        # Where the r1 table is sparse, the r2 rows are taken from its
-        # entries: still exactly the covers rows, on near-symmetric metrics
-        # and with r2 = 0 too.
+        # The r2 rows are taken from the r1 table's entries: still exactly
+        # the covers rows, on near-symmetric metrics and with r2 = 0 too.
         rng = np.random.default_rng(4)
-        sparse = set()
         for t in range(90):
             if t % 3 == 2:
                 metric = MetricSpace.from_points(rng.uniform(0.0, 10.0, size=(40, 2)))
@@ -292,12 +290,10 @@ class TestCoverageAndCuts:
                 inst = NUkCInstance(metric, r1, r1 * float(rng.choice([0.0, 0.5])), 1, 1, 1)
             else:
                 inst = near_symmetric_instance(rng) if t % 3 else random_instance(rng, max_n=12)
-            sparse.add(8 * inst.balls[0][1].size < inst.n**2)
             for (start, points), r in zip(inst.balls, (inst.r1, inst.r2)):
                 for u in range(inst.n):
                     want = np.flatnonzero(inst.metric.covers(u, r))
                     assert points[start[u] : start[u + 1]].tolist() == want.tolist()
-        assert sparse == {True, False}
 
 
 class TestSolutions:
