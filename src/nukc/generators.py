@@ -193,7 +193,8 @@ def graph_instance(
     A random spanning tree keeps the graph connected; extra edges (default n/2)
     add shortcuts.  Radii default to distance quantiles so balls are neither
     empty nor everything.  Shortest-path distances of a connected graph are a
-    metric by construction, so the metric skips the O(n^3) triangle check.
+    metric by construction, and (d + d.T) / 2 is exactly symmetric (IEEE addition
+    commutes), so the metric skips the O(n^3) triangle check and the symmetry pass.
     """
     rng = np.random.default_rng(seed)
     weights = np.full((n, n), np.inf)
@@ -209,11 +210,9 @@ def graph_instance(
         weights[u, v] = weights[v, u] = min(weights[u, v], w)
     dist = shortest_path(np.where(np.isinf(weights), 0.0, weights))
     dist = (dist + dist.T) / 2.0
-    off_diag = dist[~np.eye(n, dtype=bool)]
-    if r1 is None:
-        r1 = float(np.quantile(off_diag, 0.35)) if n > 1 else 1.0
-    if r2 is None:
-        r2 = float(np.quantile(off_diag, 0.15)) if n > 1 else 0.0
+    q1, q2 = np.quantile(dist[~np.eye(n, dtype=bool)], [0.35, 0.15]).tolist() if n > 1 else (1.0, 0.0)
+    r1 = q1 if r1 is None else r1
+    r2 = q2 if r2 is None else r2
     if r2 >= r1:
         r2 = r1 / 2.0
     return NUkCInstance(

@@ -78,9 +78,10 @@ def _checked_matrix(dist, symmetric: bool = False) -> np.ndarray:
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise MetricError(f"distance matrix must be square, got shape {d.shape}")
-    if not np.all(np.isfinite(d)):
+    lo, hi = d.min(initial=0.0), d.max(initial=0.0)  # no n x n temporaries; NaN propagates through both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise MetricError("distance matrix contains non-finite entries")
-    if np.any(d < 0):
+    if lo < 0:
         raise MetricError("distances must be nonnegative")
     if np.any(np.abs(np.diag(d)) > 0):
         raise MetricError("self-distances must be zero")
@@ -153,13 +154,13 @@ class MetricSpace:
         object.__setattr__(self, "coords", coords)
 
     @classmethod
-    def _trusted(cls, dist, coords=None, symmetric: bool = False) -> MetricSpace:
-        """A metric whose triangle inequality (and symmetry, when ``symmetric``) holds by construction.
+    def _trusted(cls, dist, coords=None) -> MetricSpace:
+        """A metric whose triangle inequality and exact symmetry hold by construction.
 
-        Keeps the other O(n^2) checks, skips the O(n^3) triangle check, and keeps ``dist`` uncopied.
+        Keeps the other O(n^2) checks, skips the triangle and symmetry checks, keeps ``dist`` uncopied.
         """
         out = object.__new__(cls)
-        out._set(_checked_matrix(dist, symmetric), coords)
+        out._set(_checked_matrix(dist, symmetric=True), coords)
         return out
 
     @property
@@ -178,7 +179,7 @@ class MetricSpace:
         if pts.ndim != 2:
             raise MetricError(f"points must be a 2-d array, got shape {pts.shape}")
         # cdist computes (i, j) and (j, i) alike: exactly symmetric, so that check is skipped too.
-        return MetricSpace._trusted(cdist(pts, pts), coords=pts, symmetric=True)
+        return MetricSpace._trusted(cdist(pts, pts), coords=pts)
 
     @staticmethod
     def from_matrix(dist: Sequence[Sequence[float]]) -> MetricSpace:

@@ -288,8 +288,8 @@ def optimize(
 ) -> OptimizeResult:
     """Smallest candidate scale the solver cannot refute, plus its solution.
 
-    Candidate scales are the distance/radius quotients (plus 0 and 1); scale
-    0 is decided first, by ``_zero_scale_probe``.  Phase 1 bisects on cheap
+    Candidate scales are 1 and the positive distance/radius quotients, one
+    sorted array; scale 0 is ``_zero_scale_probe``'s.  Phase 1 bisects on cheap
     openings (farthest-first, or the greedy's cover with shortcuts on) for
     the lowest scale they cover.  Phase 2 steps down from it by 1, 4, 16, ...
     scales to the first the coverage LP refutes, then bisects that step.
@@ -313,13 +313,7 @@ def optimize(
         return OptimizeResult(0.0, zero_sol, [(0.0, "solution")])
 
     n, m = instance.n, instance.m
-    d = instance.metric.dist
-    upper = d[np.arange(n)[:, None] < np.arange(n)]  # row-major, i < j
-    quotients = [np.array([0.0, 1.0]), upper / instance.r1]
-    if instance.r2 > 0:
-        quotients.append(upper / instance.r2)
-    scales = np.unique(np.concatenate(quotients))  # sorted, deduped by float equality
-    candidates = scales[scales > 0].tolist()
+    candidates = _scale_grid(instance)
 
     status: dict[float, str] = {0.0: zero_status}
     certificate: np.ndarray | None = None  # of the highest probe refuted with one
@@ -334,7 +328,7 @@ def optimize(
     def fails(i: int, cheap: bool) -> bool:
         """Whether scale i misses the openings and greedy (``cheap``), or the coverage LP refutes it."""
         nonlocal certificate, basis, witness, lowest
-        rho = candidates[i]
+        rho = float(candidates[i])
         scaled = missed.get(rho) or instance.scaled(rho)
         if not cheap and certificate is not None and certificate_bound(scaled, certificate) < m:
             status[rho] = "infeasible"  # its LP is below m
@@ -361,7 +355,7 @@ def optimize(
 
     def unsolved(i: int) -> bool:
         """The full solve as the test: whether it returns no SOLUTION at scale i."""
-        rho = candidates[i]
+        rho = float(candidates[i])
         res = _solve_from(lowest.get(rho) or instance.scaled(rho), cfg, witness)
         status[rho] = res.status
         if res.status == "solution":
@@ -376,10 +370,19 @@ def optimize(
         lo = _search(lo + 1, top + 1, unsolved)
     if lo > top:
         return OptimizeResult(math.inf, None, sorted(status.items()))
-    rho_star = candidates[lo]
+    rho_star = float(candidates[lo])
     sol = found[rho_star]
     return OptimizeResult(rho_star, NUkCSolution(sol.centers1, sol.centers2, sol.dilation * rho_star),
                           sorted(status.items()))
+
+
+def _scale_grid(instance: NUkCInstance) -> np.ndarray:
+    """1 and the positive distance/radius quotients, ascending, deduped by float equality like np.unique."""
+    grid = instance.metric.dist[np.arange(instance.n)[:, None] < np.arange(instance.n)]  # i < j, row-major
+    grid = np.concatenate([[1.0], grid / instance.r1, grid / instance.r2 if instance.r2 > 0 else []])
+    grid.sort()  # in place: np.unique sorts a copy
+    grid = grid[np.searchsorted(grid, 0.0, side="right"):]
+    return grid[np.append(True, grid[1:] != grid[:-1])]  # the first of each run of equal floats
 
 
 def _search(lo: int, hi: int, fails, step: int = 0) -> int:

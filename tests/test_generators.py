@@ -92,6 +92,13 @@ class TestGraph:
         dense = graph_instance(4, n=8, k1=1, k2=1, extra_edges=20)
         assert np.all(dense.metric.dist <= sparse.metric.dist + 1e-12)
 
+    def test_metric_equals_its_transpose_exactly(self):
+        # The metric skips the symmetry check: (d + d.T) / 2 is symmetric bit for bit.
+        for seed in range(30):
+            n = int(np.random.default_rng(seed).integers(2, 80))
+            d = graph_instance(seed, n=n, k1=2, k2=2).metric.dist
+            assert np.array_equal(d, d.T)
+
     def test_deterministic(self):
         a = graph_instance(2, n=7, k1=1, k2=2)
         b = graph_instance(2, n=7, k1=1, k2=2)

@@ -52,6 +52,20 @@ class TestMetricSpace:
         with pytest.raises(MetricError):
             MetricSpace.from_matrix(d)
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"), (-1.0, "nonnegative"),
+    ])
+    def test_rejects_entries_with_their_message(self, bad, message):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        d[0, 2] = d[2, 0] = bad
+        for build in (MetricSpace.from_matrix, MetricSpace._trusted):
+            with pytest.raises(MetricError, match=message):
+                build(d)
+
+    def test_empty_metric_constructs(self):
+        assert MetricSpace.from_matrix(np.zeros((0, 0))).n == 0
+        assert MetricSpace._trusted(np.zeros((0, 0))).n == 0
+
     def test_rejects_triangle_violation(self):
         d = np.array(
             [

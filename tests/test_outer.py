@@ -441,6 +441,37 @@ class TestOptimize:
         quotients = np.concatenate([upper / inst.r1, upper / inst.r2, [0.0, 1.0]])
         assert np.min(np.abs(quotients - out.rho_star)) < 1e-12
 
+    @staticmethod
+    def unique_grid(inst):
+        """The grid as np.unique builds it: 0, 1 and every quotient, sorted and deduped, 0 dropped."""
+        upper = inst.metric.dist[np.triu_indices(inst.n, k=1)]
+        quotients = [np.array([0.0, 1.0]), upper / inst.r1] + ([upper / inst.r2] if inst.r2 > 0 else [])
+        scales = np.unique(np.concatenate(quotients))
+        return scales[scales > 0]
+
+    def test_scale_grid_matches_np_unique(self):
+        rng = np.random.default_rng(23)
+        sites = rng.uniform(0.0, 10.0, size=(8, 2))
+        repeated = MetricSpace.from_points(np.repeat(sites, 3, axis=0))
+        cases = [NUkCInstance(repeated, 1.0, r2, 2, 2, 20) for r2 in (0.0, 0.5)]
+        for seed in range(10):
+            kcenter, _ = planted_kcenter_instance(seed, 3, 5, 2)
+            assert kcenter.r2 == 0.0
+            cases += [uniform_instance(seed, 40, 0.2, 0.08, 2, 2), graph_instance(seed, 40, 2, 2),
+                      planted_instance(seed, 3, 5, 2)[0], kcenter]
+        for inst in cases:
+            grid, want = outer_module._scale_grid(inst), self.unique_grid(inst)
+            assert grid.dtype == want.dtype
+            assert np.array_equal(grid.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(shortcuts=False)],
+                             ids=["default", "shortcut-free"])
+    def test_scales_are_python_floats(self, config):
+        for seed in range(5):
+            out = optimize(uniform_instance(seed, 30, 0.2, 0.08, 2, 2), config)
+            assert type(out.rho_star) is float
+            assert all(type(rho) is float for rho, _ in out.probes)
+
     def test_duplicate_classes_reach_scale_zero(self):
         pts = [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [9.0, 9.0]]
         inst = euclidean(pts, 1.0, 0.5, 1, 1, 4)
