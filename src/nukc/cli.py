@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print solver progress to stderr")
     solve.add_argument("--no-shortcuts", action="store_true",
                        help="skip the greedy screen: every nontrivial verdict "
-                            "comes from the cutting-plane driver")
+                            "comes from the cutting-plane driver or its start "
+                            "query (--optimize still brackets with the greedy)")
     solve.add_argument("-o", "--out", default=None)
     solve.add_argument("--max-iters", type=_positive_int, default=None,
                        help="cap on separation oracle calls")

@@ -4,6 +4,19 @@ Planted instances keep the planted structure far apart (cluster sites 25*r1
 from each other, outliers at least 21*r1 from everything) so the intended
 solution is unambiguous and well separated; they are the workhorse for
 verification because feasibility is known by construction.
+
+Stream contract: the same seed gives the same instance, bit for bit, and the
+draws come in a fixed order.  Planted and k-center: the site permutation,
+the class draws (planted only, one per cluster after the first), each
+cluster's angle block then its radius block, and the point permutation.
+Graphs: per spanning-tree edge an integer then a weight, then per extra edge
+an endpoint pair then, unless it is a loop, a weight.  The array code here
+makes exactly the draws of the per-point loops that ``tests/test_generators.py``
+keeps as its reference: ``uniform(a, b)``
+is ``a + (b - a) * random()``, and a bounded integer below 2**32 takes half
+of a 64-bit word, the generator keeping the other half for the next such
+draw, so k calls of size 1 make the draws of one call of size k.  The graph
+loop stays scalar: its doubles, a whole word each, interleave with them.
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ from dataclasses import dataclass
 from math import ceil, isqrt
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
 
 from .model import MetricSpace, NUkCInstance
@@ -33,51 +47,34 @@ class PlantedTruth:
 def _grid_sites(count: int, gap: float, rng: np.random.Generator) -> np.ndarray:
     """`count` sites on a square grid with spacing `gap`, in shuffled order."""
     side = isqrt(count - 1) + 1 if count else 1
-    cells = [(i, j) for i in range(side) for j in range(side)][:count]
     order = rng.permutation(count)
-    return np.array([cells[i] for i in order], dtype=float) * gap
+    return np.array(np.divmod(order, side)).T * gap  # row, column
 
 
-def _disk_offsets(count: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    dists = radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
-    return np.stack([dists * np.cos(angles), dists * np.sin(angles)], axis=1)
+def _plant(
+    sites: np.ndarray, radii: np.ndarray, per: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """Cluster c: ``per`` points, the first on site c, the rest uniform in the disk of ``radii[c]``.
 
-
-def _assemble(
-    site_points: list[np.ndarray],
-    classes: list[int],
-    outlier_sites: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, PlantedTruth]:
-    """Concatenate cluster and outlier points, shuffle, remap the truth."""
-    blocks = site_points + [outlier_sites[i : i + 1] for i in range(len(outlier_sites))]
-    points = np.concatenate(blocks) if blocks else np.zeros((0, 2))
-    n = len(points)
-    cluster_of = np.concatenate(
-        [np.full(len(b), c) for b, c in zip(site_points, range(len(site_points)))]
-        + [np.full(len(outlier_sites), -1)]
-    ) if n else np.zeros(0, dtype=int)
-    # First point of each cluster block sits exactly on the site.
-    firsts = np.cumsum([0] + [len(b) for b in site_points[:-1]]) if site_points else []
-    perm = rng.permutation(n)
-    inverse = np.empty(n, dtype=int)
-    inverse[perm] = np.arange(n)
-    centers1 = tuple(
-        int(inverse[f]) for f, c in zip(firsts, classes) if c == 1
-    )
-    centers2 = tuple(
-        int(inverse[f]) for f, c in zip(firsts, classes) if c == 2
-    )
-    base = sum(len(b) for b in site_points)
-    outliers = tuple(int(inverse[base + i]) for i in range(len(outlier_sites)))
-    truth = PlantedTruth(
-        centers1=centers1,
-        centers2=centers2,
-        outliers=outliers,
-        cluster_of=tuple(int(cluster_of[perm[i]]) for i in range(n)),
-    )
-    return points[perm], truth
+    Each remaining site is one outlier.  The points are shuffled; returns
+    them, each cluster's site point and each outlier as shuffled indices,
+    and each point's cluster (-1 marks outliers).
+    """
+    clusters = len(radii)
+    draws = rng.random((clusters, 2, per - 1))  # per cluster: its angle block, then its radius block
+    angles = 2.0 * np.pi * draws[:, 0]
+    dists = radii[:, None] * np.sqrt(draws[:, 1])
+    points = np.concatenate([np.repeat(sites[:clusters], per, axis=0), sites[clusters:]])
+    offsets = points[: clusters * per].reshape(clusters, per, 2)[:, 1:]  # a view
+    offsets[..., 0] += dists * np.cos(angles)
+    offsets[..., 1] += dists * np.sin(angles)
+    cluster_of = np.append(np.repeat(np.arange(clusters), per), np.full(len(sites) - clusters, -1))
+    perm = rng.permutation(len(points))
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(len(perm))
+    heads = inverse[: clusters * per : per]
+    strays = tuple(inverse[clusters * per :].tolist())
+    return points[perm], heads, strays, tuple(cluster_of[perm].tolist())
 
 
 def planted_instance(
@@ -97,21 +94,19 @@ def planted_instance(
     outliers must be discarded.
     """
     rng = np.random.default_rng(seed)
-    gap = SITE_GAP_FACTOR * r1
-    sites = _grid_sites(clusters + outliers, gap, rng)
-    classes = [1] + [int(rng.integers(1, 3)) for _ in range(clusters - 1)]
-    site_points = []
-    for c in range(clusters):
-        radius = CLUSTER_FILL * (r1 if classes[c] == 1 else r2)
-        offsets = _disk_offsets(points_per_cluster - 1, radius, rng)
-        site_points.append(sites[c] + np.vstack([np.zeros(2), offsets]))
-    points, truth = _assemble(site_points, classes, sites[clusters:], rng)
+    sites = _grid_sites(clusters + outliers, SITE_GAP_FACTOR * r1, rng)
+    classes = np.append(1, rng.integers(1, 3, size=max(clusters - 1, 0)))
+    large = classes[:clusters] == 1
+    points, heads, strays, cluster_of = _plant(
+        sites, CLUSTER_FILL * np.where(large, r1, r2), points_per_cluster, rng
+    )
+    truth = PlantedTruth(tuple(heads[large].tolist()), tuple(heads[~large].tolist()), strays, cluster_of)
     instance = NUkCInstance(
         metric=MetricSpace.from_points(points),
         r1=r1,
         r2=r2,
-        k1=classes.count(1),
-        k2=classes.count(2),
+        k1=int(np.count_nonzero(classes == 1)),
+        k2=int(np.count_nonzero(classes == 2)),
         m=len(points) - outliers,
     )
     return instance, truth
@@ -131,20 +126,11 @@ def planted_kcenter_instance(
     ball of radius zero and m = n.
     """
     rng = np.random.default_rng(seed)
-    gap = SITE_GAP_FACTOR * r1
-    sites = _grid_sites(clusters + outliers, gap, rng)
-    classes = [1] * clusters
-    site_points = []
-    for c in range(clusters):
-        offsets = _disk_offsets(points_per_cluster - 1, CLUSTER_FILL * r1, rng)
-        site_points.append(sites[c] + np.vstack([np.zeros(2), offsets]))
-    points, truth = _assemble(site_points, classes, sites[clusters:], rng)
-    truth = PlantedTruth(
-        centers1=truth.centers1,
-        centers2=truth.outliers,
-        outliers=truth.outliers,
-        cluster_of=truth.cluster_of,
+    sites = _grid_sites(clusters + outliers, SITE_GAP_FACTOR * r1, rng)
+    points, heads, strays, cluster_of = _plant(
+        sites, np.full(clusters, CLUSTER_FILL * r1), points_per_cluster, rng
     )
+    truth = PlantedTruth(tuple(heads.tolist()), strays, strays, cluster_of)
     instance = NUkCInstance(
         metric=MetricSpace.from_points(points),
         r1=r1,
@@ -197,18 +183,20 @@ def graph_instance(
     commutes), so the metric skips the O(n^3) triangle check and the symmetry pass.
     """
     rng = np.random.default_rng(seed)
-    weights = np.full((n, n), np.inf)
+    edges: dict[tuple[int, int], float] = {}  # (u, v), u < v: its weight
     for v in range(1, n):
         u = int(rng.integers(0, v))
-        w = float(rng.uniform(0.5, 1.5))
-        weights[u, v] = weights[v, u] = w
+        edges[u, v] = 0.5 + rng.random()  # uniform(0.5, 1.5)
     for _ in range(n // 2 if extra_edges is None else extra_edges):
-        u, v = rng.integers(0, n, size=2)
+        u, v = sorted((int(rng.integers(0, n)), int(rng.integers(0, n))))  # cheaper than one call of size 2
         if u == v:
             continue
-        w = float(rng.uniform(0.5, 1.5))
-        weights[u, v] = weights[v, u] = min(weights[u, v], w)
-    dist = shortest_path(np.where(np.isinf(weights), 0.0, weights))
+        w = 0.5 + rng.random()
+        edges[u, v] = min(edges.get((u, v), w), w)
+    ends = np.array(list(edges), dtype=int).reshape(-1, 2).T
+    w = np.fromiter(edges.values(), float, len(edges))
+    # method "auto" picks Floyd-Warshall or Dijkstra by the edge count, as it would for the dense matrix.
+    dist = shortest_path(csr_array((np.append(w, w), (np.append(*ends), np.append(*ends[::-1]))), shape=(n, n)))
     dist = (dist + dist.T) / 2.0
     q1, q2 = np.quantile(dist[~np.eye(n, dtype=bool)], [0.35, 0.15]).tolist() if n > 1 else (1.0, 0.0)
     r1 = q1 if r1 is None else r1

@@ -203,16 +203,17 @@ class MetricSpace:
         out._set(self.dist[np.ix_(idx, idx)], None if self.coords is None else self.coords[idx])
         return out
 
-    def covers(self, centers: int | Sequence[int] | None, radius: float) -> np.ndarray:
+    def covers(self, centers: int | slice | Sequence[int] | None, radius: float) -> np.ndarray:
         """Row i: the mask of B(centers[i], radius), the v with dist[centers[i], v] <= radius.
 
         The one ball predicate of the solver (``bruteforce`` keeps its own as
         the reference).  ``None`` takes every point as a center; one int gives
-        its ball as a 1-d mask, read from a view of its row.
+        its ball as a 1-d mask, and a slice its rows' balls, both read from a
+        view of the rows.
         """
         if centers is None:
-            return self.dist <= radius
-        if not isinstance(centers, (int, np.integer)):  # a tuple would index dimensions
+            centers = slice(None)
+        elif not isinstance(centers, (int, np.integer, slice)):  # a tuple would index dimensions
             centers = np.asarray(centers, dtype=np.intp)
         return self.dist[centers] <= radius
 
@@ -224,6 +225,10 @@ class MetricSpace:
         if (self.coords is None) != (other.coords is None):
             return False
         return self.coords is None or np.array_equal(self.coords, other.coords)
+
+
+# Mask entries per row block of ``NUkCInstance.balls`` (4 MB): n <= 2048 takes one block.
+_BALL_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,14 +264,18 @@ class NUkCInstance:
 
     @cached_property
     def balls(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Each B(u, r1), then each B(u, r2), as CSR rows: ``MetricSpace.covers`` rows, read in one pass.
+        """Each B(u, r1), then each B(u, r2), as CSR rows: ``MetricSpace.covers`` rows, read in row blocks.
 
         Per radius ``(start, points)``, u's points ascending at ``points[start[u] : start[u + 1]]``;
-        no row is empty, as each ball holds its center.  Built on first use
-        and kept: the instance is immutable, so the table cannot go stale.
+        no row is empty, as each ball holds its center.  A block's mask holds
+        at most ``_BALL_BLOCK`` entries, or one row.  Built on first use and
+        kept: the instance is immutable, so the table cannot go stale.
         """
         n = self.n
-        flat1 = np.flatnonzero(self.metric.covers(None, self.r1))  # u * n + v
+        rows = max(_BALL_BLOCK // max(n, 1), 1)
+        flat1 = np.concatenate([  # u * n + v; at least one block, so n = 0 gives an empty array
+            np.flatnonzero(self.metric.covers(slice(i, i + rows), self.r1)) + i * n for i in range(0, max(n, 1), rows)
+        ])
         flat2 = flat1[self.metric.dist.ravel()[flat1] <= self.r2]  # B(u, r2) lies within B(u, r1)
         return tuple((np.searchsorted(flat, np.arange(n + 1) * n), flat % n) for flat in (flat1, flat2))
 

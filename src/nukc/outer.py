@@ -290,8 +290,9 @@ def optimize(
 
     Candidate scales are 1 and the positive distance/radius quotients, one
     sorted array; scale 0 is ``_zero_scale_probe``'s.  Phase 1 bisects on cheap
-    openings (farthest-first, or the greedy's cover with shortcuts on) for
-    the lowest scale they cover.  Phase 2 steps down from it by 1, 4, 16, ...
+    openings (farthest-first, or the greedy's cover, under both configs) for
+    the lowest scale they cover; with shortcuts off the greedy only brackets
+    the search, and every verdict comes from the start query or the driver.  Phase 2 steps down from it by 1, 4, 16, ...
     scales to the first the coverage LP refutes, then bisects that step.
     ``solve_feasibility`` then runs once, at the settled scale, from the
     openings; if it refuses, a bisection above uses it as its test.  See
@@ -335,7 +336,7 @@ def optimize(
             return True
         if _start(scaled, witness).sum() < m - TARGET_SLACK:
             if cheap:
-                cover = greedy_cover(scaled) if cfg.shortcuts else None
+                cover = greedy_cover(scaled)
                 if cover is None:
                     missed[rho] = scaled
                     return True

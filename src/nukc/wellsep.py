@@ -43,8 +43,8 @@ class SolverConfig:
 
     max_iters: int | None = None  # oracle queries per driver run; None: default_max_iters
     # Both solvers run ``decide``; False skips its greedy screen and nothing
-    # else, so every nontrivial outer verdict comes from the driver (an inner
-    # run still queries its start first).
+    # else, so every nontrivial outer verdict comes from the driver or a start
+    # query (``optimize``'s greedy still brackets its scale search).
     shortcuts: bool = True
 
     def __post_init__(self):

@@ -16,6 +16,7 @@ from nukc import (
     instance_from_json,
     verify_solution,
 )
+from nukc import model as model_module
 from nukc.model import coverage_of_solution
 
 from conftest import near_symmetric_instance, random_instance
@@ -291,6 +292,7 @@ class TestCoverageAndCuts:
         assert metric.covers([2, 0], 1.5).tolist() == [[False, True, True], [True, True, False]]
         assert metric.covers(None, 0.0).tolist() == np.eye(3, dtype=bool).tolist()
         assert metric.covers((), 1.0).shape == (0, 3)
+        assert metric.covers(slice(1, 3), 1.5).tolist() == [[True, True, True], [False, True, True]]
 
 
     def test_ball_rows_are_the_covers_rows(self):
@@ -308,6 +310,25 @@ class TestCoverageAndCuts:
                 for u in range(inst.n):
                     want = np.flatnonzero(inst.metric.covers(u, r))
                     assert points[start[u] : start[u + 1]].tolist() == want.tolist()
+
+
+    def test_ball_table_is_the_same_in_any_row_blocks(self, monkeypatch):
+        # Blocks of one row, of a few rows and of the whole mask give the same
+        # arrays, bit for bit, dtypes included; n = 0 still has its one block.
+        rng = np.random.default_rng(8)
+        instances = [NUkCInstance(MetricSpace.from_points(np.zeros((0, 2))), 1.0, 0.5, 1, 1, 0)]
+        for t in range(12):
+            metric = MetricSpace.from_points(rng.uniform(0.0, 10.0, size=(int(rng.integers(1, 50)), 2)))
+            r1 = float(rng.uniform(0.5, 4.0))
+            instances.append(NUkCInstance(metric, r1, r1 * float(rng.choice([0.0, 0.4])), 1, 1, 1))
+        for inst in instances:
+            whole = inst.balls
+            for block in (1, 7, 3 * inst.n + 1):
+                monkeypatch.setattr(model_module, "_BALL_BLOCK", block)
+                blocked = NUkCInstance(inst.metric, inst.r1, inst.r2, 1, 1, inst.m).balls
+                for got, want in zip(blocked, whole):
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestSolutions:

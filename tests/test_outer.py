@@ -526,7 +526,7 @@ class TestOptimize:
         # infeasible one, solved cold after all, ends lp-empty with a
         # certificate, and an lp-feasible one has a coverage LP of m or more.
         tally = Counter()
-        for seed in range(6):
+        for seed in range(9):
             for inst in (uniform_instance(seed, 30, 0.2, 0.08, 2, 2), graph_instance(seed, 30, 2, 2)):
                 for config in (SolverConfig(), SolverConfig(shortcuts=False)):
                     out = optimize(inst, config)
@@ -714,7 +714,7 @@ class TestOptimize:
             return out
 
         monkeypatch.setattr(outer_module, "coverage_lp", lp)
-        for seed in range(6):
+        for seed in range(20):
             for inst in (uniform_instance(seed, 30, 0.2, 0.08, 2, 2), graph_instance(seed, 30, 2, 2)):
                 for config in (SolverConfig(), SolverConfig(shortcuts=False)):
                     optimize(inst, config)
