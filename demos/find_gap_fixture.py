@@ -20,6 +20,7 @@ import numpy as np
 from nukc import (
     MetricSpace,
     NUkCInstance,
+    WellSepNUkCInstance,
     brute_2ff,
     brute_force_nukc,
     frac_ff_solution,
@@ -73,16 +74,15 @@ def search(max_trials: int = 20000, seed: int = SEED) -> dict | None:
         metric = MetricSpace.from_points(points)
         k1 = int(rng.integers(1, 3))
         k2 = int(rng.integers(1, 3))
-        probe = NUkCInstance(metric=metric, r1=r1, r2=r2, k1=k1, k2=k2, m=1)
         seps = hs_partition(
             metric, range(n), 4.0 * r1, np.ones(n)
         )
-        y = list(seps.reps)
-        if len(y) < 2:
+        if len(seps.reps) < 2:
             continue
-        near_y = metric.dist[y].min(axis=0) <= r1
-        cov = random_coverage(rng, n, near_y)
-        tree = reduce_to_firefighter(probe, 2.0, 2.0, cov, y=y)
+        # The representatives are pairwise more than 4*r1 apart: a Y the probe checks.
+        probe = WellSepNUkCInstance(metric=metric, r1=r1, r2=r2, k1=k1, k2=k2, m=1, y=seps.reps)
+        cov = random_coverage(rng, n, probe.near_y)
+        tree = reduce_to_firefighter(probe, 2.0, 2.0, cov)
         frac = frac_ff_solution(tree, cov).value
         best = solve_2ff(tree).value
         m = floor(frac + 1e-9)
@@ -105,7 +105,7 @@ def search(max_trials: int = 20000, seed: int = SEED) -> dict | None:
                 "k2": k2,
                 "m": m,
             },
-            "y": [int(v) for v in y],
+            "y": list(probe.y),
             "alpha1": 2.0,
             "alpha2": 2.0,
             "cov1": [float(x) for x in cov.cov1],

@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the solver code paths: plain
 subset enumeration over bitmask coverage, used to confirm feasibility verdicts,
 optimal firefighter values, and that emitted cuts hold at every integral
-solution that covers the target.
+solution that covers the target.  Large centers range over the instance's Y
+when it has one (the well-separated ground truth), over every point
+otherwise.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from .model import (
 MAX_COMBOS = 2_000_000
 
 
-def _center_masks(
-    instance: NUkCInstance, rho: float, restrict_y: Sequence[int] | None
-) -> tuple[list[int], list[int], list[int], list[int]]:
+def _center_masks(instance: NUkCInstance, rho: float) -> tuple[list[int], list[int], list[int], list[int]]:
     """Deduplicated candidate centers per class with their coverage bitmasks.
 
     Duplicate locations produce identical balls; keeping one representative
@@ -52,7 +52,7 @@ def _center_masks(
                 masks.append(mask)
         return kept, masks
 
-    cand1 = sorted(int(v) for v in restrict_y) if restrict_y is not None else range(instance.n)
+    cand1 = sorted(instance.y) if instance.y is not None else range(instance.n)
     cand1, masks1 = build(cand1, rho * instance.r1)
     cand2, masks2 = build(range(instance.n), rho * instance.r2)
     return cand1, masks1, cand2, masks2
@@ -90,18 +90,14 @@ class BruteForceResult:
 
 
 def brute_force_nukc(
-    instance: NUkCInstance,
-    rho: float = 1.0,
-    restrict_y: Sequence[int] | None = None,
-    max_combos: int = MAX_COMBOS,
+    instance: NUkCInstance, rho: float = 1.0, max_combos: int = MAX_COMBOS
 ) -> BruteForceResult:
     """Exact maximum coverage at dilation ``rho`` by subset enumeration.
 
-    ``restrict_y`` confines large-radius centers to the given set (the
-    well-separated ground truth).  Guarded: raises SizeGuardError when the
-    subset count would exceed ``max_combos``.
+    Large centers lie in the instance's Y when it has one.  Guarded: raises
+    SizeGuardError when the subset count would exceed ``max_combos``.
     """
-    cand1, masks1, cand2, masks2 = _center_masks(instance, rho, restrict_y)
+    cand1, masks1, cand2, masks2 = _center_masks(instance, rho)
     _guard(len(cand1), instance.k1, len(cand2), instance.k2, max_combos,
            "center combinations")
     best = -1
@@ -133,17 +129,16 @@ def brute_2ff(tree: TwoFFInstance, max_combos: int = MAX_COMBOS) -> TwoFFSolutio
 
 
 def hull_coverage_vectors(
-    instance: NUkCInstance,
-    restrict_y: Sequence[int] | None = None,
-    max_combos: int = MAX_COMBOS,
+    instance: NUkCInstance, max_combos: int = MAX_COMBOS
 ) -> list[tuple[NUkCSolution, CoverageVector]]:
     """Coverage vectors of every solution that covers at least m at dilation 1.
 
     These are exactly the integral points whose convex hull the oracles cut
-    around: budget-feasible, large centers in Y when given, coverage >= m, with
-    small-radius coverage not double counting points already covered large.
+    around: budget-feasible, large centers in the instance's Y when it has
+    one, coverage >= m, with small-radius coverage not double counting
+    points already covered large.
     """
-    cand1, masks1, cand2, masks2 = _center_masks(instance, 1.0, restrict_y)
+    cand1, masks1, cand2, masks2 = _center_masks(instance, 1.0)
     _guard(len(cand1), instance.k1, len(cand2), instance.k2, max_combos, "solutions")
     n = instance.n
     out: list[tuple[NUkCSolution, CoverageVector]] = []
@@ -167,30 +162,21 @@ def hull_coverage_vectors(
 
 
 def validate_cut_on_hull(
-    instance: NUkCInstance,
-    cut: Cut,
-    restrict_y: Sequence[int] | None = None,
-    tol: float = 1e-9,
-    max_combos: int = MAX_COMBOS,
+    instance: NUkCInstance, cut: Cut, tol: float = 1e-9, max_combos: int = MAX_COMBOS
 ) -> bool:
     """Whether the cut holds at every m-covering integral solution.
 
     Vacuously true on infeasible instances (the hull is empty, so any cut is
     allowed there).  One cut's ``HullChecker``.
     """
-    return HullChecker(instance, restrict_y, max_combos).validate(cut, tol)
+    return HullChecker(instance, max_combos).validate(cut, tol)
 
 
 class HullChecker:
     """Precomputed hull matrix for validating many cuts against one instance."""
 
-    def __init__(
-        self,
-        instance: NUkCInstance,
-        restrict_y: Sequence[int] | None = None,
-        max_combos: int = MAX_COMBOS,
-    ):
-        vertices = hull_coverage_vectors(instance, restrict_y, max_combos)
+    def __init__(self, instance: NUkCInstance, max_combos: int = MAX_COMBOS):
+        vertices = hull_coverage_vectors(instance, max_combos)
         self.matrix = np.reshape([cov.to_vector() for _, cov in vertices], (len(vertices), 2 * instance.n))
 
     def validate(self, cut: Cut, tol: float = 1e-9) -> bool:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
-from .model import Cut, NUkCInstance, as_indices
+from .model import Cut, NUkCInstance
 
 # A cut returned by an oracle must be violated at the queried point by more
 # than this; anything closer counts as satisfied and is an oracle bug.
@@ -132,11 +132,10 @@ def _add_rows(lp, upper, count, index, value, what: str) -> None:
     ), what)
 
 
-def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None,
-                   target: int | None = None) -> CoverageModel:
+def coverage_model(inst: NUkCInstance, target: int | None = None) -> CoverageModel:
     """The driver's start: the coverage LP in excess form, columns x1 | x2 | e.
 
-    x1, x2 in [0, 1] (x1 = 0 off ``y`` when given), e >= 0.  Row v's activity
+    x1, x2 in [0, 1] (x1 = 0 off ``inst.y``, if any), e >= 0.  Row v's activity
     c_v = (the x1 covering v) + (the x2 covering v) - e_v lies in [0, 1]; then
     sum x1 <= k1, sum x2 <= k2.  Maximising sum |B(u, r1)| x1_u + |B(u, r2)|
     x2_u - sum e maximises the total coverage, the sum over v of min(1, the
@@ -148,8 +147,8 @@ def coverage_model(inst: NUkCInstance, y: Sequence[int] | None = None,
     balls = inst.balls
     count = np.concatenate([np.diff(start) for start, _ in balls] + [np.ones(n, int)])
     upper = np.concatenate([np.ones(2 * n), np.full(n, _highs.kHighsInf)])
-    if y is not None:
-        upper[:n] = np.isin(np.arange(n), y)
+    if inst.y is not None:
+        upper[:n] = np.isin(np.arange(n), inst.y)
     lp = _FREE.pop() if _FREE else _highs._Highs()
     _check(lp.passOptions(_OPTIONS), "take the driver options")
     _check(lp.passModel(
@@ -173,14 +172,14 @@ def release(model: CoverageModel) -> None:
     _FREE.append(model.lp)
 
 
-def lp_certificate(model: CoverageModel, y: Sequence[int] | None = None) -> np.ndarray | None:
+def lp_certificate(model: CoverageModel) -> np.ndarray | None:
     """A dyadic beta from the last solve's duals that proves the LP below its target, or None.
 
     Only a model with a target and no cut row qualifies.  With y_v the dual
     of point row v, beta_v = 1 + y_v is the reduced cost of e_v: the price of
     c_v <= (the openings reaching v).  It is clipped to [0, 1], floored to
-    CERTIFICATE_GRID and returned when ``certificate_bound`` (with ``y``, the
-    model's Y) is below the target.  Float duals need no trust: the bound
+    CERTIFICATE_GRID and returned when ``certificate_bound`` on the model's
+    instance is below the target.  Float duals need no trust: the bound
     holds for any beta in [0, 1].
     """
     inst, lp = model.instance, model.lp
@@ -192,27 +191,28 @@ def lp_certificate(model: CoverageModel, y: Sequence[int] | None = None) -> np.n
         return None
     beta = np.floor(np.clip(1.0 + np.array(solution.row_dual[:n]), 0.0, 1.0) / CERTIFICATE_GRID)
     beta *= CERTIFICATE_GRID
-    return beta if certificate_bound(inst, beta, y) < model.target else None
+    return beta if certificate_bound(inst, beta) < model.target else None
 
 
-def certificate_bound(inst: NUkCInstance, beta: np.ndarray, y: Sequence[int] | None = None) -> float:
+def certificate_bound(inst: NUkCInstance, beta: np.ndarray) -> float:
     """Exact upper bound, from ``beta``, on the points any solution covers at dilation 1.
 
     For beta_v in [0, 1] and a >= 0, min(1, a) <= (1 - beta_v) + beta_v * a.
     So the coverage LP's optimum, and every solution with large centers in
-    ``y`` (all points when None), covers at most sum(1 - beta) plus the k1
-    largest beta(B(u, r1)) over u in ``y`` plus the k2 largest beta(B(u, r2)).
-    A bound below m proves the instance infeasible.  ``beta`` must hold
-    multiples of CERTIFICATE_GRID in [0, 1], so that every float sum here is
-    exact.  Reads ``inst.balls`` in O(their length).
+    ``inst.y`` (all points without one), covers at most sum(1 - beta) plus
+    the k1 largest beta(B(u, r1)) over u in Y plus the k2 largest
+    beta(B(u, r2)).  A bound below m proves the instance infeasible, and
+    the instance alone checks it.  ``beta`` must hold multiples of
+    CERTIFICATE_GRID in [0, 1], so that every float sum here is exact.
+    Reads ``inst.balls`` in O(their length).
     """
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (inst.n,) or not np.all((beta >= 0) & (beta <= 1)) or np.any(beta % CERTIFICATE_GRID):
         raise ValueError(f"a certificate is {inst.n} multiples of 2**-20 in [0, 1]")
     (start1, points1), (start2, points2) = inst.balls
     large = np.add.reduceat(beta[points1], start1[:-1])
-    if y is not None:
-        large = large[as_indices(y, "Y entry")]
+    if inst.y is not None:
+        large = large[list(inst.y)]
     small = np.add.reduceat(beta[points2], start2[:-1])
     top = [np.sort(w)[::-1][:k].sum() for w, k in ((large, inst.k1), (small, inst.k2))]
     return float((1.0 - beta).sum() + top[0] + top[1])
@@ -334,8 +334,7 @@ class CoverageLP(NamedTuple):
 
 
 def coverage_lp(
-    instance: NUkCInstance, restrict_y: Sequence[int] | None = None,
-    target: int | None = None, basis: Any = None,
+    instance: NUkCInstance, target: int | None = None, basis: Any = None,
 ) -> CoverageLP:
     """Maximum coverage's LP relaxation, solved once: the driver's first vertex.
 
@@ -350,14 +349,14 @@ def coverage_lp(
     n = instance.n
     if n == 0:
         return CoverageLP(0.0, np.zeros(0), np.zeros(0))
-    model = coverage_model(instance, restrict_y, target)
+    model = coverage_model(instance, target)
     if basis is not None:
         _check(model.lp.setBasis(basis), "take the start basis")
     run_round_or_cut(model, Rounded)  # the oracle rounds the first optimum
     x = np.array(model.lp.getSolution().col_value)
     value = -float(model.lp.getInfo().objective_function_value)
     refuted = target is not None and value < target - TARGET_SLACK
-    certificate = lp_certificate(model, restrict_y) if refuted else None
+    certificate = lp_certificate(model) if refuted else None
     out = CoverageLP(value, x[:n], x[n : 2 * n], model.lp.getBasis(), certificate)
     release(model)
     return out

@@ -239,6 +239,14 @@ class NUkCInstance:
     ``r1`` and at most ``k2`` balls of radius ``r2``; the rest are outliers.
     Duplicated locations are legitimate distinct points and each counts toward
     ``m`` separately.
+
+    ``y``, when given, holds the points that may hold a large center of a
+    dilation-1 solution: the greedy, the coverage LP, its certificate bound,
+    the forest reduction and the brute-force references read it from here.
+    It is checked once, at construction.  ``verify_solution`` ignores it,
+    and a well-separated solver's SOLUTION may place large centers off it
+    (see ``WellSepNUkCInstance``); ``solve_feasibility``, ``optimize`` and
+    ``instance_to_json`` reject an instance with a Y.
     """
 
     metric: MetricSpace
@@ -247,6 +255,7 @@ class NUkCInstance:
     k1: int
     k2: int
     m: int
+    y: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not (self.r1 > self.r2 >= 0):
@@ -257,6 +266,15 @@ class NUkCInstance:
             raise ValueError("budgets must be nonnegative")
         if self.m < 0:
             raise ValueError("coverage target must be nonnegative")
+        if self.y is not None:  # as indices, each in range and named once
+            ys, seen = tuple(as_indices(self.y, "Y entry")), set()
+            for v in ys:
+                if not 0 <= v < self.n:
+                    raise ValueError(f"Y index {v} out of range for {self.n} points")
+                if v in seen:
+                    raise ValueError(f"Y repeats index {v}")
+                seen.add(v)
+            object.__setattr__(self, "y", ys)
 
     @property
     def n(self) -> int:
@@ -279,59 +297,51 @@ class NUkCInstance:
         flat2 = flat1[self.metric.dist.ravel()[flat1] <= self.r2]  # B(u, r2) lies within B(u, r1)
         return tuple((np.searchsorted(flat, np.arange(n + 1) * n), flat % n) for flat in (flat1, flat2))
 
+    @cached_property
+    def near_y(self) -> np.ndarray | None:
+        """The mask of the points within r1 of Y (None without Y), built on first use and kept."""
+        return None if self.y is None else self.metric.covers(self.y, self.r1).any(axis=0)
+
     def scaled(self, rho: float) -> NUkCInstance:
-        """The same instance with both radii multiplied by ``rho`` (> 0)."""
+        """The same instance (its type and Y too) with both radii multiplied by ``rho`` (> 0)."""
         if rho <= 0:
             raise ValueError("scale must be positive")
-        return NUkCInstance(self.metric, self.r1 * rho, self.r2 * rho, self.k1, self.k2, self.m)
+        return type(self)(self.metric, self.r1 * rho, self.r2 * rho, self.k1, self.k2, self.m, self.y)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NUkCInstance):
             return NotImplemented
         return (
             self.metric == other.metric
-            and (self.r1, self.r2, self.k1, self.k2, self.m)
-            == (other.r1, other.r2, other.k1, other.k2, other.m)
+            and (self.r1, self.r2, self.k1, self.k2, self.m, self.y)
+            == (other.r1, other.r2, other.k1, other.k2, other.m, other.y)
         )
 
 
-@dataclass(frozen=True, eq=False)
-class WellSepNUkCInstance:
-    """An instance plus a set Y with pairwise distances strictly above 4*r1.
+class WellSepNUkCInstance(NUkCInstance):
+    """An instance whose Y is given and pairwise strictly more than 4*r1 apart.
 
-    Large-radius centers of exact solutions are restricted to Y.  The strict
-    separation makes the r1-balls around Y points pairwise disjoint with room
-    to spare, which is what the inner oracle's cut-validity argument uses.
+    The strict separation makes the r1-balls around Y points pairwise
+    disjoint with room to spare, which is what the inner oracle's
+    cut-validity argument uses; it is checked again on every construction,
+    ``dataclasses.replace`` and ``scaled`` included.  Its solver's contract:
+    INFEASIBLE means no dilation-1 solution has its large centers in Y; a
+    SOLUTION is checked for budgets and coverage at dilation 4 on this
+    instance, and its large centers may lie off Y (the forest reduction's
+    roots are only preferred near Y).
     """
 
-    base: NUkCInstance
-    y: tuple[int, ...]
-
     def __post_init__(self):
-        n = self.base.n
-        ys = tuple(as_indices(self.y, "Y entry"))
-        if len(set(ys)) != len(ys):
-            raise ValueError("Y contains repeated indices")
-        for v in ys:
-            if not (0 <= v < n):
-                raise ValueError(f"Y index {v} out of range")
-        d = self.base.metric.dist
-        thresh = 4.0 * self.base.r1
+        super().__post_init__()
+        if self.y is None:
+            raise ValueError("a well-separated instance needs its Y")
+        ys, d = self.y, self.metric.dist
+        thresh = 4.0 * self.r1
         # Pairs i < j, first in row-major order, that are not strictly apart.
         close = np.argwhere(np.triu(~(d[np.ix_(ys, ys)] > thresh), k=1))
         if len(close):
             u, v = ys[close[0][0]], ys[close[0][1]]
             raise ValueError(f"Y not well separated: d({u},{v})={d[u, v]} <= 4*r1={thresh}")
-        object.__setattr__(self, "y", ys)
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WellSepNUkCInstance):
-            return NotImplemented
-        return self.base == other.base and self.y == other.y
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,10 @@ class Candidate:
     no-such-center case); its ball is granted for free, so the sub-instance
     lives on the remaining points with the target reduced accordingly.
     ``roots`` is the root set in original indices and ``parent`` the full
-    instance.  ``points`` (sub-metric index to original index), ``y`` (the
-    roots in sub-metric indices) and ``instance`` are built on first access:
-    the oracle stops at the first candidate that rounds, so most candidates
-    never pay for them.
+    instance.  ``points`` (sub-metric index to original index) and
+    ``instance``, whose Y is the roots in sub-metric indices, are built on
+    first access: the oracle stops at the first candidate that rounds, so
+    most candidates never pay for them.
     """
 
     q: int | None
@@ -72,23 +72,17 @@ class Candidate:
         return tuple(np.flatnonzero(~inst.metric.covers(self.q, inst.r1)).tolist())
 
     @cached_property
-    def y(self) -> tuple[int, ...]:
-        if self.q is None:
-            return self.roots
-        # Y is disjoint from B(q, r1), so every root has a position in points.
-        return tuple(np.searchsorted(self.points, self.roots).tolist())
-
-    @cached_property
     def instance(self) -> WellSepNUkCInstance:
         inst = self.parent
         if self.q is None:
-            metric, r2, k1, m = inst.metric, inst.r2, inst.k1, inst.m
+            metric, r2, k1, m, y = inst.metric, inst.r2, inst.k1, inst.m, self.roots
         else:
             metric = inst.metric.restrict(self.points)
             r2, k1 = 2.0 * inst.r2, inst.k1 - 1
             m = max(0, inst.m - (inst.n - len(self.points)))
-        base = NUkCInstance(metric, 2.0 * inst.r1, r2, k1, inst.k2, m)
-        return WellSepNUkCInstance(base=base, y=self.y)
+            # The roots are disjoint from B(q, r1), so each has a position in points.
+            y = tuple(np.searchsorted(self.points, self.roots).tolist())
+        return WellSepNUkCInstance(metric, 2.0 * inst.r1, r2, k1, inst.k2, m, y)
 
     def start(self, cov: CoverageVector) -> np.ndarray:
         """The outer query ``cov`` as a first query for this candidate's inner run.
@@ -99,33 +93,32 @@ class Candidate:
         unchanged; every point dropped carries at most 1, so the kept mass
         is at least the reduced target whenever ``cov`` met the full one.
         """
-        ws = self.instance
-        sub = ws.base
-        near = sub.metric.covers(ws.y, sub.r1).any(axis=0)
+        near = self.instance.near_y
         keep = list(self.points)
         cov1, cov2 = cov.cov1[keep], cov.cov2[keep]
         return np.concatenate([np.where(near, cov1, 0.0), cov2 + np.where(near, 0.0, cov1)])
 
 
 def enumerate_candidates(
-    instance: NUkCInstance, y: Sequence[int]
+    instance: NUkCInstance, roots: Sequence[int]
 ) -> list[Candidate]:
-    """Well-separated instances whose solutions lift to dilation 8.
+    """Well-separated instances, Y the ``roots``, whose solutions lift to dilation 8.
 
     First the no-extra-center instance (full point set, radii (2*r1, r2),
-    budgets unchanged), then one instance per point q farther than r1 from Y,
-    removing B(q, r1) and spending one large ball on it.  These run at radii
-    (2*r1, 2*r2): a small center inside B(q, r1) is removed too, but any kept
-    point of its ball covers the kept part at 2*r2.  Instances with q are
-    skipped entirely when k1 = 0.  Only the q's are found here; each
-    candidate builds its point set and sub-instance when first asked.
+    budgets unchanged), then one instance per point q farther than r1 from
+    every root, removing B(q, r1) and spending one large ball on it.  These
+    run at radii (2*r1, 2*r2): a small center inside B(q, r1) is removed
+    too, but any kept point of its ball covers the kept part at 2*r2.
+    Instances with q are skipped entirely when k1 = 0.  Only the q's are
+    found here; each candidate builds its point set and sub-instance when
+    first asked.
     """
-    ys = tuple(sorted(int(v) for v in y))
-    out = [Candidate(q=None, roots=ys, parent=instance)]
+    roots = tuple(sorted(int(v) for v in roots))
+    out = [Candidate(q=None, roots=roots, parent=instance)]
     if instance.k1 == 0:
         return out
-    near_y = instance.metric.covers(ys, instance.r1).any(axis=0)
-    out += [Candidate(q=q, roots=ys, parent=instance) for q in np.flatnonzero(~near_y).tolist()]
+    near = instance.metric.covers(roots, instance.r1).any(axis=0)
+    out += [Candidate(q=q, roots=roots, parent=instance) for q in np.flatnonzero(~near).tolist()]
     return out
 
 
@@ -242,8 +235,11 @@ def solve_feasibility(
     impossible, which is the approximation contract).  UNDECIDED (method
     ``cap``) means an iteration cap ran out first: the driver's, or an inner
     run's that left a Case II candidate unrefuted.  ``start`` (cov1 | cov2)
-    is queried after the greedy screen, see ``decide``.
+    is queried after the greedy screen, see ``decide``.  The outer oracle
+    places large centers anywhere, so an instance with a Y raises ValueError.
     """
+    if instance.y is not None:
+        raise ValueError("solve_feasibility takes no instance with a Y: its large centers go anywhere")
     cfg = config or SolverConfig()
     trivial = _trivial_solution(instance)
     if trivial is not None:
@@ -256,7 +252,7 @@ def solve_feasibility(
             return SolveResult.verified(instance, sol, "greedy")
         screen = replace(cfg, shortcuts=False)
     oracle = OuterOracle(instance, cfg)
-    res = decide(instance, oracle, screen, None, start)
+    res = decide(instance, oracle, screen, start)
     res.inner_runs = oracle.inner_runs
     return res
 
@@ -301,8 +297,11 @@ def optimize(
     optimum unless a probe is ``undecided`` (a cap ran out, or an LP
     refutation, scale 0's too, had no certificate): such a probe is searched
     above like an infeasible one.  The solution is reported in
-    original-radius units, at dilation at most 10 * rho_star.
+    original-radius units, at dilation at most 10 * rho_star.  An instance
+    with a Y raises ValueError, as in ``solve_feasibility``.
     """
+    if instance.y is not None:
+        raise ValueError("optimize takes no instance with a Y: its large centers go anywhere")
     cfg = config or SolverConfig()
     if instance.m <= 0:
         return OptimizeResult(0.0, NUkCSolution.empty(dilation=0.0), [(0.0, "solution")])

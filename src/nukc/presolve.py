@@ -7,8 +7,6 @@ INFEASIBLE, which comes only from the driver (``cutting_plane``).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .model import NUkCInstance, NUkCSolution
@@ -17,13 +15,13 @@ from .model import NUkCInstance, NUkCSolution
 _RECOUNT_ENTRIES = 1024
 
 
-def greedy_cover(instance: NUkCInstance, restrict_y: Sequence[int] | None = None) -> NUkCSolution | None:
+def greedy_cover(instance: NUkCInstance) -> NUkCSolution | None:
     """Try to cover m points at dilation 1 greedily; None when it falls short.
 
     Each step opens the ball of ``instance.balls`` that covers the most
-    uncovered points, large centers only on ``restrict_y`` when given.  Ties
-    go to the small radius: B(u, r2) is a subset of B(u, r1), so a large
-    center is the stronger resource and is spent only on a ball that covers
+    uncovered points, large centers only on ``instance.y``, if any.  Ties go
+    to the small radius: B(u, r2) is a subset of B(u, r1), so a large center
+    is the stronger resource and is spent only on a ball that covers
     strictly more.  The covered count is exact (the rows read
     ``MetricSpace.covers``, as ``verify_solution`` does), so a returned
     cover reaches m; ``decide`` verifies it again like every solution.
@@ -39,8 +37,8 @@ def greedy_cover(instance: NUkCInstance, restrict_y: Sequence[int] | None = None
     # gain.  The first row of the largest bound is recounted and picked if it
     # keeps it, until a pick's recounts would cost more than recounting all.
     closed = np.repeat([budget[0] == 0, budget[1] == 0], n)  # no budget, or a large ball off Y
-    if restrict_y is not None:
-        closed[n:] |= ~np.isin(np.arange(n), restrict_y)
+    if instance.y is not None:
+        closed[n:] |= ~np.isin(np.arange(n), instance.y)
     bound = np.diff(start)  # the gains while nothing is covered; -1 where closed
     bound[closed] = -1
     exact, spent = True, 0

@@ -11,8 +11,6 @@ yields a fractional forest solution of the same value or more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .clustering import hs_partition
@@ -21,11 +19,7 @@ from .model import CoverageVector, NUkCInstance, NUkCSolution
 
 
 def reduce_to_firefighter(
-    instance: NUkCInstance,
-    alpha1: float,
-    alpha2: float,
-    cov: CoverageVector,
-    y: Sequence[int] | None = None,
+    instance: NUkCInstance, alpha1: float, alpha2: float, cov: CoverageVector
 ) -> TwoFFInstance:
     """Build the star forest induced by ``cov`` at dilations (alpha1, alpha2).
 
@@ -33,11 +27,12 @@ def reduce_to_firefighter(
     coverage; the root layer partitions the leaf representatives at radius
     alpha1*r1 ordered by the large-radius coverage alone.
 
-    When ``y`` is given (well-separated mode), points within r1 of Y get
-    selection priority in the root layer and the ordering uses cov1 clipped to
-    zero on negative entries and on points farther than r1 from Y.  Exact
-    queries have cov1 = 0 there anyway; clipping keeps the priority rule
-    binding under the small slack the oracle checks tolerate.
+    When the instance has a Y (well-separated mode), points within r1 of Y
+    (``instance.near_y``) get selection priority in the root layer and the
+    ordering uses cov1 clipped to zero on negative entries and on points
+    farther than r1 from Y.  Exact queries have cov1 = 0 there anyway;
+    clipping keeps the priority rule binding under the small slack the
+    oracle checks tolerate.
     """
     if cov.n != instance.n:
         raise ValueError(f"coverage over {cov.n} points, instance has {instance.n}")
@@ -47,11 +42,8 @@ def reduce_to_firefighter(
     total = cov.cov1 + cov.cov2
     layer2 = hs_partition(metric, range(instance.n), alpha2 * instance.r2, total)
 
-    priority = None
-    cov1 = cov.cov1
-    if y is not None:
-        priority = metric.covers(y, instance.r1).any(axis=0)
-        cov1 = np.where(priority, np.maximum(cov.cov1, 0.0), 0.0)
+    priority = instance.near_y
+    cov1 = cov.cov1 if priority is None else np.where(priority, np.maximum(cov.cov1, 0.0), 0.0)
     layer1 = hs_partition(metric, layer2.reps, alpha1 * instance.r1, cov1, priority)
 
     parent = layer1.parent_of()

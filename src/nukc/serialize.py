@@ -62,6 +62,9 @@ def _indices(value: Any) -> tuple[int, ...]:
 
 
 def instance_to_json(instance: NUkCInstance) -> dict[str, Any]:
+    """The instance-file record; the format has no Y, so an instance with one raises ValueError."""
+    if instance.y is not None:
+        raise ValueError("instance files have no Y: cannot encode an instance with one")
     data: dict[str, Any] = {}
     if instance.metric.coords is not None:
         data["points"] = [[float(x) for x in row] for row in instance.metric.coords]

@@ -1,10 +1,13 @@
 """Round-or-cut solver for well-separated instances.
 
-When large-radius centers are confined to a set Y whose points are pairwise
-more than 4*r1 apart, a coverage vector that survives the box, Y-support and
-mass checks either reduces to a star forest with an in-budget selection of
-weight m (rounding to a dilation-4 solution) or yields the forest-weight
-inequality as a cut that every true solution satisfies.
+A ``WellSepNUkCInstance`` carries a set Y whose points are pairwise more than
+4*r1 apart, and its exact solutions keep their large centers in Y.  A
+coverage vector that survives the box, Y-support and mass checks either
+reduces to a star forest with an in-budget selection of weight m (rounding
+to a dilation-4 solution) or yields the forest-weight inequality as a cut
+that every such solution satisfies.  The forest's roots are only preferred
+within r1 of Y, so a rounded solution's large centers may lie off Y; it is
+checked for budgets and coverage at dilation 4 on the instance.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ def decide(
     inst: NUkCInstance,
     oracle: Callable[[np.ndarray], Rounded | Separating],
     config: SolverConfig,
-    y: Sequence[int] | None = None,
     start: np.ndarray | None = None,
 ) -> SolveResult:
     """The decision pipeline both solvers run once their trivial answers fail.
@@ -70,10 +72,10 @@ def decide(
     answer is verified like any other and returned with method ``start``; a
     ``Separating`` one, or OracleExhausted, is dropped: no cut reaches the LP.
     Then, with shortcuts on, the greedy; then the driver over ``oracle`` from the
-    coverage LP, with large centers confined to ``y`` in both.  Both read
-    ``inst.balls``, built on the first read.  INFEASIBLE comes only from the
-    driver, and an exhausted iteration cap is UNDECIDED (method ``cap``), as
-    is a run whose oracle raised OracleExhausted.  The driver's model
+    coverage LP, with large centers confined to ``inst.y`` (when it has one)
+    in both.  Both read ``inst.balls``, built on the first read.  INFEASIBLE
+    comes only from the driver, and an exhausted iteration cap is UNDECIDED
+    (method ``cap``), as is a run whose oracle raised OracleExhausted.  The driver's model
     carries m as its target; when the LP alone refutes m, the verdict
     carries the LP's ``lp_certificate``, checked on the same balls, and
     without one it is UNDECIDED (method ``uncertified``).
@@ -91,14 +93,14 @@ def decide(
             solution, info = verdict.payload
             return SolveResult.verified(inst, solution, "start", case=info.get("case", ""))
     if config.shortcuts:
-        sol = greedy_cover(inst, restrict_y=y)
+        sol = greedy_cover(inst)
         if sol is not None:
             return SolveResult.verified(inst, sol, "greedy")
 
-    model = coverage_model(inst, y, target=inst.m)
+    model = coverage_model(inst, target=inst.m)
     res = run_round_or_cut(model, oracle, config.max_iters)
     lp_only = model.lp.getNumRow() == inst.n + 2  # no cut became a row
-    certificate = lp_certificate(model, y) if res.status == "infeasible" else None
+    certificate = lp_certificate(model) if res.status == "infeasible" else None
     release(model)
     if res.status == "rounded":
         solution, info = res.payload
@@ -151,23 +153,22 @@ def wellsep_separation_oracle(
     weighted-leaf inequality, which the query violates by almost a full unit
     whenever the mass check passed.
     """
-    inst = ws.base
-    n = inst.n
+    n = ws.n
     cut = box_violation_cut(cov)
     if cut is not None:
         return Separating(cut)
 
-    bad = ~inst.metric.covers(ws.y, inst.r1).any(axis=0) & (cov.cov1 > ORACLE_EPS)
+    bad = ~ws.near_y & (cov.cov1 > ORACLE_EPS)
     if bad.any():
         v = int(np.argmax(bad))
         return Separating(set_cut(n, 1, [v], 1.0, 0.0, "y-support", point=v))
 
-    if float(cov.cov().sum()) < inst.m - ORACLE_EPS:
-        return Separating(mass_cut(n, inst.m))
+    if float(cov.cov().sum()) < ws.m - ORACLE_EPS:
+        return Separating(mass_cut(n, ws.m))
 
-    tree = reduce_to_firefighter(inst, 2.0, 2.0, cov, y=ws.y)
+    tree = reduce_to_firefighter(ws, 2.0, 2.0, cov)
     selection = solve_2ff(tree)
-    if selection.value >= inst.m:
+    if selection.value >= ws.m:
         solution = lift_ff_solution(tree, selection)
         return Rounded((solution, {"value": selection.value, "roots": tree.roots}))
     a1 = np.zeros(n)
@@ -176,7 +177,7 @@ def wellsep_separation_oracle(
         a1[v] = tree.w[v]
         a2[v] = tree.w[v]
     return Separating(
-        Cut(a1=a1, a2=a2, b=float(inst.m - 1), kind="tree-weight",
+        Cut(a1=a1, a2=a2, b=float(ws.m - 1), kind="tree-weight",
             meta={"roots": list(tree.roots), "best_value": selection.value})
     )
 
@@ -189,17 +190,18 @@ def solve_wellsep(
     """Decide a well-separated instance: dilation-4 solution or infeasible.
 
     INFEASIBLE means no solution with large centers inside Y covers m points at
-    dilation 1; the returned cuts are the certificate trail.  ``start``, a
+    dilation 1; the returned cuts are the certificate trail.  A SOLUTION is
+    checked for budgets and coverage at dilation 4 (at 1 from the greedy)
+    on ``ws``; its large centers may lie off Y.  ``start``, a
     flat cov1 | cov2 vector over the instance's points, is queried before the
     greedy and the driver (see ``decide``); the outer oracle passes its own
     query mapped onto a Case II candidate.
     """
     cfg = config or SolverConfig()
-    inst = ws.base
-    if inst.m <= 0:
-        return SolveResult.verified(inst, NUkCSolution.empty(), "trivial")
+    if ws.m <= 0:
+        return SolveResult.verified(ws, NUkCSolution.empty(), "trivial")
 
     def oracle(x: np.ndarray):
         return wellsep_separation_oracle(ws, CoverageVector.from_vector(x))
 
-    return decide(inst, oracle, cfg, ws.y, start)
+    return decide(ws, oracle, cfg, start)

@@ -21,21 +21,21 @@ from nukc import (
 )
 
 
-def count_ball_tables(monkeypatch) -> list[NUkCInstance]:
-    """Patch ``NUkCInstance.balls`` to append its instance to the returned list at each build.
+def count_ball_tables(monkeypatch, name: str = "balls") -> list[NUkCInstance]:
+    """Patch ``NUkCInstance.balls`` (or the cached property ``name``) to append its instance to the returned list at each build.
 
     The list keeps every built instance alive, so their ids stay distinct.
     """
     built: list[NUkCInstance] = []
-    real = NUkCInstance.balls.func
+    real = getattr(NUkCInstance, name).func
 
-    def balls(inst):
+    def build(inst):
         built.append(inst)
         return real(inst)
 
-    prop = functools.cached_property(balls)
-    prop.__set_name__(NUkCInstance, "balls")
-    monkeypatch.setattr(NUkCInstance, "balls", prop)
+    prop = functools.cached_property(build)
+    prop.__set_name__(NUkCInstance, name)
+    monkeypatch.setattr(NUkCInstance, name, prop)
     return built
 
 
@@ -94,6 +94,11 @@ def near_symmetric_instance(rng):
     return inst
 
 
+def well_separated(inst: NUkCInstance, y) -> WellSepNUkCInstance:
+    """``inst`` with its large centers confined to the well-separated set ``y``."""
+    return WellSepNUkCInstance(inst.metric, inst.r1, inst.r2, inst.k1, inst.k2, inst.m, tuple(y))
+
+
 def random_wellsep(
     rng: np.random.Generator, max_n: int = 9
 ) -> WellSepNUkCInstance | None:
@@ -111,7 +116,7 @@ def random_wellsep(
         return None
     size = int(rng.integers(2, len(reps) + 1))
     y = sorted(int(v) for v in rng.choice(reps, size=size, replace=False))
-    return WellSepNUkCInstance(base=inst, y=tuple(y))
+    return well_separated(inst, y)
 
 
 def random_tree(rng: np.random.Generator) -> TwoFFInstance:

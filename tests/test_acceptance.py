@@ -150,7 +150,7 @@ def test_criterion_3_cut_validity(suite):
             cuts = inner.cuts + cold.cuts
             if not cuts:
                 continue
-            inner_checker = HullChecker(cand.instance.base, restrict_y=cand.instance.y)
+            inner_checker = HullChecker(cand.instance)
             for cut in cuts:
                 counts["inner"] += 1
                 if not inner_checker.validate(cut):
@@ -189,11 +189,11 @@ def test_criterion_3_cut_validity(suite):
         ws = random_wellsep(rng, max_n=6)
         if ws is None:
             continue
-        checker = HullChecker(ws.base, restrict_y=ws.y)
+        checker = HullChecker(ws)
         for _ in range(3):
-            x = random_query(rng, ws.base.n)
+            x = random_query(rng, ws.n)
             if rng.random() < 0.5:  # large coverage only on Y itself
-                x[: ws.base.n][np.setdiff1d(np.arange(ws.base.n), ws.y)] = 0.0
+                x[: ws.n][np.setdiff1d(np.arange(ws.n), ws.y)] = 0.0
             verdict = wellsep_separation_oracle(ws, CoverageVector.from_vector(x))
             if isinstance(verdict, Separating):
                 direct["inner:" + verdict.cut.kind] += 1
@@ -300,14 +300,14 @@ def test_criterion_4_inner_solver_agreement():
         if ws is None:
             continue
         done += 1
-        brute = brute_force_nukc(ws.base, restrict_y=ws.y)
+        brute = brute_force_nukc(ws)
         for name, cfg in CONFIGS.items():
             res = solve_wellsep(ws, cfg)
             if brute.feasible and res.status != "solution":
                 failures.append((name, done, "missed a feasible instance"))
             elif res.status == "solution":
-                ok, count = verify_solution(ws.base, res.solution, 4.0)
-                if not ok or count < ws.base.m:
+                ok, count = verify_solution(ws, res.solution, 4.0)
+                if not ok or count < ws.m:
                     failures.append((name, done, "solution invalid at dilation 4"))
     assert not failures, failures[:10]
     print(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ class TestEnumeration:
     def test_restricting_large_centers(self):
         inst = line_instance([0.0, 1.0, 2.0, 10.0], m=3, k2=0)
         assert brute_force_nukc(inst).feasible  # center 1 covers three
-        res = brute_force_nukc(inst, restrict_y=[0, 3])
+        res = brute_force_nukc(replace(inst, y=[0, 3]))
         assert not res.feasible and res.best_covered == 2
 
     def test_duplicate_points_deduplicated_but_counted(self):
@@ -106,6 +108,6 @@ class TestHull:
     def test_respects_y_restriction(self):
         inst = line_instance([0.0, 1.0, 9.0], k1=1, k2=0, m=2)
         all_verts = hull_coverage_vectors(inst)
-        y_verts = hull_coverage_vectors(inst, restrict_y=[2])
+        y_verts = hull_coverage_vectors(replace(inst, y=[2]))
         assert len(all_verts) > 0
         assert y_verts == []  # center 2 covers only itself, below m

@@ -194,14 +194,14 @@ class TestSeededLP:
         checked = 0
         for inst, y in corpus:
             n = inst.n
-            model = coverage_model(inst, y)
+            model = coverage_model(replace(inst, y=y))
             compact = dense_lp(model)
             assert compact[0].shape == (n + 2, 3 * n)
             assert np.all(compact[2][0][:n] == 0) and np.all(compact[2][1][:n] == 1)
             _split(model)
             full = dense_lp(model)
             assert full[0].shape == (4 * n + 2, 5 * n)
-            for sol, cov in hull_coverage_vectors(inst, restrict_y=y):
+            for sol, cov in hull_coverage_vectors(replace(inst, y=y)):
                 x = np.zeros(5 * n)
                 x[np.array(sol.centers1, dtype=int)] = 1.0
                 x[n + np.array(sol.centers2, dtype=int)] = 1.0
@@ -230,7 +230,7 @@ class TestSeededLP:
         # before rounding.
         for inst, y in self.corpus():
             n = inst.n
-            model = coverage_model(inst, y)
+            model = coverage_model(replace(inst, y=y))
             queries = []
 
             def oracle(x):
@@ -253,7 +253,7 @@ class TestSeededLP:
             assert res.status == "rounded" and model.lp.getNumCol() == 3 * n
             want = linprog_coverage_lp(inst, restrict_y=y)[0]
             assert queries[0].sum() == pytest.approx(want, abs=1e-7), (inst, y)
-            assert coverage_lp(inst, restrict_y=y)[0] == pytest.approx(queries[0].sum(), abs=1e-9)
+            assert coverage_lp(replace(inst, y=y))[0] == pytest.approx(queries[0].sum(), abs=1e-9)
 
 
 def test_cut_before_the_split_is_a_row_on_x_and_e():
@@ -284,7 +284,7 @@ def test_cut_with_unequal_blocks_splits_once():
     # meet every recorded cut, the ones on c from before the split included.
     inst, _ = planted_instance(3, 3, 5, 2)
     n = inst.n
-    model = coverage_model(inst, y=(0, 5, 10))
+    model = coverage_model(replace(inst, y=(0, 5, 10)))
     sizes = []
 
     def oracle(x):
@@ -471,17 +471,17 @@ class TestCertificate:
         certified = 0
         for t in range(160):
             ws = random_wellsep(rng, max_n=12) if t % 2 else None
-            inst, y = (ws.base, ws.y) if ws else (random_instance(rng, max_n=12), None)
-            best = brute_force_nukc(inst, restrict_y=y).best_covered
+            inst, y = (ws, ws.y) if ws else (random_instance(rng, max_n=12), None)
+            best = brute_force_nukc(inst).best_covered
             beta = rng.integers(0, 2**20 + 1, size=inst.n) * CERTIFICATE_GRID
-            assert certificate_bound(inst, beta, y) == fraction_bound(inst, beta, y) >= best
+            assert certificate_bound(inst, beta) == fraction_bound(inst, beta, y) >= best
             for config in (SolverConfig(), SolverConfig(shortcuts=False)):
                 res = solve_wellsep(ws, config) if ws else solve_feasibility(inst, config)
                 if res.certificate is None:
                     continue
                 assert (res.status, res.method, [cut.kind for cut in res.cuts]) == (
                     "infeasible", "lp-empty", ["mass"])
-                bound = certificate_bound(inst, res.certificate, y)
+                bound = certificate_bound(inst, res.certificate)
                 assert bound == fraction_bound(inst, res.certificate, y) < inst.m
                 assert best < inst.m
                 certified += 1

@@ -2,6 +2,7 @@
 fractionally valuable but integrally short, re-verified from scratch."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ class TestGapFixture:
     def test_fractional_clears_target_integral_does_not(self):
         doc, inst, cov = self.load()
         tree = reduce_to_firefighter(
-            inst, doc["alpha1"], doc["alpha2"], cov, y=tuple(doc["y"])
+            replace(inst, y=tuple(doc["y"])), doc["alpha1"], doc["alpha2"], cov
         )
         frac = frac_ff_solution(tree, cov).value
         best = solve_2ff(tree).value
@@ -47,7 +48,7 @@ class TestGapFixture:
     def test_integral_optimum_confirmed_by_enumeration(self):
         doc, inst, cov = self.load()
         tree = reduce_to_firefighter(
-            inst, doc["alpha1"], doc["alpha2"], cov, y=tuple(doc["y"])
+            replace(inst, y=tuple(doc["y"])), doc["alpha1"], doc["alpha2"], cov
         )
         assert brute_2ff(tree).value == solve_2ff(tree).value
 

@@ -1,4 +1,6 @@
+import inspect
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +16,16 @@ from nukc import (
     covered_points,
     eval_cut,
     instance_from_json,
+    instance_to_json,
+    optimize,
+    solve_feasibility,
     verify_solution,
 )
+from nukc import bruteforce, cutting_plane, presolve, reduction, wellsep
 from nukc import model as model_module
 from nukc.model import coverage_of_solution
 
-from conftest import near_symmetric_instance, random_instance
+from conftest import near_symmetric_instance, random_instance, well_separated
 
 
 def square_instance(**overrides) -> NUkCInstance:
@@ -254,20 +260,89 @@ class TestInstances:
         # corners at distance 1 with 4*r1 = 1: equality must be rejected
         inst = square_instance(r1=0.25, r2=0.1)
         with pytest.raises(ValueError):
-            WellSepNUkCInstance(base=inst, y=(0, 1))
-        ok = WellSepNUkCInstance(base=square_instance(r1=0.2, r2=0.1), y=(0, 3))
+            well_separated(inst, (0, 1))
+        ok = well_separated(square_instance(r1=0.2, r2=0.1), (0, 3))
         assert ok.y == (0, 3)
 
     @pytest.mark.parametrize("y", [(0.5,), (3, 1.5), (True,), (np.True_,), ("0",)])
     def test_wellsep_rejects_non_integer_y(self, y):
         bad = next(v for v in y if type(v) is not int)
         with pytest.raises(ValueError, match=f"Y entry {bad!r} is not an integer"):
-            WellSepNUkCInstance(base=square_instance(r1=0.2, r2=0.1), y=y)
+            well_separated(square_instance(r1=0.2, r2=0.1), y)
 
     def test_wellsep_names_the_first_close_pair_in_y_order(self):
         # Pairs (3, 1) and (1, 0) are both 1 apart; (3, 1) comes first in Y.
         with pytest.raises(ValueError, match=r"d\(3,1\)=1.0 <= 4\*r1=1.0"):
-            WellSepNUkCInstance(base=square_instance(r1=0.25, r2=0.1), y=(3, 1, 0))
+            well_separated(square_instance(r1=0.25, r2=0.1), (3, 1, 0))
+
+
+class TestInstanceY:
+    """The instance owns its Y: checked once, at construction, and read by everything that uses it."""
+
+    @pytest.mark.parametrize("y, message", [
+        ((0, 4), "Y index 4 out of range"),
+        ((-1,), "Y index -1 out of range"),
+        ((2, 0, 2), "Y repeats index 2"),
+        ((1, True), "Y entry True is not an integer"),
+        ((1, 1, 2.5), "Y entry 2.5 is not an integer"),
+    ])
+    @pytest.mark.parametrize("build", [lambda inst, y: replace(inst, y=y), well_separated],
+                             ids=["plain", "well-separated"])
+    def test_bad_entries_raise_at_construction(self, build, y, message):
+        with pytest.raises(ValueError, match=message):
+            build(square_instance(r1=0.2, r2=0.1), y)
+
+    def test_entries_are_stored_as_ints(self):
+        inst = replace(square_instance(), y=np.array([3, 0]))
+        assert inst.y == (3, 0) and all(type(v) is int for v in inst.y)
+        assert replace(inst, y=None).y is None
+
+    def test_functions_that_read_y_take_no_y_argument(self):
+        # Their only Y is their instance's, which construction has checked.
+        readers = [
+            presolve.greedy_cover, cutting_plane.coverage_model, cutting_plane.lp_certificate,
+            cutting_plane.certificate_bound, cutting_plane.coverage_lp, wellsep.decide,
+            reduction.reduce_to_firefighter, bruteforce._center_masks, bruteforce.brute_force_nukc,
+            bruteforce.hull_coverage_vectors, bruteforce.validate_cut_on_hull, bruteforce.HullChecker,
+        ]
+        for fn in readers:
+            assert not {"y", "restrict_y"} & set(inspect.signature(fn).parameters), fn.__name__
+
+    def test_separation_is_checked_again_on_replace_and_scaled(self):
+        ws = well_separated(square_instance(r1=0.2, r2=0.1), (0, 3))  # d(0, 3) = sqrt(2) > 0.8
+        for again in (lambda: replace(ws, r1=0.4), lambda: ws.scaled(2.0)):
+            with pytest.raises(ValueError, match=r"d\(0,3\)=1.41\d* <= 4\*r1=1.6"):
+                again()
+        half = ws.scaled(0.5)
+        assert type(half) is WellSepNUkCInstance and half.y == (0, 3) and half.r1 == 0.1
+        assert replace(ws, m=4).y == (0, 3)
+        plain = replace(square_instance(), y=(1,))
+        assert type(plain.scaled(2.0)) is NUkCInstance and plain.scaled(2.0).y == (1,)
+        with pytest.raises(ValueError, match="needs its Y"):
+            replace(ws, y=None)
+
+    def test_equality_compares_y(self):
+        inst = square_instance()
+        assert replace(inst, y=(0, 3)) == replace(inst, y=[0, 3])
+        assert replace(inst, y=(0, 3)) != inst
+        assert replace(inst, y=(0, 3)) != replace(inst, y=(0, 2))
+        assert replace(inst, y=()) != inst
+
+    def test_near_y_is_the_union_of_the_r1_balls_of_y(self):
+        inst = square_instance(r1=0.5, r2=0.1)
+        assert inst.near_y is None
+        far = replace(inst, y=(0,))
+        assert far.near_y.tolist() == [True, False, False, False]
+        assert far.near_y is far.near_y  # built once, kept with the instance
+        assert replace(inst, r1=1.0, y=(0,)).near_y.tolist() == [True, True, True, False]
+        assert replace(inst, y=()).near_y.tolist() == [False] * 4
+
+    def test_outer_entry_points_and_files_reject_an_instance_with_y(self):
+        inst = replace(square_instance(), y=(0,))
+        for entry, name in ((solve_feasibility, "solve_feasibility"), (optimize, "optimize"),
+                            (instance_to_json, "instance files")):
+            with pytest.raises(ValueError, match=name):
+                entry(inst)
 
 
 class TestCoverageAndCuts:

@@ -3,6 +3,7 @@ cut validity, and the dilation optimizer."""
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from nukc import (
     solve_feasibility,
     solve_wellsep,
     uniform_instance,
-    WellSepNUkCInstance,
     reduce_to_firefighter,
     validate_cut_on_hull,
     verify_solution,
@@ -41,7 +41,7 @@ from nukc.cutting_plane import OracleExhausted, coverage_lp
 from nukc.model import coverage_of_solution
 from nukc.outer import Candidate, enumerate_candidates
 
-from conftest import count_ball_tables, near_symmetric_instance, random_instance, random_metric
+from conftest import count_ball_tables, near_symmetric_instance, random_instance, random_metric, well_separated
 
 
 def euclidean(points, r1, r2, k1, k2, m):
@@ -126,9 +126,7 @@ class TestAgainstBruteForce:
                 checked += 1
             for cand, inner in res.inner_runs:
                 for cut in inner.cuts:
-                    assert validate_cut_on_hull(
-                        cand.instance.base, cut, restrict_y=cand.instance.y
-                    ), cut.kind
+                    assert validate_cut_on_hull(cand.instance, cut), cut.kind
                     checked += 1
         assert checked > 0  # the corpus must actually exercise cuts
 
@@ -157,7 +155,7 @@ class TestCandidates:
                 removed = np.flatnonzero(metric.dist[cand.q] <= r1)
                 keep = np.setdiff1d(np.arange(n), removed)
                 pos = {int(orig): i for i, orig in enumerate(keep)}
-                sub = cand.instance.base
+                sub = cand.instance
                 coords = None if metric.coords is None else metric.coords[keep]
                 assert sub.metric == MetricSpace(metric.dist[np.ix_(keep, keep)], coords)
                 assert cand.points == tuple(int(v) for v in keep)
@@ -204,7 +202,7 @@ class TestCandidates:
             guessed = NUkCInstance(inst.metric, inst.r1, inst.r2, inst.k1, inst.k2, covered)
             cand = next(c for c in enumerate_candidates(guessed, y) if c.q == q)
             sub = cand.instance
-            assert brute_force_nukc(sub.base, restrict_y=sub.y).feasible
+            assert brute_force_nukc(sub).feasible
             checked += 1
         assert checked > 100
 
@@ -323,7 +321,7 @@ class TestCandidates:
         last = enumerate_candidates(inst, OuterOracle(inst, SolverConfig())(x).cut.meta["roots"])[-1]
 
         def capped_last(ws, config=None, start=None):
-            if ws.base.metric == last.instance.base.metric:
+            if ws.metric == last.instance.metric:
                 return SolveResult("undecided", method="cap")
             return solve_wellsep(ws, config, start=start)
 
@@ -342,7 +340,7 @@ class TestCandidates:
         inst = uniform_instance(1, 20, 0.3, 0.1, 2, 2)
         cands = enumerate_candidates(inst, [0])
         assert len(cands) > 2
-        assert cands[0].instance.base.metric is inst.metric
+        assert cands[0].instance.metric is inst.metric
         with pytest.raises(AssertionError, match="sub-metric built"):
             cands[1].instance
 
@@ -383,11 +381,11 @@ class TestNearSymmetricMetrics:
         near = MetricSpace.from_matrix(self.NEAR)
         inst = NUkCInstance(near, 1.0, 0.5, 1, 1, 3)
         assert [c.q for c in enumerate_candidates(inst, [0])] == [None]
-        ws = WellSepNUkCInstance(base=inst, y=(0,))
+        ws = well_separated(inst, (0,))
         all_large = CoverageVector(np.ones(3), np.zeros(3))
         assert isinstance(wellsep_separation_oracle(ws, all_large), Rounded)
         one = CoverageVector(np.array([0.0, 1.0, 0.0]), np.zeros(3))
-        assert reduce_to_firefighter(inst, 2.0, 2.0, one, y=[0]).roots == (1,)  # near Y: cov1 counts
+        assert reduce_to_firefighter(replace(inst, y=[0]), 2.0, 2.0, one).roots == (1,)  # near Y: cov1 counts
         wide = MetricSpace.from_matrix([[0, 2, 2], [2 + 5e-10, 0, 2], [2 + 5e-10, 2, 0]])
         cand = Candidate(q=None, roots=(0,), parent=NUkCInstance(wide, 1.0, 0.5, 1, 1, 3))
         assert cand.start(all_large).tolist() == [1, 1, 1, 0, 0, 0]
@@ -725,7 +723,7 @@ class TestOptimize:
         # search like an infeasible probe but is recorded undecided.
         inst = uniform_instance(1, 30, 0.2, 0.08, 2, 2)
         plain = optimize(inst)
-        monkeypatch.setattr(cutting_plane, "lp_certificate", lambda model, y=None: None)
+        monkeypatch.setattr(cutting_plane, "lp_certificate", lambda model: None)
         out = optimize(inst)
         assert (out.rho_star, out.solution) == (plain.rho_star, plain.solution)
         below = [status for rho, status in out.probes if 0 < rho < out.rho_star]
@@ -808,7 +806,7 @@ class TestOptimize:
         pts = [[0.0, 0.0]] * 4 + [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
         inst = euclidean(pts, 1.0, 0.5, 1, 1, 6)
         assert outer_module._zero_scale_probe(inst) == ("infeasible", None)
-        monkeypatch.setattr(cutting_plane, "lp_certificate", lambda model, y=None: None)
+        monkeypatch.setattr(cutting_plane, "lp_certificate", lambda model: None)
         assert outer_module._zero_scale_probe(inst) == ("undecided", None)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -164,8 +166,8 @@ class TestGreedy:
             for k1, k2 in ((0, 0), (1, 0), (3, 3)):
                 for y in (None, []):
                     zero = NUkCInstance(metric, 1.0, 0.1, k1, k2, 0)
-                    assert greedy_cover(zero, y) == NUkCSolution.empty()
-                    assert greedy_cover(NUkCInstance(metric, 1.0, 0.1, k1, k2, metric.n + 1), y) is None
+                    assert greedy_cover(replace(zero, y=y)) == NUkCSolution.empty()
+                    assert greedy_cover(replace(NUkCInstance(metric, 1.0, 0.1, k1, k2, metric.n + 1), y=y)) is None
 
     def test_ties_spend_the_small_ball(self):
         # The r2 cluster 10..10.1 comes first, and an r1 ball there ties with
@@ -211,7 +213,7 @@ class TestGreedy:
             inst = make(rng)
             n = inst.n
             for y in (None, (), (0,), (0, n // 2, n - 1) if n >= 3 else (0, n - 1)):
-                got = greedy_cover(inst, restrict_y=y)
+                got = greedy_cover(replace(inst, y=y))
                 want = loop_greedy_cover(inst, restrict_y=y)
                 assert got == want, (t, y)
                 hits += got is not None
@@ -235,7 +237,7 @@ class TestGreedy:
             inst = NUkCInstance(MetricSpace.from_points(pts), r1, r1 * float(rng.uniform(0.0, 0.9)), k1, k2,
                                 int(rng.integers(n // 2, n + 1)))
             for y in (None, tuple(range(0, n, 3))):
-                got = greedy_cover(inst, restrict_y=y)
+                got = greedy_cover(replace(inst, y=y))
                 assert got == loop_greedy_cover(inst, restrict_y=y), (t, y)
             size = sum(points.size for _, points in inst.balls)
             lazy += size > 2 * presolve._RECOUNT_ENTRIES and k1 + k2 >= 3
@@ -256,8 +258,8 @@ class TestCoverageBound:
         for _ in range(20):
             inst = random_instance(rng, max_n=8)
             y = [0]
-            bound = coverage_lp(inst, restrict_y=y)[0]
-            best = brute_force_nukc(inst, restrict_y=y).best_covered
+            bound = coverage_lp(replace(inst, y=y))[0]
+            best = brute_force_nukc(replace(inst, y=y)).best_covered
             assert bound >= best - 1e-6
             assert bound <= coverage_lp(inst)[0] + 1e-9
 
@@ -292,7 +294,7 @@ class TestCoverageBound:
             n, d = inst.n, inst.metric.dist
             subset = tuple(sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)))
             for y in (None, (), (0,), subset) if n else (None, ()):
-                optimum, x1, x2 = coverage_lp(inst, restrict_y=y)[:3]
+                optimum, x1, x2 = coverage_lp(replace(inst, y=y))[:3]
                 want = linprog_coverage_lp(inst, restrict_y=y)[0]
                 assert optimum == pytest.approx(want, abs=1e-7), (inst, y)
                 for x, k in ((x1, inst.k1), (x2, inst.k2)):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,7 @@ class TestForestStructure:
         # is within r1 of y, so priority makes it the representative
         inst = line_instance([0.0, 1.5, 30.0])
         cov = CoverageVector(np.zeros(3), np.zeros(3))
-        tree = reduce_to_firefighter(inst, 2.0, 2.0, cov, y=[1, 2])
+        tree = reduce_to_firefighter(replace(inst, y=[1, 2]), 2.0, 2.0, cov)
         assert 1 in tree.roots and 0 not in tree.roots
         assert tree.parent[0] == 1
 

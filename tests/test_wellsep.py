@@ -26,14 +26,14 @@ from nukc.model import CoverageVector, Cut
 from nukc import outer, wellsep
 from nukc.wellsep import WELLSEP_DILATION, box_violation_cut
 
-from conftest import count_ball_tables, random_wellsep
+from conftest import count_ball_tables, random_wellsep, well_separated
 
 
 def wellsep_line(xs, y, **kw) -> WellSepNUkCInstance:
     metric = MetricSpace.from_points([(x, 0.0) for x in xs])
     params = dict(metric=metric, r1=1.0, r2=0.25, k1=1, k2=1, m=2)
     params.update(kw)
-    return WellSepNUkCInstance(base=NUkCInstance(**params), y=tuple(y))
+    return well_separated(NUkCInstance(**params), y)
 
 
 class TestBoxCut:
@@ -149,7 +149,7 @@ class TestOracle:
         verdict = wellsep_separation_oracle(ws, cov)
         assert isinstance(verdict, Rounded)
         solution, info = verdict.payload
-        ok, count = verify_solution(ws.base, solution, WELLSEP_DILATION)
+        ok, count = verify_solution(ws, solution, WELLSEP_DILATION)
         assert ok and count == 3
 
     def test_tree_weight_cut_on_gap_query(self):
@@ -165,7 +165,7 @@ class TestOracle:
         assert verdict.cut.kind == "tree-weight"
         assert verdict.cut.meta["best_value"] == 4
         # the emitted inequality holds on the instance's restricted hull
-        assert validate_cut_on_hull(ws.base, verdict.cut, restrict_y=ws.y)
+        assert validate_cut_on_hull(ws, verdict.cut)
         # and the query violates it by nearly a full unit
         violation = float(verdict.cut.as_vector() @ cov.to_vector() - verdict.cut.b)
         assert violation >= 1.0 - 1e-6
@@ -198,7 +198,7 @@ class TestSolver:
         ws = wellsep_line([0.0, 0.5, 10.0], y=[0], m=3, k2=1)
         res = solve_wellsep(ws)
         assert res.status == "solution"
-        ok, count = verify_solution(ws.base, res.solution, WELLSEP_DILATION)
+        ok, count = verify_solution(ws, res.solution, WELLSEP_DILATION)
         assert ok and count >= 3
 
     def test_infeasible_when_y_cannot_reach(self):
@@ -215,12 +215,12 @@ class TestSolver:
                 continue
             done += 1
             res = solve_wellsep(ws)
-            brute = brute_force_nukc(ws.base, restrict_y=ws.y)
+            brute = brute_force_nukc(ws)
             if res.status == "infeasible":
                 assert not brute.feasible
             else:
                 assert res.solution.dilation <= WELLSEP_DILATION
-                ok, _ = verify_solution(ws.base, res.solution, res.solution.dilation)
+                ok, _ = verify_solution(ws, res.solution, res.solution.dilation)
                 assert ok
                 if brute.feasible:
                     assert res.status == "solution"
@@ -235,7 +235,7 @@ class TestSolver:
                 continue
             done += 1
             res = solve_wellsep(ws, cfg)
-            brute = brute_force_nukc(ws.base, restrict_y=ws.y)
+            brute = brute_force_nukc(ws)
             if brute.feasible:
                 assert res.status == "solution"
             if res.status == "infeasible":
@@ -249,6 +249,28 @@ def first_candidate(inst: NUkCInstance) -> WellSepNUkCInstance:
     instance first; once it has failed, both configs make the same queries.
     """
     return solve_feasibility(inst, SolverConfig(shortcuts=False)).inner_runs[0][0].instance
+
+
+@pytest.mark.parametrize("build, y, centers1", [
+    (lambda: uniform_instance(13, 10, 0.2, 0.15, 2, 3, 8), (3,), (1,)),
+    (lambda: graph_instance(10, 10, 2, 2, 10), (6,), (0,)),
+], ids=["uniform", "graph"])
+@pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(shortcuts=False)],
+                         ids=["default", "shortcut-free"])
+def test_inner_solution_may_place_large_centers_off_y(build, y, centers1, config):
+    # The inner SOLUTION contract: budgets and coverage checked at dilation 4
+    # on the inner instance, large centers anywhere.  Here the forest roots
+    # at a point 0.81 of the inner r1 from Y, and the lift still holds at 8.
+    inst = build()
+    cand = solve_feasibility(inst, SolverConfig(shortcuts=False)).inner_runs[0][0]
+    ws = cand.instance
+    res = solve_wellsep(ws, config)
+    assert (ws.y, res.status, res.solution.centers1) == (y, "solution", centers1)
+    assert verify_solution(ws, res.solution, WELLSEP_DILATION)[0]
+    assert not set(res.solution.centers1) & set(ws.y)
+    assert ws.metric.dist[y[0], centers1[0]] / ws.r1 == pytest.approx(0.81, abs=0.01)
+    lifted = outer.lift_candidate_solution(cand, res.solution, inst)
+    assert verify_solution(inst, lifted, 8.0)[0]
 
 
 class TestDecide:
@@ -274,21 +296,21 @@ class TestDecide:
     def test_screen_verdict(self, build, method, case, kinds):
         inst = build()
         if isinstance(inst, WellSepNUkCInstance):
-            res, base, y = solve_wellsep(inst), inst.base, inst.y
+            res, base, y = solve_wellsep(inst), inst, inst.y
         else:
             res, base, y = solve_feasibility(inst), inst, None
         feasible = method != "lp-empty"
         assert (res.status, res.method, res.case) == (
             "solution" if feasible else "infeasible", method, case)
         assert res.iterations == len(kinds) and [cut.kind for cut in res.cuts] == kinds
-        assert brute_force_nukc(base, restrict_y=y).feasible == feasible
+        assert brute_force_nukc(base).feasible == feasible
         if feasible:
             ok, _ = verify_solution(base, res.solution, res.solution.dilation)
             assert ok
             assert y is None or set(res.solution.centers1) <= set(y)
             assert res.certificate is None
         else:
-            assert certificate_bound(base, res.certificate, y) < base.m
+            assert certificate_bound(base, res.certificate) < base.m
 
     @pytest.mark.parametrize("build", [
         lambda: uniform_instance(13, 10, 0.3, 0.1, 2, 2, 8),
@@ -303,7 +325,7 @@ class TestDecide:
         solve = solve_wellsep if isinstance(inst, WellSepNUkCInstance) else solve_feasibility
         res = solve(inst, config)
         assert (res.status, res.method) == ("infeasible", "lp-empty") and res.certificate is not None
-        monkeypatch.setattr(wellsep, "lp_certificate", lambda model, y=None: None)
+        monkeypatch.setattr(wellsep, "lp_certificate", lambda model: None)
         res = solve(inst, config)
         assert (res.status, res.method, res.certificate) == ("undecided", "uncertified", None)
         assert [cut.kind for cut in res.cuts] == ["mass"]
@@ -318,7 +340,7 @@ class TestDecide:
         res = solve_wellsep(ws, start=np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0]))
         assert (res.status, res.method, res.case, res.iterations, res.cuts) == (
             "solution", "start", "", 0, [])
-        assert verify_solution(ws.base, res.solution, WELLSEP_DILATION) == (True, 3)
+        assert verify_solution(ws, res.solution, WELLSEP_DILATION) == (True, 3)
 
     @pytest.mark.parametrize("build, start", [
         # Mass on the far points: the start draws a y-support cut.
@@ -331,7 +353,7 @@ class TestDecide:
                              ids=["default", "shortcut-free"])
     def test_separated_start_leaves_the_run_as_without_it(self, build, start, config):
         ws = build()
-        x = np.zeros(2 * ws.base.n) if start is None else np.array(start, dtype=float)
+        x = np.zeros(2 * ws.n) if start is None else np.array(start, dtype=float)
         verdict = wellsep_separation_oracle(ws, CoverageVector.from_vector(x))
         assert isinstance(verdict, Separating)
         runs = [solve_wellsep(ws, config, start=s) for s in (x, None)]
@@ -374,6 +396,19 @@ def test_ball_table_built_once_per_instance(monkeypatch):
     want = {(True, "start"), (True, "greedy"), (True, "round"), (True, "lp-empty"),
             (False, "start"), (False, "round"), (False, "lp-empty")}
     assert want <= seen, seen
+
+
+def test_near_y_built_once_per_instance(monkeypatch):
+    # The Y-support check, the forest's root priority and the candidate's
+    # start query all read the mask cached on the inner instance.
+    built = count_ball_tables(monkeypatch, "near_y")
+    inner = []
+    for inst in (uniform_instance(8, 10, 0.3, 0.1, 2, 2, 10), uniform_instance(13, 10, 0.2, 0.15, 2, 3, 8)):
+        for config in (SolverConfig(), SolverConfig(shortcuts=False)):
+            inner += [cand.instance for cand, _ in solve_feasibility(inst, config).inner_runs]
+    masks = [inst for inst in built if inst.y is not None]  # the outer instance's is None
+    assert len(inner) >= 3 and set(map(id, masks)) == set(map(id, inner))
+    assert len(set(map(id, built))) == len(built)
 
 
 def test_nested_runs_take_their_own_highs_object(monkeypatch):
