@@ -329,34 +329,27 @@ class CoverageLP(NamedTuple):
     value: float  # the optimum, or a bound below target - TARGET_SLACK where the solve stopped there
     x1: np.ndarray  # the openings at the optimum; meaningless when value is below the target
     x2: np.ndarray
-    basis: Any = None  # HiGHS's basis at the end, a start for another instance's solve
     certificate: np.ndarray | None = None  # lp_certificate, when value is below the target
 
 
-def coverage_lp(
-    instance: NUkCInstance, target: int | None = None, basis: Any = None,
-) -> CoverageLP:
-    """Maximum coverage's LP relaxation, solved once: the driver's first vertex.
+def coverage_lp(instance: NUkCInstance, target: int | None = None) -> CoverageLP:
+    """Maximum coverage's LP relaxation, solved once, cold: the driver's first vertex.
 
     The optimum bounds every integral coverage, so one below m refutes the
     instance at dilation 1.  With ``target``, dual simplex stops once it
     proves the optimum below target - TARGET_SLACK, and a value below that
-    comes with the LP's ``lp_certificate`` when it has one.  ``basis``, the
-    ``basis`` of an earlier result on an instance with as many points, is
-    the start; HiGHS repairs a singular one.  HiGHS failures raise
-    LPSolveError.
+    comes with the LP's ``lp_certificate`` when it has one.  HiGHS failures
+    raise LPSolveError.
     """
     n = instance.n
     if n == 0:
         return CoverageLP(0.0, np.zeros(0), np.zeros(0))
     model = coverage_model(instance, target)
-    if basis is not None:
-        _check(model.lp.setBasis(basis), "take the start basis")
     run_round_or_cut(model, Rounded)  # the oracle rounds the first optimum
     x = np.array(model.lp.getSolution().col_value)
     value = -float(model.lp.getInfo().objective_function_value)
     refuted = target is not None and value < target - TARGET_SLACK
     certificate = lp_certificate(model) if refuted else None
-    out = CoverageLP(value, x[:n], x[n : 2 * n], model.lp.getBasis(), certificate)
+    out = CoverageLP(value, x[:n], x[n : 2 * n], certificate)
     release(model)
     return out

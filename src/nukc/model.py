@@ -9,7 +9,7 @@ first block for the large radius and the second block for the small one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -301,6 +301,32 @@ class NUkCInstance:
     def near_y(self) -> np.ndarray | None:
         """The mask of the points within r1 of Y (None without Y), built on first use and kept."""
         return None if self.y is None else self.metric.covers(self.y, self.r1).any(axis=0)
+
+    def reach(self, centers1: Sequence[int], centers2: Sequence[int], scales: np.ndarray) -> int:
+        """The least i at which the balls of ``centers1`` and ``centers2`` in ``scaled(scales[i])`` cover m points.
+
+        ``scales`` ascending and positive; len(scales) when none is covered.
+        The m-th least, over points, of the least scale at which a nearest
+        center covers it, stepped onto ``scales`` by the predicate of
+        ``MetricSpace.covers``: O((len(centers1) + len(centers2)) * n) time, O(n) memory.
+        """
+        if self.m > self.n:
+            return len(scales)
+        near = [reduce(np.minimum, (self.metric.dist[c] for c in centers), np.full(self.n, np.inf))
+                for centers in (centers1, centers2)]
+
+        def covered(i: int) -> bool:
+            rho = float(scales[i])
+            return np.count_nonzero((near[0] <= self.r1 * rho) | (near[1] <= self.r2 * rho)) >= self.m
+
+        # With r2 = 0 a small center covers the points at distance 0, at every scale.
+        least = np.minimum(near[0] / self.r1, near[1] / self.r2 if self.r2 > 0 else np.where(near[1] > 0, np.inf, 0.0))
+        i = int(np.searchsorted(scales, np.partition(least, self.m - 1)[self.m - 1])) if self.m else 0
+        while i < len(scales) and not covered(i):
+            i += 1
+        while i > 0 and covered(i - 1):
+            i -= 1
+        return i
 
     def scaled(self, rho: float) -> NUkCInstance:
         """The same instance (its type and Y too) with both radii multiplied by ``rho`` (> 0)."""

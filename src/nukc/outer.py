@@ -267,16 +267,13 @@ class OptimizeResult:
     A status is ``infeasible`` (refuted: an exact bound, or the full solve),
     ``undecided`` (a cap, or an LP refutation without a certificate),
     ``lp-feasible`` (openings or the coverage LP reach m there, so the search
-    went below it; nothing was solved) or ``solution``.
+    went below it; nothing was solved) or ``solution``.  Above scale 0 an
+    LP refutes at most one probe, the last: the full solve refused any other.
     """
 
     rho_star: float
     solution: NUkCSolution | None
     probes: list[tuple[float, str]] = field(default_factory=list)
-
-
-# optimize's LP phase steps down 1, 4, 16, ... scales.
-_STEP_GROWTH = 4
 
 
 def optimize(
@@ -285,20 +282,26 @@ def optimize(
     """Smallest candidate scale the solver cannot refute, plus its solution.
 
     Candidate scales are 1 and the positive distance/radius quotients, one
-    sorted array; scale 0 is ``_zero_scale_probe``'s.  Phase 1 bisects on cheap
-    openings (farthest-first, or the greedy's cover, under both configs) for
-    the lowest scale they cover; with shortcuts off the greedy only brackets
-    the search, and every verdict comes from the start query or the driver.  Phase 2 steps down from it by 1, 4, 16, ...
-    scales to the first the coverage LP refutes, then bisects that step.
-    ``solve_feasibility`` then runs once, at the settled scale, from the
+    sorted array; scale 0 is ``_zero_scale_probe``'s.  The search steers on
+    the reach of openings x1, x2, the lowest scale at which they cover
+    m - 1e-6: coverage by fixed openings grows with the scale, so every scale
+    at or above it is ``lp-feasible``.  Phase 1 bisects, under both configs,
+    on the greedy below the reach of a farthest-first traversal; a greedy
+    cover becomes the openings.  Both are integral, so ``NUkCInstance.reach``
+    gives their reach exactly.  With shortcuts off the greedy only brackets
+    the search, and every verdict comes from the start query or the driver.
+    Phase 2 solves one coverage LP just below the reach.  An optimum that
+    reaches m becomes the openings, whose reach galloping ``_start`` checks
+    find; the first refutation ends the search, as the LP optimum grows with
+    the scale.  ``solve_feasibility`` then runs once, at the reach, from the
     openings; if it refuses, a bisection above uses it as its test.  See
-    README.md.  Every probe below the returned scale was refuted, by an
-    exact bound or by the full solve, so rho_star lower bounds the true
-    optimum unless a probe is ``undecided`` (a cap ran out, or an LP
-    refutation, scale 0's too, had no certificate): such a probe is searched
-    above like an infeasible one.  The solution is reported in
-    original-radius units, at dilation at most 10 * rho_star.  An instance
-    with a Y raises ValueError, as in ``solve_feasibility``.
+    README.md.  Every probe below the returned scale was refuted, by that LP
+    or by the full solve, so rho_star lower bounds the true optimum unless a
+    probe is ``undecided`` (a cap ran out, or an LP refutation, scale 0's
+    too, had no certificate): such a probe is searched above like an
+    infeasible one.  The solution is reported in original-radius units, at
+    dilation at most 10 * rho_star.  An instance with a Y raises ValueError,
+    as in ``solve_feasibility``.
     """
     if instance.y is not None:
         raise ValueError("optimize takes no instance with a Y: its large centers go anywhere")
@@ -314,58 +317,65 @@ def optimize(
 
     n, m = instance.n, instance.m
     candidates = _scale_grid(instance)
-
+    top = len(candidates) - 1
     status: dict[float, str] = {0.0: zero_status}
-    certificate: np.ndarray | None = None  # of the highest probe refuted with one
-    basis = None  # HiGHS's, from the highest probe whose LP refuted it
-    # Openings x1, x2 of the lowest probe they cover, and its scaled
-    # instance, whose ball table the final solve reads.
-    witness = _farthest_first(instance)
-    lowest: dict[float, NUkCInstance] = {}
-    missed: dict[float, NUkCInstance] = {}  # phase 1's misses, whose tables phase 2 may read
     found: dict[float, NUkCSolution] = {}
+    kept: dict[int, NUkCInstance] = {}  # probed instances, whose ball tables a later probe may read
 
-    def fails(i: int, cheap: bool) -> bool:
-        """Whether scale i misses the openings and greedy (``cheap``), or the coverage LP refutes it."""
-        nonlocal certificate, basis, witness, lowest
-        rho = float(candidates[i])
-        scaled = missed.get(rho) or instance.scaled(rho)
-        if not cheap and certificate is not None and certificate_bound(scaled, certificate) < m:
-            status[rho] = "infeasible"  # its LP is below m
-            return True
-        if _start(scaled, witness).sum() < m - TARGET_SLACK:
-            if cheap:
-                cover = greedy_cover(scaled)
-                if cover is None:
-                    missed[rho] = scaled
-                    return True
-                witness = np.zeros((2, n))
-                witness[0, list(cover.centers1)] = witness[1, list(cover.centers2)] = 1.0
-            else:
-                lp = coverage_lp(scaled, target=m, basis=basis)
-                if lp.value < m - TARGET_SLACK:
-                    basis = lp.basis
-                    certificate = certificate if lp.certificate is None else lp.certificate
-                    status[rho] = "undecided" if lp.certificate is None else "infeasible"
-                    return True
-                witness = np.array([lp.x1, lp.x2])
-        status[rho] = "lp-feasible"
-        lowest = {rho: scaled}
+    def at(i: int) -> NUkCInstance:
+        """Scale i's instance, kept for the probes after this one."""
+        return kept.get(i) or kept.setdefault(i, instance.scaled(float(candidates[i])))
+
+    def misses(i: int) -> bool:
+        """Whether scale i lies below the openings' reach and the greedy misses it too."""
+        nonlocal witness, hi
+        if i < hi:
+            cover = greedy_cover(at(i))
+            if cover is None:
+                return True
+            witness = np.zeros((2, n))
+            witness[0, list(cover.centers1)] = witness[1, list(cover.centers2)] = 1.0
+            hi = instance.reach(*map(np.flatnonzero, witness), candidates)
+            for j in [j for j in kept if j > hi]:  # no later probe lies above the reach
+                del kept[j]
+        status[float(candidates[i])] = "lp-feasible"
         return False
+
+    def opens(i: int) -> bool:
+        """Whether the openings cover m - 1e-6 at scale i, recorded lp-feasible if so."""
+        if _start(at(i), witness).sum() < m - TARGET_SLACK:
+            return False
+        status[float(candidates[i])] = "lp-feasible"
+        return True
+
+    witness = _farthest_first(instance)  # the openings, rows x1 | x2, and their reach hi
+    hi = instance.reach(*map(np.flatnonzero, witness), candidates)
+    _search(0, top + 1, misses)  # only its greedy covers move the reach
+    while hi > 0:  # one LP just below the reach, until the first refutation
+        rho = float(candidates[hi - 1])
+        lp = coverage_lp(at(hi - 1), target=m)
+        if lp.value < m - TARGET_SLACK:  # and so at every lower scale
+            status[rho] = "undecided" if lp.certificate is None else "infeasible"
+            break
+        status[rho], witness = "lp-feasible", np.array([lp.x1, lp.x2])
+        hi, step = hi - 1, 1  # gallop down from the probe, then bisect the last step
+        while step <= hi and opens(hi - step):
+            hi, step = hi - step, 2 * step
+        hi = _search(max(hi - step + 1, 0), hi, lambda i: not opens(i))
+        for j in [j for j in kept if j > hi]:
+            del kept[j]
+    kept = {hi: kept[hi]} if hi in kept else {}  # the final solve reads the reach's ball table
 
     def unsolved(i: int) -> bool:
         """The full solve as the test: whether it returns no SOLUTION at scale i."""
         rho = float(candidates[i])
-        res = _solve_from(lowest.get(rho) or instance.scaled(rho), cfg, witness)
+        res = _solve_from(kept.get(i) or instance.scaled(rho), cfg, witness)
         status[rho] = res.status
         if res.status == "solution":
             found[rho] = res.solution
         return res.status != "solution"
 
-    top = len(candidates) - 1
-    hi = top + 1 if fails(top, cheap=True) else _search(0, top, lambda i: fails(i, cheap=True))
-    lo = _search(0, hi, lambda i: fails(i, cheap=False), step=1)
-    missed.clear()  # their tables are not read again
+    lo = hi
     while lo <= top and candidates[lo] not in found and unsolved(lo):
         lo = _search(lo + 1, top + 1, unsolved)
     if lo > top:
@@ -385,15 +395,14 @@ def _scale_grid(instance: NUkCInstance) -> np.ndarray:
     return grid[np.append(True, grid[1:] != grid[:-1])]  # the first of each run of equal floats
 
 
-def _search(lo: int, hi: int, fails, step: int = 0) -> int:
-    """The least index in [lo, hi] found not to ``fails``, where ``hi`` passes: a bisection, after
-    steps down from ``hi`` by ``step``, step * _STEP_GROWTH, ... to the first failure when step > 0."""
+def _search(lo: int, hi: int, fails) -> int:
+    """The least index in [lo, hi] found not to ``fails``, where ``hi`` passes: a bisection."""
     while lo < hi:
-        mid = max(hi - step, lo) if step else (lo + hi) // 2
+        mid = (lo + hi) // 2
         if fails(mid):
-            lo, step = mid + 1, 0
+            lo = mid + 1
         else:
-            hi, step = mid, step * _STEP_GROWTH
+            hi = mid
     return hi
 
 

@@ -524,7 +524,7 @@ class TestOptimize:
         # infeasible one, solved cold after all, ends lp-empty with a
         # certificate, and an lp-feasible one has a coverage LP of m or more.
         tally = Counter()
-        for seed in range(9):
+        for seed in range(18):
             for inst in (uniform_instance(seed, 30, 0.2, 0.08, 2, 2), graph_instance(seed, 30, 2, 2)):
                 for config in (SolverConfig(), SolverConfig(shortcuts=False)):
                     out = optimize(inst, config)
@@ -645,9 +645,9 @@ class TestOptimize:
 
         monkeypatch.setattr(outer_module, "coverage_lp", lp)
         lps = 0
-        for seed in range(10):
-            for inst in (uniform_instance(seed, 20 + 2 * seed, 0.2, 0.08, 2, 2),
-                         graph_instance(seed, 20 + 2 * seed, 2, 2)):
+        for seed in range(14):
+            for inst in (uniform_instance(seed, 20 + 2 * (seed % 10), 0.2, 0.08, 2, 2),
+                         graph_instance(seed, 20 + 2 * (seed % 10), 2, 2)):
                 assert inst.n <= 40
                 probed.clear()
                 optimize(inst, config)
@@ -696,27 +696,81 @@ class TestOptimize:
         assert out.rho_star not in driver_scales
         assert verify_solution(inst, out.solution, out.solution.dilation)[0]
 
-    def test_probe_lps_start_from_a_lower_scale(self, monkeypatch):
-        # A basis from a larger scale costs far more dual simplex iterations,
-        # so a probe LP starts cold or from a refuted probe below it.
-        real = outer_module.coverage_lp
-        source: dict[int, float] = {}
-        starts = Counter()
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(shortcuts=False)],
+                             ids=["default", "shortcut-free"])
+    def test_probe_lps_sit_just_below_the_reach(self, monkeypatch, config):
+        # Each probe LP is solved one grid position below the reach of the
+        # openings in force: the farthest-first traversal's, then the last
+        # greedy cover's or reaching LP optimum's.  The LP optimum grows with
+        # the scale, so the first refutation is the last LP.
+        real_lp, real_greedy = outer_module.coverage_lp, outer_module.greedy_cover
+        state: dict = {}
 
-        def lp(inst, *args, basis=None, **kwargs):
-            if basis is not None:
-                assert source[id(basis)] < inst.r1
-            starts[basis is not None] += 1
-            out = real(inst, *args, basis=basis, **kwargs)
-            source[id(out.basis)] = inst.r1
+        def greedy(scaled, *args, **kwargs):
+            out = real_greedy(scaled, *args, **kwargs)
+            if out is not None and scaled.r2 > 0:  # not the scale-0 probe
+                state["x"] = np.zeros((2, scaled.n))
+                state["x"][0, list(out.centers1)] = state["x"][1, list(out.centers2)] = 1.0
+            return out
+
+        def lp(scaled, *args, **kwargs):
+            out = real_lp(scaled, *args, **kwargs)
+            if scaled.r2 > 0:
+                state["lps"].append((scaled.r1, reach_by_scan(state["inst"], state["x"]), out.value))
+                if out.value >= scaled.m - 1e-6:
+                    state["x"] = np.array([out.x1, out.x2])
             return out
 
         monkeypatch.setattr(outer_module, "coverage_lp", lp)
-        for seed in range(20):
+        monkeypatch.setattr(outer_module, "greedy_cover", greedy)
+        lps = 0
+        for seed in range(12):
             for inst in (uniform_instance(seed, 30, 0.2, 0.08, 2, 2), graph_instance(seed, 30, 2, 2)):
-                for config in (SolverConfig(), SolverConfig(shortcuts=False)):
-                    optimize(inst, config)
-        assert starts[True] > 50 and starts[False] > 10, starts
+                large, small = farthest_first_reference(inst)
+                x = np.zeros((2, inst.n))
+                x[0, large] = x[1, small] = 1.0
+                state.update(inst=inst, x=x, lps=[])
+                out = optimize(inst, config)
+                scales = candidate_scales(inst)
+                refuted = [value < inst.m - 1e-6 for _, _, value in state["lps"]]
+                assert not any(refuted[:-1]), (seed, refuted)
+                for r1, reach, _ in state["lps"]:
+                    assert r1 == inst.scaled(scales[reach - 1]).r1, (seed, r1 / inst.r1, reach)
+                above = [status for rho, status in out.probes if rho > 0 and status in ("infeasible", "undecided")]
+                assert len(above) <= 1 and (not above or refuted[-1]), (seed, out.probes)
+                lps += len(refuted)
+        assert lps > 40, lps
+
+    def test_reach_matches_a_scan_of_start(self):
+        # NUkCInstance.reach, from each point's nearest open center, against
+        # the coverage of _start at every grid scale.
+        # Scale s, one float below d / r1 and on the grid as (s / 2) / r2, covers d too: r1 * s == d.
+        d, r1 = 0.7026447575336168, 0.7493395061746735
+        s = float(np.nextafter(d / r1, 0.0))
+        assert r1 * s == d
+        metric = MetricSpace.from_matrix([[0.0, d, s / 2], [d, 0.0, d - s / 2], [s / 2, d - s / 2, 0.0]])
+        rng = np.random.default_rng(29)
+        cases = [NUkCInstance(metric, r1, 0.5, 1, 0, 3)]
+        cases += [duplicated_instance(rng, one_way=t % 3 == 0) for t in range(30)]
+        for seed in range(8):
+            cases += [uniform_instance(seed, 30, 0.2, 0.08, 2, 2), graph_instance(seed, 30, 2, 2),
+                      planted_kcenter_instance(seed, 3, 5, 2)[0]]
+        cases += [replace(inst, m=inst.n) for inst in cases]
+        tally = Counter()
+        for inst in cases:
+            grid = outer_module._scale_grid(inst)
+            openings = [outer_module._farthest_first(inst)]
+            cover = greedy_cover(inst.scaled(float(grid[len(grid) // 3]))) if len(grid) else None
+            if cover is not None:
+                openings.append(np.zeros((2, inst.n)))
+                openings[-1][0, list(cover.centers1)] = openings[-1][1, list(cover.centers2)] = 1.0
+            for x in openings:
+                covers = [outer_module._start(inst.scaled(float(rho)), x).sum() >= inst.m - 1e-6 for rho in grid]
+                want = covers.index(True) if any(covers) else len(grid)
+                assert inst.reach(np.flatnonzero(x[0]), np.flatnonzero(x[1]), grid) == want, inst
+                tally["r2 = 0" if inst.r2 == 0 else "m = n" if inst.m == inst.n else "other"] += 1
+                tally["none"] += want == len(grid)
+        assert tally["r2 = 0"] > 10 and tally["m = n"] > 40 and tally["none"] > 5, tally
 
     def test_uncertified_probe_lps_are_undecided(self, monkeypatch):
         # An LP refutation the certificate check does not confirm steers the
@@ -829,6 +883,17 @@ def farthest_first_reference(instance):
             break
         centers.append(far)
     return centers[: instance.k1], centers[instance.k1 :]
+
+
+def reach_by_scan(instance, x):
+    """The index, in candidate_scales, of the least scale at which openings x (rows x1, x2) cover
+    m - 1e-6, read from the distance matrix; the number of scales when none does."""
+    d, scales = instance.metric.dist, candidate_scales(instance)
+    for i, rho in enumerate(scales):
+        scaled = instance.scaled(rho)
+        if np.minimum(1.0, x[0] @ (d <= scaled.r1) + x[1] @ (d <= scaled.r2)).sum() >= instance.m - 1e-6:
+            return i
+    return len(scales)
 
 
 def bisection_reference(instance, config):

@@ -305,29 +305,26 @@ class TestCoverageBound:
                 assert np.minimum(1.0, reach).sum() == pytest.approx(optimum, abs=1e-7), (inst, y)
 
     def test_target_and_start_basis(self):
-        # A start basis from another scale of the same instance changes the
-        # path, not the answer: the optimum, or a refutation of the target
-        # that carries a certificate with its bound below the target.
+        # Every solve starts cold.  The target changes the path, not the
+        # answer: the optimum, or a refutation of the target that carries a
+        # certificate with its bound below the target.
         rng = np.random.default_rng(12)
-        refuted = reached = warm = 0
-        for _ in range(80):
+        refuted = reached = 0
+        for _ in range(160):
             inst = random_instance(rng, max_n=14)
-            low, high = inst.scaled(float(rng.uniform(0.2, 1.0))), inst.scaled(float(rng.uniform(1.0, 3.0)))
-            start = coverage_lp(low, target=inst.m).basis
-            for basis in (None, start):
-                optimum = coverage_lp(high, basis=basis)
-                assert optimum.value == pytest.approx(linprog_coverage_lp(high)[0], abs=1e-7)
-                assert optimum.certificate is None
-                lp = coverage_lp(high, target=inst.m, basis=basis)
-                if optimum.value < inst.m - 1e-6:
-                    assert lp.value < inst.m - 1e-6 and lp.value >= optimum.value - 1e-7
-                    assert cutting_plane.certificate_bound(high, lp.certificate) < inst.m
-                    refuted += 1
-                else:
-                    assert lp.value == pytest.approx(optimum.value, abs=1e-7) and lp.certificate is None
-                    reached += 1
-                warm += basis is not None
-        assert refuted > 20 and reached > 20 and warm == 80
+            high = inst.scaled(float(rng.uniform(1.0, 3.0)))
+            optimum = coverage_lp(high)
+            assert optimum.value == pytest.approx(linprog_coverage_lp(high)[0], abs=1e-7)
+            assert optimum.certificate is None
+            lp = coverage_lp(high, target=inst.m)
+            if optimum.value < inst.m - 1e-6:
+                assert lp.value < inst.m - 1e-6 and lp.value >= optimum.value - 1e-7
+                assert cutting_plane.certificate_bound(high, lp.certificate) < inst.m
+                refuted += 1
+            else:
+                assert lp.value == pytest.approx(optimum.value, abs=1e-7) and lp.certificate is None
+                reached += 1
+        assert refuted > 20 and reached > 20
 
     def test_no_certificate_when_highs_stops_early(self, monkeypatch):
         # An LP that HiGHS does not finish is an error, never a bound or a verdict.
